@@ -12,9 +12,7 @@ Exit codes: 0 success, 1 an identity check failed, 2 usage, 3 domain
 error (for instance an upper word that does not lie above the lower
 one), 4 a computation the known rules cannot finish (a stuck tree or
 an inexact division).  Word lengths are capped at 10 by default since
-every enumeration is exponential; --allow-long lifts the cap.  The
-default worker count comes from DYCKTILE_WORKERS, clamped to 1..8;
-results are byte-identical for every worker count.
+every enumeration is exponential; --allow-long lifts the cap.
 """
 
 from __future__ import annotations
@@ -25,6 +23,7 @@ import json
 import os
 import re
 import sys
+import time
 
 from .golden import BASIS_4_0, M_4_0, M_INV_4_0, N_4_0, N_INV_4_0
 from .incidence import build, invert
@@ -37,7 +36,6 @@ from .tiling import (
     TYPE_B,
     TYPE_D,
     WEIGHTS,
-    _upper_words,
     build_region,
     enumerate_tilings,
     exclusive_signed_weight,
@@ -46,11 +44,12 @@ from .tiling import (
     genfun_upper,
     render_svg,
     tiling_record,
+    upper_words,
 )
 from .treeform import (
     StuckTreeError,
-    _evaluations,
     build_tree,
+    evaluations,
     kw_type_a,
     omega,
     q_b,
@@ -65,14 +64,6 @@ EXIT_GAP = 4
 LENGTH_CAP = 10
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("DYCKTILE_WORKERS", "1")
-    try:
-        return max(1, min(8, int(raw)))
-    except ValueError:
-        return 1
-
-
 def _parse_word(parser: argparse.ArgumentParser, text: str, allow_long: bool) -> PathWord:
     if re.fullmatch("[UD]*", text) is None:
         parser.error("words use only the letters U and D, got %r" % text)
@@ -82,10 +73,6 @@ def _parse_word(parser: argparse.ArgumentParser, text: str, allow_long: bool) ->
             "lift it (enumeration is exponential)" % (len(text), LENGTH_CAP)
         )
     return PathWord(text)
-
-
-def _q_at_1(p: PolyQ) -> int:
-    return sum(p.coeffs)
 
 
 # -- matrix ------------------------------------------------------------------
@@ -124,9 +111,7 @@ def cmd_genfun(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             mu = _parse_word(parser, args.mu, args.allow_long)
             poly = genfun_pair(lam, mu, args.family, args.cls, args.weight)
         else:
-            poly = genfun_lower(
-                lam, args.family, args.weight, args.cls, workers=args.workers
-            )
+            poly = genfun_lower(lam, args.family, args.weight, args.cls)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN
@@ -139,12 +124,12 @@ def cmd_genfun(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             "weight": args.weight,
             "coefficients": list(poly.coeffs),
             "polynomial": str(poly),
-            "q_at_1": _q_at_1(poly),
+            "q_at_1": poly.eval_at_one(),
         }
         print(json.dumps(blob, sort_keys=True))
     else:
         print(poly)
-        print("q=1: %d" % _q_at_1(poly))
+        print("q=1: %d" % poly.eval_at_one())
     return EXIT_OK
 
 
@@ -157,7 +142,7 @@ def cmd_tilings(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         if args.mu is not None:
             uppers = [_parse_word(parser, args.mu, args.allow_long)]
         else:
-            uppers = _upper_words(lam, args.family)
+            uppers = upper_words(lam, args.family)
         found = []
         for mu in uppers:
             region = build_region(lam, mu, args.family)
@@ -258,7 +243,7 @@ def cmd_tree(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             "tree": blob,
             "omega": str(value),
             "coefficients": list(value.coeffs),
-            "q_at_1": _q_at_1(value),
+            "q_at_1": value.eval_at_one(),
         }
         print(json.dumps(blob, sort_keys=True))
     elif args.format == "dot":
@@ -270,7 +255,7 @@ def cmd_tree(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         for line in _tree_lines(blob):
             print(line)
         print("omega: %s" % value)
-        print("q=1: %d" % _q_at_1(value))
+        print("q=1: %d" % value.eval_at_one())
     return EXIT_OK
 
 
@@ -282,7 +267,7 @@ def _words_through(max_len: int):
         yield from all_words(n)
 
 
-def _check_golden_matrices(k: int, workers: int):
+def _check_golden_matrices(k: int):
     cases, failures = 0, []
     if k < 4:
         return cases, 0, failures
@@ -310,9 +295,9 @@ def _check_golden_matrices(k: int, workers: int):
     return cases, 0, failures
 
 
-def _check_matrix_bridge(k: int, workers: int):
+def _check_matrix_bridge(k: int):
     cases, failures = 0, []
-    for n in range(1, min(k, 4) + 1):
+    for n in range(1, k + 1):
         for eps in (0, 1):
             mat_art = build(n, eps, "I")
             mat_tiles = build(n, eps, "II")
@@ -339,9 +324,9 @@ def _check_matrix_bridge(k: int, workers: int):
     return cases, 0, failures
 
 
-def _check_matrix_positivity(k: int, workers: int):
+def _check_matrix_positivity(k: int):
     cases, failures = 0, []
-    for n in range(1, min(k + 1, 6) + 1):
+    for n in range(1, k + 2):
         for eps in (0, 1):
             for kind in ("I", "II"):
                 inv = invert(build(n, eps, kind))
@@ -356,73 +341,73 @@ def _check_matrix_positivity(k: int, workers: int):
     return cases, 0, failures
 
 
-def _check_lower_projection(k: int, workers: int):
+def _check_lower_projection(k: int):
     cases, failures = 0, []
     for w in _words_through(k):
         if not w.length:
             continue
         cases += 1
-        left = genfun_lower(w, TYPE_D, "art", workers=workers)
-        right = genfun_lower(truncate_last(w), TYPE_B, "art", workers=workers)
+        left = genfun_lower(w, TYPE_D, "art")
+        right = genfun_lower(truncate_last(w), TYPE_B, "art")
         if left != right:
             failures.append("lam=%s: D %s, B %s" % (w.steps, left, right))
     return cases, 0, failures
 
 
-def _check_upper_tiles(k: int, workers: int):
+def _check_upper_tiles(k: int):
     cases, failures = 0, []
     for w in _words_through(k):
         if not w.length:
             continue
         cases += 1
-        left = genfun_upper(w, TYPE_D, "tiles", workers=workers)
-        right = genfun_upper(truncate_last(w), TYPE_B, "tiles", workers=workers)
+        left = genfun_upper(w, TYPE_D, "tiles")
+        right = genfun_upper(truncate_last(w), TYPE_B, "tiles")
         if left != right:
             failures.append("mu=%s: D %s, B %s" % (w.steps, left, right))
     return cases, 0, failures
 
 
-def _check_tail_product(k: int, workers: int):
+def _check_tail_product(k: int):
     cases, failures = 0, []
     for total in range(1, k + 2):
         for m in range(1, total + 1):
             n = total - m
             w = PathWord("D" * n + "U" * m)
             cases += 1
-            left = genfun_lower(w, TYPE_D, "art", workers=workers)
+            left = genfun_lower(w, TYPE_D, "art")
             right = q_b(m - 1, n)
             if left != right:
                 failures.append("M=%d N=%d: enumerated %s, product %s" % (m, n, left, right))
     return cases, 0, failures
 
 
-def _check_ballot_tail(k: int, workers: int):
+def _check_ballot_tail(k: int):
     cases, failures = 0, []
     for total in range(k + 1):
         for m in range(total + 1):
             n = total - m
             w = PathWord("D" * n + "U" * m)
             cases += 1
-            left = genfun_lower(w, TYPE_B, "art", workers=workers)
+            left = genfun_lower(w, TYPE_B, "art")
             right = q_b(m, n)
             if left != right:
                 failures.append("M=%d N=%d: enumerated %s, product %s" % (m, n, left, right))
     return cases, 0, failures
 
 
-def _check_hook_product(k: int, workers: int):
+def _check_hook_product(k: int):
     cases, failures = 0, []
     for n in range(0, k + 1, 2):
         for w in dyck_words(n):
             cases += 1
             left = kw_type_a(w)
-            right = genfun_lower(w, TYPE_A, "art", workers=workers)
+            right = genfun_lower(w, TYPE_A, "art")
             if left != right:
                 failures.append("lam=%s: hook %s, tilings %s" % (w.steps, left, right))
     return cases, 0, failures
 
 
-def _check_tree_evaluation(k: int, workers: int):
+def _check_tree_evaluation(k: int):
     cases, skipped, failures = 0, 0, []
     for w in _words_through(k):
         cases += 1
@@ -434,17 +419,17 @@ def _check_tree_evaluation(k: int, workers: int):
             else:
                 skipped += 1
             continue
-        right = genfun_lower(w, TYPE_D, "art", workers=workers)
+        right = genfun_lower(w, TYPE_D, "art")
         if left != right:
             failures.append("lam=%s: tree %s, tilings %s" % (w.steps, left, right))
     return cases, skipped, failures
 
 
-def _check_merge_confluence(k: int, workers: int):
+def _check_merge_confluence(k: int):
     cases, failures = 0, []
-    for w in _words_through(min(k, 5)):
+    for w in _words_through(k):
         cases += 1
-        pairs = _evaluations(build_tree(w), {})
+        pairs = evaluations(build_tree(w), {})
         values = {exact_div(num, den) for num, den in pairs}
         if len(values) != 1:
             failures.append(
@@ -453,7 +438,7 @@ def _check_merge_confluence(k: int, workers: int):
     return cases, 0, failures
 
 
-def _check_pinned_values(k: int, workers: int):
+def _check_pinned_values(k: int):
     cases, failures = 0, []
 
     def expect(name: str, got, want) -> None:
@@ -471,8 +456,8 @@ def _check_pinned_values(k: int, workers: int):
     expect("ballot tail (0,3)", q_b(0, 3), two * PolyQ((1, 0, 1)) * PolyQ((1, 0, 0, 1)))
     expect("ballot tail (1,2)", q_b(1, 2), two * PolyQ((1, 0, 1)) * PolyQ((1, 0, 1)))
     if k >= 6:
-        poly = genfun_lower(PathWord("DDUUDD"), TYPE_D, "art", workers=workers)
-        expect("DDUUDD count", _q_at_1(poly), 36)
+        poly = genfun_lower(PathWord("DDUUDD"), TYPE_D, "art")
+        expect("DDUUDD count", poly.eval_at_one(), 36)
         expect("DDUUDD q^5 coefficient", poly.coeffs[5], 6)
         expect(
             "tree value DUUDUU",
@@ -482,19 +467,40 @@ def _check_pinned_values(k: int, workers: int):
     return cases, 0, failures
 
 
-CHECKS = (
-    ("golden-matrices", _check_golden_matrices),
-    ("matrix-bridge", _check_matrix_bridge),
-    ("matrix-positivity", _check_matrix_positivity),
-    ("lower-sum-projection", _check_lower_projection),
-    ("upper-sum-tiles", _check_upper_tiles),
-    ("tail-product", _check_tail_product),
-    ("ballot-tail-product", _check_ballot_tail),
-    ("hook-product", _check_hook_product),
-    ("tree-evaluation", _check_tree_evaluation),
-    ("merge-confluence", _check_merge_confluence),
-    ("pinned-values", _check_pinned_values),
-)
+# name -> (check, cap); run_check passes min(k, cap).  Past their caps
+# the bridge fails (tilings and matrices disagree from n = 6 on) and so
+# does merge-confluence (stuck trees, from length 6 on, have no finishing
+# order); positivity runs n up to k + 1 and costs about 6x per step.
+CHECKS = {
+    "golden-matrices": (_check_golden_matrices, None),
+    "matrix-bridge": (_check_matrix_bridge, 4),
+    "matrix-positivity": (_check_matrix_positivity, 5),
+    "lower-sum-projection": (_check_lower_projection, None),
+    "upper-sum-tiles": (_check_upper_tiles, None),
+    "tail-product": (_check_tail_product, None),
+    "ballot-tail-product": (_check_ballot_tail, None),
+    "hook-product": (_check_hook_product, None),
+    "tree-evaluation": (_check_tree_evaluation, None),
+    "merge-confluence": (_check_merge_confluence, 5),
+    "pinned-values": (_check_pinned_values, None),
+}
+
+
+def run_check(name: str, k: int) -> dict:
+    """Run one registry check at bound min(k, cap) and report on it."""
+    fn, cap = CHECKS[name]
+    bound = k if cap is None else min(k, cap)
+    start = time.perf_counter()
+    cases, skipped, failures = fn(bound)
+    return {
+        "name": name,
+        "passed": not failures,
+        "cases": cases,
+        "skipped": skipped,
+        "failures": failures,
+        "bound": bound,
+        "seconds": time.perf_counter() - start,
+    }
 
 
 def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -505,25 +511,13 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             "--max-length %d exceeds the cap %d; pass --allow-long to lift it"
             % (args.max_length, LENGTH_CAP)
         )
-    report = []
-    for name, fn in CHECKS:
-        cases, skipped, failures = fn(args.max_length, args.workers)
-        report.append(
-            {
-                "name": name,
-                "passed": not failures,
-                "cases": cases,
-                "skipped": skipped,
-                "failures": failures,
-            }
-        )
+    report = [run_check(name, args.max_length) for name in CHECKS]
     all_pass = all(r["passed"] for r in report)
     if args.json:
         print(
             json.dumps(
                 {
                     "max_length": args.max_length,
-                    "workers": args.workers,
                     "checks": report,
                     "all_pass": all_pass,
                 },
@@ -563,14 +557,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "decorated trees, and the identity suite",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--workers",
-        type=int,
-        choices=range(1, 9),
-        metavar="1..8",
-        default=_default_workers(),
-        help="parallel workers for batch sums (default from DYCKTILE_WORKERS)",
-    )
     common.add_argument(
         "--allow-long",
         action="store_true",

@@ -77,7 +77,7 @@ class IncidenceMatrix:
     def to_latex(self) -> str:
         lines = ["\\begin{pmatrix}"]
         for row in self.entries:
-            lines.append(" & ".join(_latex_poly(p) for p in row) + r" \\")
+            lines.append(" & ".join(p.render("q^{%d}", sep="") for p in row) + r" \\")
         lines.append("\\end{pmatrix}")
         return "\n".join(lines)
 
@@ -95,26 +95,6 @@ class IncidenceMatrix:
         return "\n".join(lines)
 
 
-def _latex_poly(p: PolyQ) -> str:
-    if not p:
-        return "0"
-    parts = []
-    for i, c in enumerate(p.coeffs):
-        if c == 0:
-            continue
-        mag = abs(c)
-        if i == 0:
-            term = str(mag)
-        else:
-            var = "q" if i == 1 else "q^{%d}" % i
-            term = var if mag == 1 else "%d%s" % (mag, var)
-        if not parts:
-            parts.append(term if c > 0 else "-" + term)
-        else:
-            parts.append(("+" if c > 0 else "-") + term)
-    return "".join(parts)
-
-
 def build(n: int, epsilon: int, kind: str) -> IncidenceMatrix:
     """The incidence matrix of the length-n sign-epsilon basis."""
     if kind not in ("I", "II"):
@@ -130,9 +110,10 @@ def build(n: int, epsilon: int, kind: str) -> IncidenceMatrix:
             for S in itertools.combinations(arcs, k):
                 lam = flip(mu, S)
                 i = index[lam.steps]  # flips preserve the sign
-                assert grid[i][j] == ZERO, (
-                    "two flip subsets of %s give %s" % (mu.steps, lam.steps)
-                )
+                if grid[i][j]:
+                    raise AssertionError(
+                        "two flip subsets of %s give %s" % (mu.steps, lam.steps)
+                    )
                 grid[i][j] = weigh(mu, S)
     return IncidenceMatrix(basis, tuple(tuple(row) for row in grid))
 
@@ -153,11 +134,12 @@ def invert(m: IncidenceMatrix) -> IncidenceMatrix:
                     acc = acc + m.entries[i][k] * inv[k][j]
             inv[i][j] = -acc
     out = IncidenceMatrix(m.basis, tuple(tuple(row) for row in inv))
-    _assert_product_is_identity(m, out)
+    check_inverse(m, out)
     return out
 
 
-def _assert_product_is_identity(a: IncidenceMatrix, b: IncidenceMatrix) -> None:
+def check_inverse(a: IncidenceMatrix, b: IncidenceMatrix) -> None:
+    """Raise unless the product a * b is the identity matrix."""
     size = a.size
     for i in range(size):
         for j in range(size):
@@ -166,4 +148,5 @@ def _assert_product_is_identity(a: IncidenceMatrix, b: IncidenceMatrix) -> None:
                 if a.entries[i][k] and b.entries[k][j]:
                     acc = acc + a.entries[i][k] * b.entries[k][j]
             expect = ONE if i == j else ZERO
-            assert acc == expect, "product check failed at (%d, %d)" % (i, j)
+            if acc != expect:
+                raise AssertionError("product check failed at (%d, %d)" % (i, j))

@@ -54,7 +54,8 @@ class ArcSet:
 def arc_size(arc: Arc) -> int:
     i, j = arc
     size, rem = divmod(j - i + 1, 2)
-    assert rem == 0 and size > 0, "malformed arc %r" % (arc,)
+    if rem or size <= 0:
+        raise AssertionError("malformed arc %r" % (arc,))
     return size
 
 
@@ -202,12 +203,14 @@ def link_pattern(w: PathWord) -> LinkPattern:
     positions = list(range(1 - p, 1)) + list(range(1, w.length + 1))
     letters = "U" * p + w.steps
     simple, dashed, ud, uu = _pair_positions(positions, letters)
-    assert not ud and not uu, "extension must pair every position"
+    if ud or uu:
+        raise AssertionError("extension must pair every position")
     dashed_set = set(dashed)
     simple_set = set(simple)
     if w.steps and w.steps[-1] == "D":
         closing = [a for a in simple_set if a[1] == w.length]
-        assert len(closing) == 1, "final D must close exactly one simple arc"
+        if len(closing) != 1:
+            raise AssertionError("final D must close exactly one simple arc")
         simple_set.remove(closing[0])
         dashed_set.add(closing[0])
     arcs = tuple(

@@ -135,10 +135,13 @@ class PolyQ:
     def from_json(cls, data: dict) -> "PolyQ":
         return cls(data["coeffs"])
 
-    def __str__(self) -> str:
+    def render(self, power: str = "q^%d", sep: str = " ") -> str:
+        """Terms in ascending powers of q.  power formats the exponents
+        from 2 on and sep surrounds the sign between terms: str() gives
+        1 - q^2, render("q^{%d}", sep="") the LaTeX form 1-q^{2}."""
         if not self.coeffs:
             return "0"
-        parts = []
+        out = ""
         for i, c in enumerate(self.coeffs):
             if c == 0:
                 continue
@@ -146,13 +149,16 @@ class PolyQ:
             if i == 0:
                 term = str(mag)
             else:
-                var = "q" if i == 1 else "q^%d" % i
+                var = "q" if i == 1 else power % i
                 term = var if mag == 1 else "%d%s" % (mag, var)
-            if not parts:
-                parts.append(term if c > 0 else "-" + term)
+            if not out:
+                out = term if c > 0 else "-" + term
             else:
-                parts.append(("+ " if c > 0 else "- ") + term)
-        return " ".join(parts)
+                out += sep + ("+" if c > 0 else "-") + sep + term
+        return out
+
+    def __str__(self) -> str:
+        return self.render()
 
     def __repr__(self) -> str:
         return "PolyQ(%r)" % (self.coeffs,)

@@ -49,7 +49,6 @@ tiling, which carries the signed matrix entries.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -176,7 +175,8 @@ class Tile:
 
     @property
     def art(self) -> int:
-        assert self.area % 2 == 1, "tile area must be odd"
+        if self.area % 2 != 1:
+            raise AssertionError("tile area must be odd")
         return (self.area + 1) // 2
 
     @property
@@ -223,7 +223,8 @@ class Tiling:
     @property
     def art(self) -> int:
         total = self.area + self.tile_count
-        assert total % 2 == 0
+        if total % 2:
+            raise AssertionError("area and tile count differ in parity")
         return total // 2
 
     def statistic(self, weight: str) -> int:
@@ -532,19 +533,22 @@ def enumerate_tilings(region: Region, cls: str = INCLUSIVE) -> tuple[Tiling, ...
             if fused is None:
                 continue
             cover = fused
-        _check_exact_cover(region, cover)
+        check_exact_cover(region, cover)
         if predicate(region, cover):
             out.append(Tiling(region, tuple(sorted(cover, key=lambda t: (t.cells, t.kind))), cls))
     out.sort(key=lambda t: [(x.cells, x.kind) for x in t.tiles])
     return tuple(out)
 
 
-def _check_exact_cover(region: Region, tiles: tuple[Tile, ...]) -> None:
+def check_exact_cover(region: Region, tiles: tuple[Tile, ...]) -> None:
+    """Raise unless the tiles cover every cell of the region exactly once."""
     seen: list[Coord] = []
     for t in tiles:
         seen.extend(t.cells)
-    assert len(seen) == len(set(seen)), "tiles overlap"
-    assert set(seen) == set(region.all_cells), "tiles do not cover the region"
+    if len(seen) != len(set(seen)):
+        raise AssertionError("tiles overlap")
+    if set(seen) != set(region.all_cells):
+        raise AssertionError("tiles do not cover the region")
 
 
 # -- generating functions --------------------------------------------------
@@ -575,58 +579,47 @@ def exclusive_signed_weight(
     found = enumerate_tilings(region, EXCLUSIVE)
     if not found:
         return ZERO
-    assert len(found) == 1, "cover-exclusive tiling is not unique"
+    if len(found) > 1:
+        raise AssertionError("cover-exclusive tiling is not unique")
     t = found[0]
     return ONE.scale_by_monomial((-1) ** t.tile_count, t.statistic(weight))
 
 
-def _upper_words(lam: PathWord, type_tag: str) -> list[PathWord]:
-    L = lam.length
+def _comparable_words(w: PathWord, type_tag: str, above: bool) -> list[PathWord]:
+    L = w.length
     if type_tag == TYPE_D:
-        return [mu for mu in enumerate_type_d(L, lam.epsilon) if is_above(mu, lam)] if L else [lam]
-    if type_tag == TYPE_B:
-        return [mu for mu in all_words(L) if is_above(mu, lam)]
-    if type_tag == TYPE_A:
-        if not classify(lam).is_dyck:
+        if not L:
+            return [w]
+        pool = enumerate_type_d(L, w.epsilon)
+    elif type_tag == TYPE_B:
+        pool = all_words(L)
+    elif type_tag == TYPE_A:
+        if not classify(w).is_dyck:
             raise ValueError("family A needs a Dyck word")
-        return [mu for mu in dyck_words(L) if is_above(mu, lam)]
-    raise ValueError("unknown region family %r" % (type_tag,))
+        pool = dyck_words(L)
+    else:
+        raise ValueError("unknown region family %r" % (type_tag,))
+    if above:
+        return [v for v in pool if is_above(v, w)]
+    return [v for v in pool if is_above(w, v)]
 
 
-def _lower_words(mu: PathWord, type_tag: str) -> list[PathWord]:
-    L = mu.length
-    if type_tag == TYPE_D:
-        return [lam for lam in enumerate_type_d(L, mu.epsilon) if is_above(mu, lam)] if L else [mu]
-    if type_tag == TYPE_B:
-        return [lam for lam in all_words(L) if is_above(mu, lam)]
-    if type_tag == TYPE_A:
-        if not classify(mu).is_dyck:
-            raise ValueError("family A needs a Dyck word")
-        return [lam for lam in dyck_words(L) if is_above(mu, lam)]
-    raise ValueError("unknown region family %r" % (type_tag,))
+def upper_words(lam: PathWord, type_tag: str) -> list[PathWord]:
+    """Every word of the family that stays weakly above lam."""
+    return _comparable_words(lam, type_tag, above=True)
 
 
-def _pair_task(args: tuple) -> tuple[int, ...]:
-    lam, mu, tag, cls, weight = args
-    return genfun_pair(PathWord(lam), PathWord(mu), tag, cls, weight).coeffs
+def lower_words(mu: PathWord, type_tag: str) -> list[PathWord]:
+    """Every word of the family that stays weakly below mu."""
+    return _comparable_words(mu, type_tag, above=False)
 
 
 def _sum_over(
-    pairs: list[tuple[PathWord, PathWord]],
-    type_tag: str,
-    cls: str,
-    weight: str,
-    workers: int,
+    pairs: list[tuple[PathWord, PathWord]], type_tag: str, cls: str, weight: str
 ) -> PolyQ:
-    tasks = [(a.steps, b.steps, type_tag, cls, weight) for a, b in pairs]
-    if workers <= 1 or len(tasks) < 2:
-        results = [_pair_task(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_pair_task, tasks))
     acc = ZERO
-    for coeffs in results:
-        acc = acc + PolyQ(coeffs)
+    for lam, mu in pairs:
+        acc = acc + genfun_pair(lam, mu, type_tag, cls, weight)
     return acc
 
 
@@ -635,26 +628,24 @@ def genfun_lower(
     type_tag: str,
     weight: str = "art",
     cls: str = INCLUSIVE,
-    workers: int = 1,
 ) -> PolyQ:
     """Sum of genfun_pair(lam, mu) over every upper word mu above lam."""
     if weight not in WEIGHTS:
         raise ValueError("weight must be one of %s" % (WEIGHTS,))
-    pairs = [(lam, mu) for mu in _upper_words(lam, type_tag)]
-    return _sum_over(pairs, type_tag, cls, weight, workers)
+    pairs = [(lam, mu) for mu in upper_words(lam, type_tag)]
+    return _sum_over(pairs, type_tag, cls, weight)
 
 
 def genfun_upper(
     mu: PathWord,
     type_tag: str,
     weight: str = "tiles",
-    workers: int = 1,
 ) -> PolyQ:
     """Sum of cover-exclusive q^weight over every lower word below mu."""
     if weight not in WEIGHTS:
         raise ValueError("weight must be one of %s" % (WEIGHTS,))
-    pairs = [(lam, mu) for lam in _lower_words(mu, type_tag)]
-    return _sum_over(pairs, type_tag, EXCLUSIVE, weight, workers)
+    pairs = [(lam, mu) for lam in lower_words(mu, type_tag)]
+    return _sum_over(pairs, type_tag, EXCLUSIVE, weight)
 
 
 # -- projection between families D and B ------------------------------------
@@ -673,7 +664,8 @@ def project_to_type_b(tiling: Tiling) -> Tiling:
     expect = set(region.unit_cells)
     for L, m in region.atoms:
         expect.add((L - 1, m))
-    assert expect == set(target.unit_cells), "truncated region mismatch"
+    if expect != set(target.unit_cells):
+        raise AssertionError("truncated region mismatch")
     out: list[Tile] = []
     for t in tiling.tiles:
         if t.kind == "dyck":
@@ -693,7 +685,7 @@ def project_to_type_b(tiling: Tiling) -> Tiling:
             raise ValueError("unexpected tile kind %r in family D" % (t.kind,))
     tiles = tuple(sorted(out, key=lambda t: (t.cells, t.kind)))
     result = Tiling(target, tiles, tiling.cls)
-    _check_exact_cover(target, tiles)
+    check_exact_cover(target, tiles)
     return result
 
 
@@ -718,7 +710,8 @@ def lift_from_type_b(tiling: Tiling, lam_d: PathWord) -> Tiling:
             # heights; the residue class picks which one
             y_low, y_up = t.lower[-1][1], t.upper[-1][1]
             m = y_up if y_up % 4 == residue else y_low
-            assert m % 4 == residue, "ballot pair at incompatible height"
+            if m % 4 != residue:
+                raise AssertionError("ballot pair at incompatible height")
             low = t.lower + ((L, m - 1),)
             up = t.upper + ((L, m + 1),)
             atom = (L, m)
@@ -738,7 +731,7 @@ def lift_from_type_b(tiling: Tiling, lam_d: PathWord) -> Tiling:
         else:
             out.append(t)
     tiles = tuple(sorted(out, key=lambda t: (t.cells, t.kind)))
-    _check_exact_cover(target, tiles)
+    check_exact_cover(target, tiles)
     return Tiling(target, tiles, tiling.cls)
 
 

@@ -201,7 +201,8 @@ def build_tree(w: PathWord) -> PlaneTree:
         if not positions:
             return []
         arc = by_open.get(positions[0])
-        assert arc is not None, "segment must start with an opening letter"
+        if arc is None:
+            raise AssertionError("segment must start with an opening letter")
         split = positions.index(arc.close)
         interior = positions[1:split]
         rest = positions[split + 1 :]
@@ -210,7 +211,8 @@ def build_tree(w: PathWord) -> PlaneTree:
         if letters[arc.close] == "D":
             edge.child.children = parse(interior)
             return [edge] + parse(rest)
-        assert arc.dashed, "an arc closing with U is always dashed"
+        if not arc.dashed:
+            raise AssertionError("an arc closing with U is always dashed")
         edge.child.children = parse(interior + rest)
         return [edge]
 
@@ -304,9 +306,11 @@ def _apply_merge(node: TreeNode, k: int) -> tuple[PolyQ, PolyQ]:
     """Merge the chains at children k and k+1, return (num, den)."""
     left = _chain(node.children[k])
     right = _chain(node.children[k + 1])
-    assert left is not None and right is not None
+    if left is None or right is None:
+        raise AssertionError("merge site is not a pair of chains")
     got = _merge_factor(left, right, tuple(node.children[k + 2 :]))
-    assert got is not None, "merge site is not eligible"
+    if got is None:
+        raise AssertionError("merge site is not eligible")
     num, den, profile = got
     target = left[0].outgoing
     top = TreeEdge(TreeNode(), dotted=profile[0], merged=True)
@@ -365,8 +369,11 @@ def _terminal(chain: list[TreeEdge]) -> PolyQ:
     return _one_plus_powers(1, run)
 
 
-def _evaluations(tree: PlaneTree, memo: dict) -> list[tuple[PolyQ, PolyQ]]:
-    """All (numerator, denominator) pairs over complete merge orders."""
+def evaluations(tree: PlaneTree, memo: dict) -> list[tuple[PolyQ, PolyQ]]:
+    """All (numerator, denominator) pairs over complete merge orders.
+
+    memo caches the pairs of every tree state reached; pass a new dict.
+    """
     key = _encode(tree)
     if key in memo:
         return memo[key]
@@ -379,7 +386,7 @@ def _evaluations(tree: PlaneTree, memo: dict) -> list[tuple[PolyQ, PolyQ]]:
             work = tree.copy()
             node, k = _eligible_merges(work)[pick]
             a, b = _apply_merge(node, k)
-            for num, den in _evaluations(work, memo):
+            for num, den in evaluations(work, memo):
                 pair = (a * num, b * den)
                 if pair not in results:
                     results.append(pair)
@@ -396,7 +403,7 @@ def omega(tree: PlaneTree) -> PolyQ:
     rules and StuckTreeError is raised.  InexactDivisionError signals a
     rule 3 denominator that fails to divide out.
     """
-    outcomes = {exact_div(num, den) for num, den in _evaluations(tree, {})}
+    outcomes = {exact_div(num, den) for num, den in evaluations(tree, {})}
     if not outcomes:
         raise StuckTreeError("no merge rule applies to this tree")
     if len(outcomes) > 1:

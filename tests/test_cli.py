@@ -5,8 +5,10 @@ import json
 
 import pytest
 
-from dycktile.cli import _default_workers, main
+from dycktile import cli
+from dycktile.cli import main, run_check
 from dycktile.incidence import IncidenceMatrix, build
+from dycktile.qpoly import ONE, ZERO
 
 
 def run(capsys, *argv):
@@ -215,31 +217,46 @@ def test_verify_json_report(capsys):
     assert code == 0
     blob = json.loads(out)
     assert blob["all_pass"] is True
-    names = {c["name"] for c in blob["checks"]}
-    assert "golden-matrices" in names
-    assert "matrix-bridge" in names
-    assert "tree-evaluation" in names
-    assert all(c["passed"] for c in blob["checks"])
+    assert set(blob) == {"max_length", "checks", "all_pass"}
+    assert [c["name"] for c in blob["checks"]] == list(cli.CHECKS)
+    keys = {"name", "passed", "cases", "skipped", "failures", "bound", "seconds"}
+    for c in blob["checks"]:
+        assert set(c) == keys
+        assert c["passed"] and c["bound"] == 1 and c["seconds"] >= 0
 
 
-def test_worker_count_does_not_change_output(capsys):
-    outputs = []
-    for n in ("1", "2"):
-        code, out, _ = run(capsys, "genfun", "--lambda", "DDUU", "--workers", n)
-        assert code == 0
-        outputs.append(out)
-    assert outputs[0] == outputs[1]
+def test_run_check_clamps_to_cap():
+    report = run_check("matrix-bridge", 7)
+    assert report["bound"] == 4
+    assert report["passed"]
 
 
-def test_default_workers_env(monkeypatch):
-    monkeypatch.setenv("DYCKTILE_WORKERS", "3")
-    assert _default_workers() == 3
-    monkeypatch.setenv("DYCKTILE_WORKERS", "99")
-    assert _default_workers() == 8
-    monkeypatch.setenv("DYCKTILE_WORKERS", "zero")
-    assert _default_workers() == 1
-    monkeypatch.delenv("DYCKTILE_WORKERS")
-    assert _default_workers() == 1
+# One broken collaborator per registry check; each must make it fail.
+BREAKS = (
+    ("golden-matrices", "invert", lambda m: m),
+    ("matrix-bridge", "genfun_pair", lambda *args: ZERO),
+    ("matrix-positivity", "invert", lambda m: m),
+    ("lower-sum-projection", "truncate_last", lambda w: w),
+    ("upper-sum-tiles", "truncate_last", lambda w: w),
+    ("tail-product", "q_b", lambda m, n: ONE),
+    ("ballot-tail-product", "q_b", lambda m, n: ONE),
+    ("hook-product", "kw_type_a", lambda w: ZERO),
+    ("tree-evaluation", "omega", lambda tree: ZERO),
+    ("merge-confluence", "evaluations", lambda tree, memo: [(ONE, ONE), (ZERO, ONE)]),
+    ("pinned-values", "genfun_pair", lambda *args: ZERO),
+)
+
+
+@pytest.mark.parametrize("name, attr, broken", BREAKS, ids=[b[0] for b in BREAKS])
+def test_registry_check_can_fail(monkeypatch, capsys, name, attr, broken):
+    monkeypatch.setattr(cli, attr, broken)
+    report = run_check(name, 4)
+    assert report["passed"] is False
+    assert report["failures"]
+    code, out, _ = run(capsys, "verify", "--max-length", "4")
+    assert code == 1
+    assert [name, "FAIL"] in [line.split()[:2] for line in out.splitlines()]
+    assert out.splitlines()[-1] == "some checks FAILED"
 
 
 def test_missing_subcommand():

@@ -6,7 +6,7 @@ import pytest
 from dycktile.incidence import IncidenceMatrix, build, invert
 from dycktile.linkflip import flip, pair_arcs
 from dycktile.pathword import PathWord, is_above
-from dycktile.qpoly import ONE, ZERO
+from dycktile.qpoly import ONE, ZERO, PolyQ
 
 from dycktile.golden import BASIS_4_0, M_4_0, M_INV_4_0, N_4_0, N_INV_4_0
 
@@ -123,8 +123,12 @@ def test_csv_and_latex_render():
     csv_text = m.to_csv()
     assert csv_text.splitlines()[0] == ",UUUU,UUDD,UDUD,UDDU,DUUD,DUDU,DDUU,DDDD"
     assert "-q^3" in csv_text
-    tex = m.to_latex()
-    assert tex.startswith("\\begin{pmatrix}")
-    assert "q^{4}" in tex
+    tex = m.to_latex().splitlines()
+    assert tex[0] == "\\begin{pmatrix}"
+    assert tex[7] == "-q^{3} & q^{3} & 0 & 0 & 0 & -q & 1 & 0 \\\\"
+    assert tex[-1] == "\\end{pmatrix}"
+    wide = PolyQ((-1, 0, 2) + (0,) * 8 + (-3,))
+    odd = IncidenceMatrix((PathWord("UU"), PathWord("DD")), ((ONE, ZERO), (wide, ONE)))
+    assert odd.to_latex().splitlines()[2] == "-1+2q^{2}-3q^{11} & 1 \\\\"
     txt = m.to_text()
     assert txt.splitlines()[1].lstrip().startswith("UUUU")

@@ -83,6 +83,7 @@ def test_str_forms():
     assert str(PolyQ((1, 2, 0, 1))) == "1 + 2q + q^3"
     assert str(PolyQ((0, -1, 3))) == "-q + 3q^2"
     assert str(PolyQ((1, 0, -2))) == "1 - 2q^2"
+    assert str(PolyQ((-1, 0, 2) + (0,) * 8 + (-3,))) == "-1 + 2q^2 - 3q^11"
 
 
 def test_json_round_trip():

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,11 +219,6 @@ def test_invalid_weight_and_class():
         genfun_lower(W("UD"), "A", weight="perimeter")
 
 
-def test_workers_agree_with_serial():
-    lam = W("DDUU")
-    assert genfun_lower(lam, "D", workers=2) == genfun_lower(lam, "D")
-
-
 # -- identities -------------------------------------------------------------
 
 
@@ -332,6 +329,45 @@ def test_tilings_cover_exactly_with_odd_tile_areas(pair):
             assert tile.area % 2 == 1
             assert tile.art == (tile.area + 1) // 2
         assert 2 * t.art == t.area + t.tile_count
+
+
+# Invariant checks must survive python -O, which strips assert statements.
+OPTIMIZED_SCRIPT = """
+import sys
+from dycktile.incidence import build, check_inverse
+from dycktile.pathword import PathWord
+from dycktile.tiling import build_region, check_exact_cover, enumerate_tilings
+
+
+def refusal(check, *args):
+    try:
+        check(*args)
+    except AssertionError as exc:
+        return str(exc)
+    return "no error"
+
+
+region = build_region(PathWord("DDUU"), PathWord("UUUU"), "D")
+tiles = enumerate_tilings(region)[0].tiles
+m = build(2, 0, "I")
+print(sys.flags.optimize)
+print(refusal(check_exact_cover, region, tiles + tiles[:1]))
+print(refusal(check_exact_cover, region, tiles[1:]))
+print(refusal(check_inverse, m, m))
+"""
+
+
+def test_invariants_raise_under_optimize():
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout
+    assert out.splitlines() == [
+        "1",
+        "tiles overlap",
+        "tiles do not cover the region",
+        "product check failed at (1, 0)",
+    ]
 
 
 @settings(max_examples=60, deadline=None)
