@@ -9,10 +9,22 @@ word first), because flips only move words downward.
 
 The uniqueness of S is an assumption the definition leans on; build()
 checks it exhaustively while filling each column (arc sets are small,
-at most L/2 arcs).  Inversion is exact forward substitution over
-PolyQ followed by an internal product check.  Inverse entries only
-hold nonnegative coefficients; that positivity is re-proved downstream
-by the tiling bridge and asserted in the tests, not here.
+at most L/2 arcs).
+
+The matrices are sparse (about 7% of the entries are nonzero at
+n = 8), and inversion touches only nonzeros.  The nonzeros of each
+row of M are read from `entries` once, as (column, entry) pairs.
+Column j of the inverse is exact forward substitution: entry i is
+minus the sum of M[i][k] * inv[k][j] over the k where row i of M and
+the finished part of the column, kept as a {row: PolyQ} dict, are
+both nonzero.  Each sum accumulates in one coefficient list
+(qpoly.add_product) and becomes a PolyQ once, when it is finished.
+That costs about size * nnz(M) coefficient passes.  invert then runs
+check_inverse, which forms every row of M * Minv the same way, from
+the nonzeros of both factors, and compares the full product with the
+identity.  Inverse entries only hold nonnegative coefficients; that
+positivity is re-proved downstream by the tiling bridge and asserted
+in the tests, not here.
 """
 
 from __future__ import annotations
@@ -25,7 +37,7 @@ from functools import cached_property
 
 from .linkflip import pair_arcs, flip, weight_I, weight_II
 from .pathword import PathWord, enumerate_type_d
-from .qpoly import ONE, ZERO, PolyQ
+from .qpoly import ONE, ZERO, PolyQ, add_product
 
 
 @dataclass(frozen=True)
@@ -118,35 +130,57 @@ def build(n: int, epsilon: int, kind: str) -> IncidenceMatrix:
     return IncidenceMatrix(basis, tuple(tuple(row) for row in grid))
 
 
+def _sparse_rows(m: IncidenceMatrix) -> list[list[tuple[int, PolyQ]]]:
+    """The nonzeros of each row of m as (column, entry) pairs."""
+    return [[(k, p) for k, p in enumerate(row) if p] for row in m.entries]
+
+
 def invert(m: IncidenceMatrix) -> IncidenceMatrix:
     """Exact inverse of a lower-unitriangular matrix."""
     size = m.size
     for k in range(size):
         if m.entries[k][k] != ONE:
             raise ValueError("matrix is not unitriangular at %s" % m.basis[k].steps)
+    rows = _sparse_rows(m)
     inv: list[list[PolyQ]] = [[ZERO] * size for _ in range(size)]
     for j in range(size):
-        inv[j][j] = ONE
+        # column j of the inverse, nonzeros only; the rows k in [j, i)
+        # are final by the time row i reads them
+        col = {j: ONE}
         for i in range(j + 1, size):
-            acc = ZERO
-            for k in range(j, i):
-                if m.entries[i][k] and inv[k][j]:
-                    acc = acc + m.entries[i][k] * inv[k][j]
-            inv[i][j] = -acc
+            buf: list[int] = []
+            for k, mik in rows[i]:
+                ckj = col.get(k)
+                if ckj is not None:
+                    add_product(buf, mik, ckj)
+            if any(buf):
+                col[i] = PolyQ([-c for c in buf])
+        for i, p in col.items():
+            inv[i][j] = p
     out = IncidenceMatrix(m.basis, tuple(tuple(row) for row in inv))
     check_inverse(m, out)
     return out
 
 
 def check_inverse(a: IncidenceMatrix, b: IncidenceMatrix) -> None:
-    """Raise unless the product a * b is the identity matrix."""
+    """Raise unless the product a * b is the identity matrix.
+
+    Row i of the product is accumulated from the nonzeros of a's row i
+    and of b's matching rows, then all of its entries are compared with
+    the identity; the first mismatch in row-major order is reported.
+    """
     size = a.size
-    for i in range(size):
+    b_rows = _sparse_rows(b)
+    for i, a_row in enumerate(_sparse_rows(a)):
+        row: dict[int, list[int]] = {}
+        for k, aik in a_row:
+            for j, bkj in b_rows[k]:
+                add_product(row.setdefault(j, []), aik, bkj)
         for j in range(size):
-            acc = ZERO
-            for k in range(size):
-                if a.entries[i][k] and b.entries[k][j]:
-                    acc = acc + a.entries[i][k] * b.entries[k][j]
-            expect = ONE if i == j else ZERO
-            if acc != expect:
+            got = row.get(j, ())
+            if i == j:
+                ok = bool(got) and got[0] == 1 and not any(got[1:])
+            else:
+                ok = not any(got)
+            if not ok:
                 raise AssertionError("product check failed at (%d, %d)" % (i, j))

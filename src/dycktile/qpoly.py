@@ -20,6 +20,10 @@ The classical q-analogues provided here:
 
 Both binomials are computed numerator-first and divided exactly once,
 so an inexact division raises instead of silently truncating.
+
+add_product(buf, a, b) adds a * b into a plain coefficient list, so a
+long sum of products (a matrix product entry) builds one PolyQ at the
+end instead of one per product and one per partial sum.
 """
 
 from __future__ import annotations
@@ -197,6 +201,25 @@ def exact_div(num: PolyQ, den: PolyQ) -> PolyQ:
     if any(rem):
         raise InexactDivisionError("%s does not divide %s" % (den, num))
     return PolyQ(out)
+
+
+def add_product(buf: list[int], a: PolyQ, b: PolyQ) -> None:
+    """buf += a * b in place, buf a coefficient list that grows as needed.
+
+    Sums of many products accumulate in one buffer this way, and only
+    the finished sum becomes a PolyQ.  Zero coefficients of a are
+    skipped, so a signed monomial costs one pass over b.
+    """
+    ca, cb = a.coeffs, b.coeffs
+    if not ca or not cb:
+        return
+    nb = len(cb)
+    need = len(ca) + nb - 1
+    if len(buf) < need:
+        buf.extend([0] * (need - len(buf)))
+    for i, x in enumerate(ca):
+        if x:
+            buf[i:i + nb] = [u + x * y for u, y in zip(buf[i:i + nb], cb)]
 
 
 def prod(factors: Iterable[PolyQ]) -> PolyQ:

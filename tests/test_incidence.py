@@ -3,10 +3,10 @@ import json
 
 import pytest
 
-from dycktile.incidence import IncidenceMatrix, build, invert
+from dycktile.incidence import IncidenceMatrix, build, check_inverse, invert
 from dycktile.linkflip import flip, pair_arcs
 from dycktile.pathword import PathWord, is_above
-from dycktile.qpoly import ONE, ZERO, PolyQ
+from dycktile.qpoly import ONE, Q, ZERO, PolyQ
 
 from dycktile.golden import BASIS_4_0, M_4_0, M_INV_4_0, N_4_0, N_INV_4_0
 
@@ -60,6 +60,76 @@ def test_invert_identity_and_errors():
     bad = IncidenceMatrix(basis, ((ZERO, ZERO), (ZERO, ONE)))
     with pytest.raises(ValueError):
         invert(bad)
+
+
+def dense_inverse(entries):
+    """Forward substitution over every (i, k) pair, zeros included."""
+    size = len(entries)
+    inv = [[ZERO] * size for _ in range(size)]
+    for j in range(size):
+        inv[j][j] = ONE
+        for i in range(j + 1, size):
+            acc = ZERO
+            for k in range(j, i):
+                acc = acc + entries[i][k] * inv[k][j]
+            inv[i][j] = -acc
+    return tuple(tuple(row) for row in inv)
+
+
+def dense_product(a, b):
+    size = len(a)
+    return [
+        [sum((a[i][k] * b[k][j] for k in range(size)), ZERO) for j in range(size)]
+        for i in range(size)
+    ]
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+@pytest.mark.parametrize("eps", [0, 1])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_invert_matches_dense_substitution(n, eps, kind):
+    m = build(n, eps, kind)
+    assert invert(m).entries == dense_inverse(m.entries)
+
+
+def first_mismatch(a, b):
+    """First (i, j) in row-major order where a * b is not the identity."""
+    prod = dense_product(a.entries, b.entries)
+    for i, row in enumerate(prod):
+        for j, p in enumerate(row):
+            if p != (ONE if i == j else ZERO):
+                return i, j
+    return None
+
+
+def with_entry(m, i, j, p):
+    rows = [list(row) for row in m.entries]
+    rows[i][j] = p
+    return IncidenceMatrix(m.basis, tuple(tuple(row) for row in rows))
+
+
+def test_check_inverse_rejects_each_corruption():
+    m = build(5, 0, "I")
+    inv = invert(m)
+    check_inverse(m, inv)
+    size = m.size
+    lower = [(i, j) for i in range(size) for j in range(i)]
+    zero_at = next((i, j) for i, j in lower if not inv.entries[i][j])
+    nonzero_at = next((i, j) for i, j in reversed(lower) if inv.entries[i][j])
+    cases = [
+        # changing b[r][c] first shows at (r, c): a is unitriangular
+        (m, with_entry(inv, *zero_at, Q), zero_at),
+        (m, with_entry(inv, 0, size - 1, Q), (0, size - 1)),
+        (m, with_entry(inv, *nonzero_at, inv.entries[nonzero_at[0]][nonzero_at[1]] + ONE), nonzero_at),
+        (m, with_entry(inv, 3, 3, ONE + Q), (3, 3)),
+        # a above its diagonal: row 2 gains -q * b[9], and b[9][0] != 0
+        (with_entry(m, 2, 9, -Q), inv, (2, 0)),
+    ]
+    for a, b, want in cases:
+        assert first_mismatch(a, b) == want
+        with pytest.raises(AssertionError) as exc:
+            check_inverse(a, b)
+        assert str(exc.value) == "product check failed at (%d, %d)" % want
 
 
 @pytest.mark.parametrize("kind", ["I", "II"])

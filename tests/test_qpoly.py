@@ -9,6 +9,7 @@ from dycktile.qpoly import (
     ZERO,
     InexactDivisionError,
     PolyQ,
+    add_product,
     exact_div,
     prod,
     q2_binomial,
@@ -92,7 +93,41 @@ def test_json_round_trip():
     assert PolyQ.from_json(json.loads(blob)) == p
 
 
+def test_add_product_matches_mul_and_add():
+    a = PolyQ((0, -2, 0, 3))  # negative and zero coefficients
+    b = PolyQ((-1, 4))
+    buf = []  # shorter than the product
+    add_product(buf, a, b)
+    assert buf == [0, 2, -8, -3, 12]
+    assert PolyQ(buf) == a * b
+    buf = [5]  # grows past its length, keeps what it held
+    add_product(buf, a, b)
+    assert PolyQ(buf) == PolyQ((5,)) + a * b
+    buf = [1, 1, 1, 1, 1, 1, 1, 1]  # longer than the product
+    add_product(buf, Q, b)
+    assert buf == [1, 0, 5, 1, 1, 1, 1, 1]
+    buf = [7]
+    add_product(buf, ZERO, b)
+    add_product(buf, a, ZERO)
+    assert buf == [7]
+    buf = []
+    for x, y in ((a, b), (b, b), (-a, b), (Q, ONE)):
+        add_product(buf, x, y)
+    assert PolyQ(buf) == a * b + b * b + (-a) * b + Q
+    assert PolyQ(buf) == b * b + Q
+
+
 small_polys = st.lists(st.integers(-9, 9), max_size=6).map(PolyQ)
+
+
+@given(st.lists(st.tuples(small_polys, small_polys), max_size=5), small_polys)
+def test_add_product_sums_products(pairs, start):
+    buf = list(start.coeffs)
+    want = start
+    for a, b in pairs:
+        add_product(buf, a, b)
+        want = want + a * b
+    assert PolyQ(buf) == want
 
 
 @given(small_polys, small_polys)
