@@ -115,12 +115,12 @@ def test_check_inverse_rejects_each_corruption():
     size = m.size
     lower = [(i, j) for i in range(size) for j in range(i)]
     zero_at = next((i, j) for i, j in lower if not inv.entries[i][j])
-    nonzero_at = next((i, j) for i, j in reversed(lower) if inv.entries[i][j])
+    r, c = next((i, j) for i, j in reversed(lower) if inv.entries[i][j])
     cases = [
         # changing b[r][c] first shows at (r, c): a is unitriangular
         (m, with_entry(inv, *zero_at, Q), zero_at),
         (m, with_entry(inv, 0, size - 1, Q), (0, size - 1)),
-        (m, with_entry(inv, *nonzero_at, inv.entries[nonzero_at[0]][nonzero_at[1]] + ONE), nonzero_at),
+        (m, with_entry(inv, r, c, inv.entries[r][c] + ONE), (r, c)),
         (m, with_entry(inv, 3, 3, ONE + Q), (3, 3)),
         # a above its diagonal: row 2 gains -q * b[9], and b[9][0] != 0
         (with_entry(m, 2, 9, -Q), inv, (2, 0)),
