@@ -30,20 +30,38 @@ cells of one two-by-two, merged with the two-by-two and the glue box.
 Every finished tile has statistic tiles = 1 and odd area (a two-by-two
 contributes area one), so art = (area + tiles)/2 is a nonneg integer.
 
-Classes.  A tiling is cover-inclusive when every tile, translated down
-by (0,-2) (or (0,-4) when it contains a two-by-two), either lies with
-every cell's top corner weakly below lam, ignoring columns past the
-terminal line, or lands inside a single other tile of at least its
-size.  In family B the translate test applies to each constituent
-ribbon and glue box separately; a constituent may land inside its own
-partner.  A tiling is cover-exclusive when for every ordered tile pair
-(d1, d2) such that some cell of d1 sits just above, northwest, or
-northeast of a cell of d2, every such neighbor position of every cell
-of d2 lies in d1 or d2; a missing neighbor inside the strip x <= L is
-a violation, one past the terminal line is not.  In family D a
-triggered pair additionally requires d1 to contain a two-by-two
-whenever d2 does.  Each region admits at most one cover-exclusive
-tiling, which carries the signed matrix entries.
+Classes.  A tiling is cover-inclusive when every piece of every tile
+(a ribbon or glue box translated down by (0,-2), a two-by-two by
+(0,-4)) either lies with every cell's top corner weakly below lam,
+ignoring columns past the terminal line, or lands inside a single tile
+of at least its size; that may be its own tile, as when a family-B
+upper ribbon lands on its lower partner.  A tiling is cover-exclusive
+when for every ordered tile pair (d1, d2) such that some cell of d1
+sits just above, northwest, or northeast of a cell of d2, every such
+neighbor position of every cell of d2 lies in d1 or d2; a missing
+neighbor inside the strip x <= L is a violation, one past the terminal
+line is not.  In family D a triggered pair additionally requires d1 to
+contain a two-by-two whenever d2 does.  Each region admits at most one
+cover-exclusive tiling, which carries the signed matrix entries.
+
+Both classes come down to per-tile requirements of one form: a set of
+cells that one tile must contain.  Inclusive: for each piece that does
+not drop below lam and does not land inside its own tile, its dropped
+cells.  Exclusive: the tile's neighbor positions inside the region.  A
+candidate whose requirement can never hold (dropped cells that meet the
+tile or leave the region, a neighbor outside the region at x <= L, or a
+set no candidate contains) is discarded before the search.  The size
+bound and the two-by-two condition need no check of their own; they
+follow from containment (see _inclusive_needs and _exclusive_needs).
+The search is Algorithm X over the region's cells in (x, y) order,
+always covering the first uncovered cell.  When a tile is placed, each
+of its requirements is checked against the tile that already covers
+the first cell of the set, or parked on that cell; the tile that later
+covers it must then contain the whole set.  Family-B ballot ribbons
+are fused with their partner and glue box when the candidates are
+built.  The search runs to the end in both classes, so a second
+cover-exclusive tiling would surface and exclusive_signed_weight would
+refuse it.
 """
 
 from __future__ import annotations
@@ -51,7 +69,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .pathword import (
     PathWord,
@@ -184,12 +202,6 @@ class Tile:
         """Box count for containment comparisons (two-by-two counts 1)."""
         return self.area
 
-    def constituents(self) -> tuple[tuple[Coord, ...], ...]:
-        """Pre-fusion pieces (used by the family-B inclusive test)."""
-        if self.kind == "ballot_b":
-            return ((self.glue,), self.lower, self.upper)
-        return (self.cells,)
-
     def to_json(self) -> dict:
         out = {
             "kind": self.kind,
@@ -252,45 +264,38 @@ class Tiling:
 # -- candidate tiles -----------------------------------------------------
 
 
+def _walk_back(
+    end: Coord, cells: frozenset[Coord], floor: Optional[int] = None
+) -> Iterator[tuple[Coord, ...]]:
+    """Every run with one cell per column that ends on `end`, its other
+    cells in `cells` and none below `floor`; each run is listed end
+    first."""
+    stack: list[tuple[Coord, ...]] = [(end,)]
+    while stack:
+        rev = stack.pop()
+        yield rev
+        x, y = rev[-1]
+        for dy in (1, -1):
+            prev = (x - 1, y + dy)
+            if prev in cells and (floor is None or y + dy >= floor):
+                stack.append(rev + (prev,))
+
+
+def _dyck_ending_at(end: Coord, cells: frozenset[Coord]) -> list[tuple[Coord, ...]]:
+    """Runs ending on `end`, never below it, that start at its height."""
+    return [
+        tuple(reversed(rev))
+        for rev in _walk_back(end, cells, end[1])
+        if rev[-1][1] == end[1]
+    ]
+
+
 def _dyck_ribbons(cells: frozenset[Coord]) -> list[tuple[Coord, ...]]:
     """All runs with one cell per column, never below and returning to
     the start height."""
     out = []
-    for start in sorted(cells):
-        x0, y0 = start
-        stack: list[tuple[Coord, ...]] = [(start,)]
-        while stack:
-            seq = stack.pop()
-            x, y = seq[-1]
-            if y == y0:
-                out.append(seq)
-            for dy in (1, -1):
-                nxt = (x + 1, y + dy)
-                if nxt in cells and y + dy >= y0:
-                    stack.append(seq + (nxt,))
-    return out
-
-
-def _ballot_ribbons(cells: frozenset[Coord], terminal: int) -> list[tuple[Coord, ...]]:
-    """Runs never below the start, ending on the terminal line with odd
-    positive rise."""
-    out = []
-    for start in sorted(cells):
-        x0, y0 = start
-        if x0 == terminal:
-            continue
-        stack: list[tuple[Coord, ...]] = [(start,)]
-        while stack:
-            seq = stack.pop()
-            x, y = seq[-1]
-            if x == terminal:
-                if y > y0 and (y - y0) % 2 == 1:
-                    out.append(seq)
-                continue
-            for dy in (1, -1):
-                nxt = (x + 1, y + dy)
-                if nxt in cells and y + dy >= y0:
-                    stack.append(seq + (nxt,))
+    for end in sorted(cells):
+        out.extend(_dyck_ending_at(end, cells))
     return out
 
 
@@ -298,145 +303,82 @@ def _dyck_tile(ribbon: tuple[Coord, ...]) -> Tile:
     return Tile(kind="dyck", cells=tuple(sorted(ribbon)), ribbon=ribbon)
 
 
+def _starts_lowest(rev: tuple[Coord, ...]) -> bool:
+    """The run never dips below its start (its last cell when reversed)."""
+    return rev[-1][1] == min(y for _, y in rev)
+
+
+def _pairable(cells: frozenset[Coord]) -> frozenset[Coord]:
+    """Cells whose copy two higher is also among `cells`."""
+    return frozenset(c for c in cells if (c[0], c[1] + 2) in cells)
+
+
+def _ballot_pairs(region: Region) -> list[Tile]:
+    """Family-B ballot tiles: a ballot ribbon (never below its start,
+    ending on an anchor with odd rise), its copy two higher and the glue
+    box beside both starts, fused into one tile."""
+    units = region.unit_cells
+    pairable = _pairable(units)
+    tiles = []
+    for end in sorted(c for c in pairable if c[0] == region.length):
+        for rev in _walk_back(end, pairable):
+            x0, y0 = rev[-1]
+            rise = end[1] - y0
+            glue = (x0 - 1, y0 + 1)
+            if rise > 0 and rise % 2 == 1 and glue in units and _starts_lowest(rev):
+                low = tuple(reversed(rev))
+                up = tuple((x, y + 2) for x, y in low)
+                cells = tuple(sorted({glue, *low, *up}))
+                tiles.append(Tile(kind="ballot_b", cells=cells, lower=low, upper=up, glue=glue))
+    return tiles
+
+
 def _atom_tiles(region: Region, atom: Coord) -> list[Tile]:
     """two_by_two, dyck_d, and ballot_d tiles built on one two-by-two."""
     L, m = atom
     west = (L - 1, m)
-    south, north = (L, m - 1), (L, m + 1)
+    south = (L, m - 1)
     subs = _atom_cells(atom)
     allowed = region.unit_cells | {west}
     tiles = [Tile(kind="two_by_two", cells=tuple(sorted(subs)), atom=atom)]
 
     # dyck ribbons that terminate on the west cell, merged with the atom
-    for ribbon in _dyck_ribbons(allowed):
-        if ribbon[-1] == west and len(ribbon) >= 3:
+    for ribbon in _dyck_ending_at(west, allowed):
+        if len(ribbon) >= 3:
             cells = tuple(sorted(set(ribbon) | set(subs)))
             tiles.append(Tile(kind="dyck_d", cells=cells, atom=atom, ribbon=ribbon))
 
     # paired ballot ribbons landing on the south and north cells
-    stack: list[tuple[Coord, ...]] = [(south,)]
-    while stack:
-        rev = stack.pop()
-        x, y = rev[-1]
-        if len(rev) >= 3 and len(rev) % 2 == 1 and y == min(c[1] for c in rev):
+    for rev in _walk_back(south, _pairable(allowed)):
+        x0, y0 = rev[-1]
+        glue = (x0 - 1, y0 + 1)
+        odd = len(rev) >= 3 and len(rev) % 2 == 1
+        if odd and glue in region.unit_cells and _starts_lowest(rev):
             low = tuple(reversed(rev))
-            up = tuple((cx, cy + 2) for cx, cy in low)
-            if all(c in allowed for c in up[:-1]):
-                glue = (low[0][0] - 1, low[0][1] + 1)
-                if glue in region.unit_cells:
-                    cells = tuple(sorted({glue, *low, *up, *subs}))
-                    tiles.append(
-                        Tile(
-                            kind="ballot_d",
-                            cells=cells,
-                            atom=atom,
-                            lower=low,
-                            upper=up,
-                            glue=glue,
-                        )
-                    )
-        for dy in (1, -1):
-            prev = (x - 1, y + dy)
-            if prev in allowed:
-                stack.append(rev + (prev,))
+            up = tuple((x, y + 2) for x, y in low)
+            cells = tuple(sorted({glue, *low, *up, *subs}))
+            tiles.append(
+                Tile(kind="ballot_d", cells=cells, atom=atom, lower=low, upper=up, glue=glue)
+            )
     return tiles
 
 
 def _candidates(region: Region) -> list[Tile]:
     tiles = [_dyck_tile(r) for r in _dyck_ribbons(region.unit_cells)]
     if region.type_tag == TYPE_B:
-        for r in _ballot_ribbons(region.unit_cells, region.length):
-            # pre-fusion ballot ribbon; paired and fused after the cover
-            tiles.append(Tile(kind="ballot_b", cells=tuple(sorted(r)), lower=r))
+        tiles.extend(_ballot_pairs(region))
     if region.type_tag == TYPE_D:
         for atom in sorted(region.atoms):
             tiles.extend(_atom_tiles(region, atom))
     return tiles
 
 
-# -- exact covers ----------------------------------------------------------
+# -- class requirements ----------------------------------------------------
 
-
-def _tile_slots(region: Region, tile: Tile) -> frozenset:
-    slots = {c for c in tile.cells if c in region.unit_cells}
-    if tile.atom is not None:
-        slots.add(("atom", tile.atom))
-    return frozenset(slots)
-
-
-def _exact_covers(region: Region) -> list[tuple[Tile, ...]]:
-    all_slots: set = set(region.unit_cells)
-    for a in region.atoms:
-        all_slots.add(("atom", a))
-    candidates = [(t, _tile_slots(region, t)) for t in _candidates(region)]
-    order = sorted(all_slots, key=repr)
-    by_slot: dict = {s: [] for s in order}
-    for t, slots in candidates:
-        for s in slots:
-            by_slot[s].append((t, slots))
-
-    covers: list[tuple[Tile, ...]] = []
-
-    def walk(uncovered: set, chosen: list[Tile]):
-        if not uncovered:
-            covers.append(tuple(chosen))
-            return
-        pivot = min(uncovered, key=repr)
-        for t, slots in by_slot[pivot]:
-            if slots <= uncovered:
-                chosen.append(t)
-                walk(uncovered - slots, chosen)
-                chosen.pop()
-
-    walk(all_slots, [])
-    return covers
-
-
-def _fuse_ballot_pairs(cover: tuple[Tile, ...]) -> Optional[tuple[Tile, ...]]:
-    """Pair same-shape ballot ribbons at offset (0, 2) and fuse each pair
-    with its glue box.  Returns None when no valid pairing exists."""
-    ballots = [t for t in cover if t.kind == "ballot_b"]
-    if not ballots:
-        return cover
-    rest = [t for t in cover if t.kind != "ballot_b"]
-
-    def shape(t: Tile):
-        xs = t.lower
-        return (xs[0][0], tuple(b[1] - a[1] for a, b in zip(xs, xs[1:])))
-
-    groups: dict = {}
-    for t in ballots:
-        groups.setdefault(shape(t), []).append(t)
-    singles = {t.cells[0]: t for t in rest if t.kind == "dyck" and len(t.cells) == 1}
-    fused: list[Tile] = []
-    consumed_glue: set[Coord] = set()
-    for _, group in sorted(groups.items()):
-        group.sort(key=lambda t: t.lower[0][1])
-        if len(group) % 2:
-            return None
-        for k in range(0, len(group), 2):
-            low_t, up_t = group[k], group[k + 1]
-            if up_t.lower[0][1] != low_t.lower[0][1] + 2:
-                return None
-            glue = (low_t.lower[0][0] - 1, low_t.lower[0][1] + 1)
-            if glue not in singles or glue in consumed_glue:
-                return None
-            consumed_glue.add(glue)
-            cells = tuple(sorted({glue, *low_t.lower, *up_t.lower}))
-            fused.append(
-                Tile(
-                    kind="ballot_b",
-                    cells=cells,
-                    lower=low_t.lower,
-                    upper=up_t.lower,
-                    glue=glue,
-                )
-            )
-    kept = [t for t in rest if not (t.kind == "dyck" and len(t.cells) == 1 and t.cells[0] in consumed_glue)]
-    return tuple(kept) + tuple(fused)
-
-
-# -- class predicates ------------------------------------------------------
+# A requirement is a set of cells that one tile of the tiling must
+# contain.  The requirements of a candidate are None when no tiling of
+# the class can hold it.
+Requirement = frozenset[Coord]
 
 
 def _below_after_drop(cells: Iterable[Coord], drop: int, lam: PathWord) -> bool:
@@ -452,42 +394,42 @@ def _below_after_drop(cells: Iterable[Coord], drop: int, lam: PathWord) -> bool:
     return True
 
 
-def _pieces(tile: Tile) -> list[tuple[tuple[Coord, ...], int, int]]:
-    """Constituents of a tile as (cells, drop, size) triples.
-
-    Ribbons and glue boxes drop by two; a two-by-two drops by four and
-    has size one even though it spans four unit positions.
-    """
+def _pieces(tile: Tile) -> list[tuple[tuple[Coord, ...], int]]:
+    """Constituents of a tile as (cells, drop) pairs: ribbons and glue
+    boxes drop by two, a two-by-two by four."""
     out = []
-    if tile.kind == "dyck":
-        out.append((tile.ribbon, 2, len(tile.ribbon)))
-    elif tile.kind == "dyck_d":
-        out.append((tile.ribbon, 2, len(tile.ribbon)))
+    if tile.kind in ("dyck", "dyck_d"):
+        out.append((tile.ribbon, 2))
     elif tile.kind in ("ballot_d", "ballot_b"):
-        out.append(((tile.glue,), 2, 1))
-        out.append((tile.lower, 2, len(tile.lower)))
-        out.append((tile.upper, 2, len(tile.upper)))
+        out.extend((((tile.glue,), 2), (tile.lower, 2), (tile.upper, 2)))
     if tile.atom is not None:
-        out.append((_atom_cells(tile.atom), 4, 1))
+        out.append((_atom_cells(tile.atom), 4))
     return out
 
 
-def _is_cover_inclusive(region: Region, tiles: tuple[Tile, ...]) -> bool:
-    lam = region.lam
-    pieces = []
-    for t in tiles:
-        pieces.extend(_pieces(t))
-    # a dropped piece may land inside any other constituent or inside a
-    # whole (possibly fused) tile of at least its size
-    targets = [(frozenset(cells), size) for cells, _, size in pieces]
-    targets.extend((frozenset(t.cells), t.size) for t in tiles)
-    for cells, drop, size in pieces:
-        if _below_after_drop(cells, drop, lam):
+def _inclusive_needs(region: Region, tile: Tile) -> Optional[list[Requirement]]:
+    """Each piece that does not drop below lam must land inside one tile;
+    inside its own tile it always does.
+
+    The definition also asks that tile to be at least as large as the
+    piece, which follows from containment.  A piece larger than one box
+    is a ribbon with one cell per column, and no tile spans more columns
+    at or left of the terminal line than its size, save a two_by_two or
+    dyck_d by one column past its odd size; family-D ribbons have odd
+    length, so they cannot use that column.
+    """
+    own = frozenset(tile.cells)
+    needs = []
+    for cells, drop in _pieces(tile):
+        if _below_after_drop(cells, drop, region.lam):
             continue
         moved = frozenset((x, y - drop) for x, y in cells)
-        if not any(moved <= tc and ts >= size for tc, ts in targets):
-            return False
-    return True
+        if moved <= own:
+            continue
+        if moved & own or not moved <= region.all_cells:
+            return None
+        needs.append(moved)
+    return needs
 
 
 def _neighbors(cells: Iterable[Coord]) -> set[Coord]:
@@ -497,45 +439,124 @@ def _neighbors(cells: Iterable[Coord]) -> set[Coord]:
     return out
 
 
-def _is_cover_exclusive(region: Region, tiles: tuple[Tile, ...]) -> bool:
-    L = region.length
-    region_cells = region.all_cells
-    cellsets = [frozenset(t.cells) for t in tiles]
-    for i, d1 in enumerate(tiles):
-        for j, d2 in enumerate(tiles):
-            if i == j:
+def _exclusive_needs(region: Region, tile: Tile) -> Optional[list[Requirement]]:
+    """The region cells just above, northwest or northeast of the tile
+    lie in one other tile; such a neighbor outside the region is
+    allowed only past the terminal line.
+
+    A tile with a two-by-two at (L, m) has the neighbor (L, m+3): the
+    south cell of the next two-by-two up, or a position outside the
+    region at x = L.  So whenever such a tile has a requirement, the
+    tile meeting it carries a two-by-two, as family D asks.
+    """
+    around = _neighbors(tile.cells).difference(tile.cells)
+    inside = frozenset(around & region.all_cells)
+    if not inside:
+        return []
+    if any(x <= region.length for x, _ in around - inside):
+        return None
+    return [inside]
+
+
+# -- the pruned exact-cover search ----------------------------------------
+
+
+def _class_covers(region: Region, cls: str) -> list[tuple[Tile, ...]]:
+    """Every exact cover by candidate tiles that meets the class's
+    requirements, checked as each tile is placed.
+
+    Cells are bits in (x, y) order.  A node covers the first uncovered
+    cell, so only candidates whose first cell it is can fit there.
+    owner[s] names the placed tile covering cell s; parked[s] holds the
+    fits sets of requirements waiting for cell s to be covered, and the
+    waiting mask marks those cells.
+    """
+    order = sorted(region.all_cells)
+    index = {c: i for i, c in enumerate(order)}
+    full = (1 << len(order)) - 1
+    needs_of = _inclusive_needs if cls == INCLUSIVE else _exclusive_needs
+    tiles, spots, masks, needs = [], [], [], []
+    by_cell: list[list[int]] = [[] for _ in order]
+    for t in _candidates(region):
+        n = needs_of(region, t)
+        if n is None:
+            continue
+        ss = [index[c] for c in t.cells]  # t.cells is sorted, like order
+        for s in ss:
+            by_cell[s].append(len(tiles))
+        tiles.append(t)
+        spots.append(ss)
+        masks.append(sum(1 << s for s in ss))
+        needs.append(n)
+
+    # A requirement becomes (s, fits): the tile covering the first cell
+    # s of its set must be one of the candidates in fits, those that
+    # contain the whole set.  A candidate with an empty fits is dropped.
+    reqs: list = []
+    first: list[list[int]] = [[] for _ in order]
+    for i in range(len(tiles)):
+        compiled = []
+        for cells in needs[i]:
+            s = min(index[c] for c in cells)
+            want = sum(1 << index[c] for c in cells)
+            fits = frozenset(j for j in by_cell[s] if masks[j] & want == want)
+            if not fits:
+                break
+            compiled.append((s, fits))
+        else:
+            first[spots[i][0]].append(i)
+        reqs.append(compiled)
+
+    owner = [0] * len(order)  # read only where the cell is covered
+    parked: list[list[frozenset]] = [[] for _ in order]
+    chosen: list[int] = []
+    covers: list[tuple[Tile, ...]] = []
+
+    def walk(covered: int, waiting: int) -> None:
+        if covered == full:
+            covers.append(tuple(tiles[i] for i in chosen))
+            return
+        pivot = (~covered & (covered + 1)).bit_length() - 1
+        for i in first[pivot]:
+            mask = masks[i]
+            if mask & covered:
                 continue
-            nbrs = _neighbors(cellsets[j])
-            if not (cellsets[i] & nbrs):
+            if mask & waiting and any(
+                i not in fits for s in spots[i] for fits in parked[s]
+            ):
                 continue
-            # triggered: the full neighborhood of d2 must close up
-            for p in nbrs:
-                if p in cellsets[i] or p in cellsets[j]:
-                    continue
-                if p in region_cells:
-                    return False
-                if p[0] <= L:
-                    return False
-            if region.type_tag == TYPE_D and d2.atom is not None and d1.atom is None:
-                return False
-    return True
+            new_parks = []
+            for s, fits in reqs[i]:
+                if not covered >> s & 1:
+                    new_parks.append((s, fits))
+                elif owner[s] not in fits:
+                    break
+            else:
+                now_waiting = waiting
+                for s, fits in new_parks:
+                    parked[s].append(fits)
+                    now_waiting |= 1 << s
+                for s in spots[i]:
+                    owner[s] = i
+                chosen.append(i)
+                walk(covered | mask, now_waiting)
+                chosen.pop()
+                for s, _ in new_parks:
+                    parked[s].pop()
+
+    walk(0, 0)
+    return covers
 
 
 def enumerate_tilings(region: Region, cls: str = INCLUSIVE) -> tuple[Tiling, ...]:
-    """All exact covers of the region satisfying the class predicate."""
+    """All tilings of the region in the class, found by one pruned
+    exact-cover search."""
     if cls not in (INCLUSIVE, EXCLUSIVE):
         raise ValueError("class must be inclusive or exclusive, got %r" % (cls,))
-    predicate = _is_cover_inclusive if cls == INCLUSIVE else _is_cover_exclusive
     out = []
-    for cover in _exact_covers(region):
-        if region.type_tag == TYPE_B:
-            fused = _fuse_ballot_pairs(cover)
-            if fused is None:
-                continue
-            cover = fused
+    for cover in _class_covers(region, cls):
         check_exact_cover(region, cover)
-        if predicate(region, cover):
-            out.append(Tiling(region, tuple(sorted(cover, key=lambda t: (t.cells, t.kind))), cls))
+        out.append(Tiling(region, tuple(sorted(cover, key=lambda t: (t.cells, t.kind))), cls))
     out.sort(key=lambda t: [(x.cells, x.kind) for x in t.tiles])
     return tuple(out)
 
@@ -565,10 +586,13 @@ def genfun_pair(
     if weight not in WEIGHTS:
         raise ValueError("weight must be one of %s" % (WEIGHTS,))
     region = build_region(lam, mu, type_tag)
-    acc = ZERO
+    counts: list[int] = []
     for t in enumerate_tilings(region, cls):
-        acc = acc + ONE.scale_by_monomial(1, t.statistic(weight))
-    return acc
+        k = t.statistic(weight)
+        if k >= len(counts):
+            counts.extend([0] * (k + 1 - len(counts)))
+        counts[k] += 1
+    return PolyQ(counts)
 
 
 def exclusive_signed_weight(

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from dycktile.pathword import (
     PathWord,
     all_words,
+    dyck_words,
     enumerate_type_d,
     is_above,
     truncate_last,
@@ -17,6 +18,7 @@ from dycktile.tiling import (
     EXCLUSIVE,
     INCLUSIVE,
     Tile,
+    Tiling,
     build_region,
     enumerate_tilings,
     exclusive_signed_weight,
@@ -27,6 +29,7 @@ from dycktile.tiling import (
     project_to_type_b,
     render_svg,
     tiling_record,
+    upper_words,
 )
 
 W = PathWord
@@ -222,32 +225,15 @@ def test_invalid_weight_and_class():
 # -- identities -------------------------------------------------------------
 
 
-def test_truncation_identity_both_classes():
-    for n in range(1, 5):
-        for lam in all_words(n):
-            lam_b = truncate_last(lam)
-            assert genfun_lower(lam, "D") == genfun_lower(lam_b, "B")
-            assert genfun_upper(lam, "D") == genfun_upper(lam_b, "B")
-    # one larger spot check per class
-    assert genfun_lower(W("DDUDU"), "D") == genfun_lower(W("DDUD"), "B")
-    assert genfun_upper(W("DDUDU"), "D") == genfun_upper(W("DDUD"), "B")
-
-
-def test_bridge_against_flip_matrices():
+def test_inverse_is_zero_off_dominance():
     from dycktile.incidence import build, invert
 
-    M = build(4, 0, "I")
-    N = build(4, 0, "II")
-    Minv, Ninv = invert(M), invert(N)
-    for lam in M.basis:
-        for mu in M.basis:
-            if is_above(mu, lam):
-                assert genfun_pair(lam, mu, "D", INCLUSIVE, "art") == Minv.entry(lam, mu)
-                assert genfun_pair(lam, mu, "D", INCLUSIVE, "tiles") == Ninv.entry(lam, mu)
-                assert exclusive_signed_weight(lam, mu, "D", "art") == M.entry(lam, mu)
-                assert exclusive_signed_weight(lam, mu, "D", "tiles") == N.entry(lam, mu)
-            else:
-                assert Minv.entry(lam, mu) == ZERO
+    for kind in ("I", "II"):
+        inverse = invert(build(4, 0, kind))
+        for lam in inverse.basis:
+            for mu in inverse.basis:
+                if not is_above(mu, lam):
+                    assert inverse.entry(lam, mu) == ZERO
 
 
 # -- projection to family B --------------------------------------------------
@@ -432,3 +418,309 @@ def test_tile_statistics_by_kind():
     assert (ballot.area, ballot.tiles, ballot.art) == (5, 1, 3)
     atom = Tile(kind="two_by_two", cells=((1, 0), (2, -1), (2, 1), (3, 0)), atom=(2, 0))
     assert (atom.area, atom.art) == (1, 1)
+
+
+# -- the definitional oracle ---------------------------------------------------
+#
+# enumerate_tilings checks the classes tile by tile during one pruned
+# search.  The oracle below follows the definitions instead: every exact
+# cover by candidate tiles, family-B ballot ribbons paired and fused
+# after the cover, then the whole-tiling class predicate.
+
+
+def _oracle_atom_cells(center):
+    x, m = center
+    return ((x - 1, m), (x, m - 1), (x, m + 1), (x + 1, m))
+
+
+def _oracle_dyck_ribbons(cells):
+    out = []
+    for start in sorted(cells):
+        x0, y0 = start
+        stack = [(start,)]
+        while stack:
+            seq = stack.pop()
+            x, y = seq[-1]
+            if y == y0:
+                out.append(seq)
+            for dy in (1, -1):
+                nxt = (x + 1, y + dy)
+                if nxt in cells and y + dy >= y0:
+                    stack.append(seq + (nxt,))
+    return out
+
+
+def _oracle_ballot_ribbons(cells, terminal):
+    out = []
+    for start in sorted(cells):
+        x0, y0 = start
+        if x0 == terminal:
+            continue
+        stack = [(start,)]
+        while stack:
+            seq = stack.pop()
+            x, y = seq[-1]
+            if x == terminal:
+                if y > y0 and (y - y0) % 2 == 1:
+                    out.append(seq)
+                continue
+            for dy in (1, -1):
+                nxt = (x + 1, y + dy)
+                if nxt in cells and y + dy >= y0:
+                    stack.append(seq + (nxt,))
+    return out
+
+
+def _oracle_atom_tiles(region, atom):
+    L, m = atom
+    west, south = (L - 1, m), (L, m - 1)
+    subs = _oracle_atom_cells(atom)
+    allowed = region.unit_cells | {west}
+    tiles = [Tile(kind="two_by_two", cells=tuple(sorted(subs)), atom=atom)]
+    for ribbon in _oracle_dyck_ribbons(allowed):
+        if ribbon[-1] == west and len(ribbon) >= 3:
+            cells = tuple(sorted(set(ribbon) | set(subs)))
+            tiles.append(Tile(kind="dyck_d", cells=cells, atom=atom, ribbon=ribbon))
+    stack = [(south,)]
+    while stack:
+        rev = stack.pop()
+        x, y = rev[-1]
+        if len(rev) >= 3 and len(rev) % 2 == 1 and y == min(c[1] for c in rev):
+            low = tuple(reversed(rev))
+            up = tuple((cx, cy + 2) for cx, cy in low)
+            glue = (low[0][0] - 1, low[0][1] + 1)
+            if all(c in allowed for c in up[:-1]) and glue in region.unit_cells:
+                cells = tuple(sorted({glue, *low, *up, *subs}))
+                tiles.append(
+                    Tile(kind="ballot_d", cells=cells, atom=atom, lower=low, upper=up, glue=glue)
+                )
+        for dy in (1, -1):
+            prev = (x - 1, y + dy)
+            if prev in allowed:
+                stack.append(rev + (prev,))
+    return tiles
+
+
+def _oracle_candidates(region):
+    tiles = [
+        Tile(kind="dyck", cells=tuple(sorted(r)), ribbon=r)
+        for r in _oracle_dyck_ribbons(region.unit_cells)
+    ]
+    if region.type_tag == "B":
+        for r in _oracle_ballot_ribbons(region.unit_cells, region.length):
+            tiles.append(Tile(kind="ballot_b", cells=tuple(sorted(r)), lower=r))
+    if region.type_tag == "D":
+        for atom in sorted(region.atoms):
+            tiles.extend(_oracle_atom_tiles(region, atom))
+    return tiles
+
+
+def _oracle_exact_covers(region):
+    def slots(tile):
+        out = {c for c in tile.cells if c in region.unit_cells}
+        if tile.atom is not None:
+            out.add(("atom", tile.atom))
+        return frozenset(out)
+
+    everything = set(region.unit_cells) | {("atom", a) for a in region.atoms}
+    by_slot = {s: [] for s in everything}
+    for t in _oracle_candidates(region):
+        ss = slots(t)
+        for s in ss:
+            by_slot[s].append((t, ss))
+    covers = []
+
+    def walk(uncovered, chosen):
+        if not uncovered:
+            covers.append(tuple(chosen))
+            return
+        for t, ss in by_slot[min(uncovered, key=repr)]:
+            if ss <= uncovered:
+                walk(uncovered - ss, chosen + [t])
+
+    walk(frozenset(everything), [])
+    return covers
+
+
+def _oracle_fuse_ballot_pairs(cover):
+    """Pair same-shape ballot ribbons at offset (0, 2) and fuse each pair
+    with its glue box; None when no valid pairing exists."""
+    ballots = [t for t in cover if t.kind == "ballot_b"]
+    if not ballots:
+        return cover
+    rest = [t for t in cover if t.kind != "ballot_b"]
+    groups = {}
+    for t in ballots:
+        xs = t.lower
+        shape = (xs[0][0], tuple(b[1] - a[1] for a, b in zip(xs, xs[1:])))
+        groups.setdefault(shape, []).append(t)
+    singles = {t.cells[0] for t in rest if t.kind == "dyck" and len(t.cells) == 1}
+    fused, consumed = [], set()
+    for _, group in sorted(groups.items()):
+        group.sort(key=lambda t: t.lower[0][1])
+        if len(group) % 2:
+            return None
+        for k in range(0, len(group), 2):
+            low_t, up_t = group[k], group[k + 1]
+            if up_t.lower[0][1] != low_t.lower[0][1] + 2:
+                return None
+            glue = (low_t.lower[0][0] - 1, low_t.lower[0][1] + 1)
+            if glue not in singles or glue in consumed:
+                return None
+            consumed.add(glue)
+            cells = tuple(sorted({glue, *low_t.lower, *up_t.lower}))
+            fused.append(
+                Tile(kind="ballot_b", cells=cells, lower=low_t.lower, upper=up_t.lower, glue=glue)
+            )
+    kept = [t for t in rest if not (len(t.cells) == 1 and t.cells[0] in consumed)]
+    return tuple(kept) + tuple(fused)
+
+
+def _oracle_pieces(tile):
+    """(cells, drop, size) for each ribbon, glue box and two-by-two."""
+    out = []
+    if tile.kind in ("dyck", "dyck_d"):
+        out.append((tile.ribbon, 2, len(tile.ribbon)))
+    elif tile.kind in ("ballot_d", "ballot_b"):
+        out.append(((tile.glue,), 2, 1))
+        out.append((tile.lower, 2, len(tile.lower)))
+        out.append((tile.upper, 2, len(tile.upper)))
+    if tile.atom is not None:
+        out.append((_oracle_atom_cells(tile.atom), 4, 1))
+    return out
+
+
+def _oracle_is_inclusive(region, tiles, sized=True):
+    lh, L = region.lam.heights, region.length
+    pieces = [p for t in tiles for p in _oracle_pieces(t)]
+    targets = [(frozenset(cells), size) for cells, _, size in pieces]
+    targets.extend((frozenset(t.cells), t.size) for t in tiles)
+    for cells, drop, size in pieces:
+        if all(x > L or y - drop + 1 <= lh[x] for x, y in cells):
+            continue
+        moved = frozenset((x, y - drop) for x, y in cells)
+        if not any(moved <= tc and (ts >= size or not sized) for tc, ts in targets):
+            return False
+    return True
+
+
+def _oracle_neighbors(cells):
+    return {p for x, y in cells for p in ((x, y + 2), (x - 1, y + 1), (x + 1, y + 1))}
+
+
+def _oracle_is_exclusive(region, tiles, atoms=True):
+    cellsets = [frozenset(t.cells) for t in tiles]
+    for i, d1 in enumerate(tiles):
+        for j, d2 in enumerate(tiles):
+            if i == j:
+                continue
+            nbrs = _oracle_neighbors(cellsets[j])
+            if not cellsets[i] & nbrs:
+                continue
+            for p in nbrs - cellsets[i] - cellsets[j]:
+                if p in region.all_cells or p[0] <= region.length:
+                    return False
+            if atoms and d2.atom is not None and d1.atom is None:
+                return False
+    return True
+
+
+def _oracle_covers(region):
+    """Every exact cover, with family-B ballot pairs fused."""
+    out = []
+    for cover in _oracle_exact_covers(region):
+        if region.type_tag == "B":
+            cover = _oracle_fuse_ballot_pairs(cover)
+            if cover is None:
+                continue
+        out.append(cover)
+    return out
+
+
+def _oracle_tilings(region, cls):
+    keep = _oracle_is_inclusive if cls == INCLUSIVE else _oracle_is_exclusive
+    out = [
+        Tiling(region, tuple(sorted(c, key=lambda t: (t.cells, t.kind))), cls)
+        for c in _oracle_covers(region)
+        if keep(region, c)
+    ]
+    out.sort(key=lambda t: [(x.cells, x.kind) for x in t.tiles])
+    return out
+
+
+def _small_regions():
+    """Every region of D n <= 6, B n <= 5 and A n <= 6."""
+    for family, top in (("D", 6), ("B", 5), ("A", 6)):
+        for n in range(1 if family == "B" else 0, top + 1):
+            for lam in dyck_words(n) if family == "A" else all_words(n):
+                for mu in upper_words(lam, family):
+                    yield build_region(lam, mu, family)
+
+
+def test_search_matches_oracle():
+    families = []
+    for region in _small_regions():
+        families.append(region.type_tag)
+        for cls in (INCLUSIVE, EXCLUSIVE):
+            got = [tiling_record(t) for t in enumerate_tilings(region, cls)]
+            want = [tiling_record(t) for t in _oracle_tilings(region, cls)]
+            assert got == want, (region.type_tag, region.lam.steps, region.mu.steps, cls)
+    assert [families.count(f) for f in "DBA"] == [1275, 636, 19]
+
+
+def test_size_and_two_by_two_bounds_follow_from_containment():
+    # The search checks only that a dropped piece, or a tile's region
+    # neighborhood, lies inside one tile.  The definition also bounds the
+    # size of that tile, and in family D asks for a two-by-two; on every
+    # exact cover both bounds change nothing.
+    for region in _small_regions():
+        for cover in _oracle_covers(region):
+            assert _oracle_is_inclusive(region, cover) == _oracle_is_inclusive(
+                region, cover, sized=False
+            )
+            assert _oracle_is_exclusive(region, cover) == _oracle_is_exclusive(
+                region, cover, atoms=False
+            )
+
+
+# -- regions where one path of the search decides --------------------------
+
+
+def test_parked_requirement_is_checked_when_its_target_is_placed():
+    # The ballot tile with glue (2, 1) is placed before any tile covers
+    # (3, -2), so the requirement of its lower ribbon, dropped onto
+    # (3, -2), (4, -1), is parked; the single box placed on (3, -2)
+    # later fails it.
+    assert str(genfun_pair(W("DDDU"), W("UUUU"), "B")) == "q^7 + q^9"
+    # The same in family D, with the lower ribbon of a ballot_d.
+    assert str(genfun_pair(W("DDDUD"), W("UUUUU"), "D")) == "q^7 + q^9"
+
+
+def test_upper_ribbon_lands_in_its_own_tile():
+    # One ballot tile covers the whole region; its upper ribbon drops
+    # onto its own lower ribbon.
+    r = build_region(W("DDU"), W("UUU"), "B")
+    kinds = [[x.kind for x in t.tiles] for t in enumerate_tilings(r)]
+    assert kinds == [["dyck"] * 5, ["ballot_b"]]
+
+
+def test_two_by_two_neighbors_need_a_two_by_two():
+    # Above the lower two-by-two lies the south cell of the upper one,
+    # so the tile closing its neighborhood carries a two-by-two.
+    r = build_region(W("DDDD"), W("UUUU"), "D")
+    (t,) = enumerate_tilings(r, EXCLUSIVE)
+    assert [(x.kind, x.atom) for x in t.tiles] == [("ballot_d", (4, 2)), ("two_by_two", (4, -2))]
+    # With no two-by-two above, region cells next to the two-by-two
+    # leave its neighbor (3, 2) open, so no exclusive tiling exists.
+    assert enumerate_tilings(build_region(W("DDD"), W("UDU"), "D"), EXCLUSIVE) == ()
+
+
+def test_candidates_that_can_never_fit_are_dropped():
+    # Inclusive: the ribbon (1, 0), (2, 1), (3, 0) drops out of the region.
+    r = build_region(W("DDU"), W("UUD"), "B")
+    assert [len(t.tiles) for t in enumerate_tilings(r)] == [4]
+    # Exclusive: the box (2, -1) has its neighbor (2, 1) outside the
+    # region at x <= L.
+    assert enumerate_tilings(build_region(W("DD"), W("UD"), "B"), EXCLUSIVE) == ()
+    # Exclusive: no tile holds the whole neighborhood of some candidate.
+    assert enumerate_tilings(build_region(W("DDD"), W("UUD"), "B"), EXCLUSIVE) == ()
