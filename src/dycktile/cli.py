@@ -267,10 +267,19 @@ def _words_through(max_len: int):
         yield from all_words(n)
 
 
+# Each check yields one outcome per case: None when it holds, its
+# failure line, or SKIPPED; run_check counts them.
+SKIPPED = object()
+
+
+def _stuck(w: PathWord):
+    """A stuck tree fails below length 6 and is skipped from 6 on."""
+    return "lam=%s: stuck below length 6" % w.steps if w.length <= 5 else SKIPPED
+
+
 def _check_golden_matrices(k: int):
-    cases, failures = 0, []
     if k < 4:
-        return cases, 0, failures
+        return
     plan = (
         ("M", M_4_0, False),
         ("N", N_4_0, False),
@@ -282,21 +291,17 @@ def _check_golden_matrices(k: int):
         if inverse:
             matrix = invert(matrix)
         if [w.steps for w in matrix.basis] != BASIS_4_0:
-            failures.append("%s: basis order drifted" % name)
+            yield "%s: basis order drifted" % name
             continue
         for i, lam in enumerate(BASIS_4_0):
             for j, mu in enumerate(BASIS_4_0):
-                cases += 1
-                if matrix.entries[i][j] != rows[i][j]:
-                    failures.append(
-                        "%s lam=%s mu=%s: built %s, reference %s"
-                        % (name, lam, mu, matrix.entries[i][j], rows[i][j])
-                    )
-    return cases, 0, failures
+                got, want = matrix.entries[i][j], rows[i][j]
+                yield None if got == want else (
+                    "%s lam=%s mu=%s: built %s, reference %s" % (name, lam, mu, got, want)
+                )
 
 
 def _check_matrix_bridge(k: int):
-    cases, failures = 0, []
     for n in range(1, k + 1):
         for eps in (0, 1):
             mat_art = build(n, eps, "I")
@@ -314,163 +319,122 @@ def _check_matrix_bridge(k: int):
                         (mat_tiles, exclusive_signed_weight(lam, mu, TYPE_D, "tiles")),
                     )
                     for matrix, want in plan:
-                        cases += 1
                         got = matrix.entry(lam, mu)
-                        if got != want:
-                            failures.append(
-                                "n=%d eps=%d lam=%s mu=%s: matrix %s, tilings %s"
-                                % (n, eps, lam.steps, mu.steps, got, want)
-                            )
-    return cases, 0, failures
+                        yield None if got == want else (
+                            "n=%d eps=%d lam=%s mu=%s: matrix %s, tilings %s"
+                            % (n, eps, lam.steps, mu.steps, got, want)
+                        )
 
 
 def _check_matrix_positivity(k: int):
-    cases, failures = 0, []
     for n in range(1, k + 2):
         for eps in (0, 1):
             for kind in ("I", "II"):
                 inv = invert(build(n, eps, kind))
                 for row, lam in zip(inv.entries, inv.basis):
                     for p, mu in zip(row, inv.basis):
-                        cases += 1
-                        if any(c < 0 for c in p.coeffs):
-                            failures.append(
-                                "n=%d eps=%d kind=%s lam=%s mu=%s: %s"
-                                % (n, eps, kind, lam.steps, mu.steps, p)
-                            )
-    return cases, 0, failures
+                        yield None if all(c >= 0 for c in p.coeffs) else (
+                            "n=%d eps=%d kind=%s lam=%s mu=%s: %s"
+                            % (n, eps, kind, lam.steps, mu.steps, p)
+                        )
 
 
 def _check_lower_projection(k: int):
-    cases, failures = 0, []
     for w in _words_through(k):
         if not w.length:
             continue
-        cases += 1
         left = genfun_lower(w, TYPE_D, "art")
         right = genfun_lower(truncate_last(w), TYPE_B, "art")
-        if left != right:
-            failures.append("lam=%s: D %s, B %s" % (w.steps, left, right))
-    return cases, 0, failures
+        yield None if left == right else "lam=%s: D %s, B %s" % (w.steps, left, right)
 
 
 def _check_upper_tiles(k: int):
-    cases, failures = 0, []
     for w in _words_through(k):
         if not w.length:
             continue
-        cases += 1
         left = genfun_upper(w, TYPE_D, "tiles")
         right = genfun_upper(truncate_last(w), TYPE_B, "tiles")
-        if left != right:
-            failures.append("mu=%s: D %s, B %s" % (w.steps, left, right))
-    return cases, 0, failures
+        yield None if left == right else "mu=%s: D %s, B %s" % (w.steps, left, right)
 
 
 def _check_tail_product(k: int):
-    cases, failures = 0, []
     for total in range(1, k + 2):
         for m in range(1, total + 1):
             n = total - m
-            w = PathWord("D" * n + "U" * m)
-            cases += 1
-            left = genfun_lower(w, TYPE_D, "art")
+            left = genfun_lower(PathWord("D" * n + "U" * m), TYPE_D, "art")
             right = q_b(m - 1, n)
-            if left != right:
-                failures.append("M=%d N=%d: enumerated %s, product %s" % (m, n, left, right))
-    return cases, 0, failures
+            yield None if left == right else (
+                "M=%d N=%d: enumerated %s, product %s" % (m, n, left, right)
+            )
 
 
 def _check_ballot_tail(k: int):
-    cases, failures = 0, []
     for total in range(k + 1):
         for m in range(total + 1):
             n = total - m
-            w = PathWord("D" * n + "U" * m)
-            cases += 1
-            left = genfun_lower(w, TYPE_B, "art")
+            left = genfun_lower(PathWord("D" * n + "U" * m), TYPE_B, "art")
             right = q_b(m, n)
-            if left != right:
-                failures.append("M=%d N=%d: enumerated %s, product %s" % (m, n, left, right))
-    return cases, 0, failures
+            yield None if left == right else (
+                "M=%d N=%d: enumerated %s, product %s" % (m, n, left, right)
+            )
 
 
 def _check_hook_product(k: int):
-    cases, failures = 0, []
     for n in range(0, k + 1, 2):
         for w in dyck_words(n):
-            cases += 1
             left = kw_type_a(w)
             right = genfun_lower(w, TYPE_A, "art")
-            if left != right:
-                failures.append("lam=%s: hook %s, tilings %s" % (w.steps, left, right))
-    return cases, 0, failures
+            yield None if left == right else (
+                "lam=%s: hook %s, tilings %s" % (w.steps, left, right)
+            )
 
 
 def _check_tree_evaluation(k: int):
-    cases, skipped, failures = 0, 0, []
     for w in _words_through(k):
-        cases += 1
         try:
             left = omega(build_tree(w))
         except StuckTreeError:
-            if w.length <= 5:
-                failures.append("lam=%s: stuck below length 6" % w.steps)
-            else:
-                skipped += 1
+            yield _stuck(w)
             continue
         right = genfun_lower(w, TYPE_D, "art")
-        if left != right:
-            failures.append("lam=%s: tree %s, tilings %s" % (w.steps, left, right))
-    return cases, skipped, failures
+        yield None if left == right else (
+            "lam=%s: tree %s, tilings %s" % (w.steps, left, right)
+        )
 
 
 def _check_merge_confluence(k: int):
-    cases, skipped, failures = 0, 0, []
     for w in _words_through(k):
-        cases += 1
         pairs = evaluations(build_tree(w), {})
         if not pairs:
-            if w.length <= 5:
-                failures.append("lam=%s: stuck below length 6" % w.steps)
-            else:
-                skipped += 1
+            yield _stuck(w)
             continue
         values = {exact_div(num, den) for num, den in pairs}
-        if len(values) != 1:
-            failures.append(
-                "lam=%s: %d orders, %d values" % (w.steps, len(pairs), len(values))
-            )
-    return cases, skipped, failures
+        yield None if len(values) == 1 else (
+            "lam=%s: %d orders, %d values" % (w.steps, len(pairs), len(values))
+        )
 
 
 def _check_pinned_values(k: int):
-    cases, failures = 0, []
+    def expect(name: str, got, want):
+        return None if got == want else "%s: got %s, want %s" % (name, got, want)
 
-    def expect(name: str, got, want) -> None:
-        nonlocal cases
-        cases += 1
-        if got != want:
-            failures.append("%s: got %s, want %s" % (name, got, want))
-
-    expect(
+    yield expect(
         "pair DDUU..UUUU area",
         genfun_pair(PathWord("DDUU"), PathWord("UUUU"), TYPE_D, INCLUSIVE, "area"),
         PolyQ((0, 0, 0, 0, 0, 2)),
     )
     two = PolyQ((1, 1))
-    expect("ballot tail (0,3)", q_b(0, 3), two * PolyQ((1, 0, 1)) * PolyQ((1, 0, 0, 1)))
-    expect("ballot tail (1,2)", q_b(1, 2), two * PolyQ((1, 0, 1)) * PolyQ((1, 0, 1)))
+    yield expect("ballot tail (0,3)", q_b(0, 3), two * PolyQ((1, 0, 1)) * PolyQ((1, 0, 0, 1)))
+    yield expect("ballot tail (1,2)", q_b(1, 2), two * PolyQ((1, 0, 1)) * PolyQ((1, 0, 1)))
     if k >= 6:
         poly = genfun_lower(PathWord("DDUUDD"), TYPE_D, "art")
-        expect("DDUUDD count", poly.eval_at_one(), 36)
-        expect("DDUUDD q^5 coefficient", poly.coeffs[5], 6)
-        expect(
+        yield expect("DDUUDD count", poly.eval_at_one(), 36)
+        yield expect("DDUUDD q^5 coefficient", poly.coeffs[5], 6)
+        yield expect(
             "tree value DUUDUU",
             omega(build_tree(PathWord("DUUDUU"))),
             q_int(3) * q_int(6),
         )
-    return cases, 0, failures
 
 
 # name -> (check, cap); run_check passes min(k, cap).  Past its cap the
@@ -497,12 +461,13 @@ def run_check(name: str, k: int) -> dict:
     fn, cap = CHECKS[name]
     bound = k if cap is None else min(k, cap)
     start = time.perf_counter()
-    cases, skipped, failures = fn(bound)
+    outcomes = list(fn(bound))
+    failures = [o for o in outcomes if o is not None and o is not SKIPPED]
     return {
         "name": name,
         "passed": not failures,
-        "cases": cases,
-        "skipped": skipped,
+        "cases": len(outcomes),
+        "skipped": sum(o is SKIPPED for o in outcomes),
         "failures": failures,
         "bound": bound,
         "seconds": time.perf_counter() - start,

@@ -68,7 +68,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Optional
 
 from .pathword import (
@@ -93,6 +93,11 @@ def _atom_cells(center: Coord) -> tuple[Coord, ...]:
     """Unit positions covered by a two-by-two centered at (L, m)."""
     x, m = center
     return ((x - 1, m), (x, m - 1), (x, m + 1), (x + 1, m))
+
+
+def _atom_residue(lam: PathWord) -> int:
+    """Height mod 4 of the two-by-two centers on the line x = L (family D)."""
+    return (lam.length + 2 * (lam.epsilon + 1)) % 4
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,7 @@ def build_region(lam: PathWord, mu: PathWord, type_tag: str) -> Region:
             if (L + y) % 2 == 1:
                 units.add((L, y))
     if type_tag == TYPE_D and L >= 1:
-        residue = (L + 2 * (lam.epsilon + 1)) % 4
+        residue = _atom_residue(lam)
         for m in range(lh[L] + 2, mh[L] - 1):
             if m % 4 == residue:
                 atoms.add((L, m))
@@ -609,20 +614,24 @@ def exclusive_signed_weight(
     return ONE.scale_by_monomial((-1) ** t.tile_count, t.statistic(weight))
 
 
-def _comparable_words(w: PathWord, type_tag: str, above: bool) -> list[PathWord]:
-    L = w.length
+@cache
+def _word_pool(type_tag: str, length: int, epsilon: int) -> tuple[PathWord, ...]:
+    """Every word of the family with this length (and sign, for D)."""
     if type_tag == TYPE_D:
-        if not L:
-            return [w]
-        pool = enumerate_type_d(L, w.epsilon)
-    elif type_tag == TYPE_B:
-        pool = all_words(L)
-    elif type_tag == TYPE_A:
-        if not classify(w).is_dyck:
-            raise ValueError("family A needs a Dyck word")
-        pool = dyck_words(L)
-    else:
-        raise ValueError("unknown region family %r" % (type_tag,))
+        return tuple(enumerate_type_d(length, epsilon))
+    if type_tag == TYPE_B:
+        return tuple(all_words(length))
+    if type_tag == TYPE_A:
+        return tuple(dyck_words(length))
+    raise ValueError("unknown region family %r" % (type_tag,))
+
+
+def _comparable_words(w: PathWord, type_tag: str, above: bool) -> list[PathWord]:
+    if type_tag == TYPE_D and not w.length:
+        return [w]
+    if type_tag == TYPE_A and not classify(w).is_dyck:
+        raise ValueError("family A needs a Dyck word")
+    pool = _word_pool(type_tag, w.length, w.epsilon if type_tag == TYPE_D else 0)
     if above:
         return [v for v in pool if is_above(v, w)]
     return [v for v in pool if is_above(w, v)]
@@ -722,11 +731,10 @@ def lift_from_type_b(tiling: Tiling, lam_d: PathWord) -> Tiling:
     if truncate_last(lam_d) != region.lam:
         raise ValueError("lower word does not extend the projected one")
     L = lam_d.length
-    eps = lam_d.epsilon
     extensions = [PathWord(region.mu.steps + s) for s in "UD"]
-    mu_d = next(m for m in extensions if m.epsilon == eps)
+    mu_d = next(m for m in extensions if m.epsilon == lam_d.epsilon)
     target = build_region(lam_d, mu_d, TYPE_D)
-    residue = (L + 2 * (eps + 1)) % 4
+    residue = _atom_residue(lam_d)
     out: list[Tile] = []
     for t in tiling.tiles:
         if t.kind == "ballot_b":

@@ -31,22 +31,24 @@ otherwise prod(1+q^i) with i running over the plain run at the bottom.
 The rule 3 denominators are divided out at the very end.
 
 The rules are only trusted in configurations the worked examples pin
-down, and outside them a merge is refused rather than guessed at:
-nothing merges strictly below an edge that carries an arrow, rule 1
-refuses while an unconsumed dotted top still sits further right among
-the siblings, rule 3 with a left chain longer than one edge requires
-that the left top has no outgoing arrow, and rule 2 never consumes a
-left top that receives an arrow and, once the right chain contains
-edges produced by an earlier merge, only fires with a single left
-edge and at most two right edges.  Evaluation
-explores every order of the remaining merges; the result is returned
-only when at least one order finishes and all finishing orders agree,
-and otherwise the tree raises StuckTreeError.  Exhaustive comparison
-against the tiling sums covers every word up to length nine: each
-word either evaluates to the correct polynomial or raises, and the
-raising words (none shorter than six) genuinely lie outside the rules,
-with sums such as 4 * 23 at q = 1 that no product of the available
-factors can reach.
+down, and outside them a merge is refused rather than guessed at.
+Nothing merges strictly below an edge that carries an arrow, and _rule
+holds every other refusal, deciding from dotted, merged and arrow
+flags alone: rule 1 refuses while an unconsumed dotted top still sits
+further right among the siblings, rule 3 with a left chain longer than
+one edge requires that the left top has no outgoing arrow, and rule 2
+never consumes a left top that receives an arrow and, once the right
+chain contains edges produced by an earlier merge, only fires with a
+single left edge and at most two right edges.  Evaluation explores
+every order of the remaining merges on one tree in place, undoing each
+merge after its branch; the result is returned only when at least one
+order finishes and all finishing orders agree, and otherwise the tree
+raises StuckTreeError.  Exhaustive comparison against the tiling sums
+covers every word up to length nine: each word either evaluates to the
+same polynomial or raises, and none shorter than six raises.  That the
+raising words lie outside the rules is not shown: the tiling sums are
+in doubt from length six on, and DDUDUUU's tilings sum to 92 at q = 1
+where its row of the inverse kind-I flip matrix sums to 96.
 
 The same product shapes appear on their own: kw_type_a is the hook
 quotient over the chords of a Dyck word, q_b(M, N) multiplies the
@@ -57,7 +59,6 @@ hook quotient times connector times q_b.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -99,8 +100,8 @@ class TreeNode:
 class TreeEdge:
     """An edge to a child vertex, optionally dotted, with arrows.
 
-    merged marks edges rebuilt by a merge; rule 2 refuses long left
-    chains that are not original, so eligibility depends on it.
+    merged marks edges rebuilt by a merge; _rule reads it, since rule 2
+    refuses long chains once the right chain holds merged edges.
     """
 
     child: TreeNode
@@ -127,9 +128,6 @@ class PlaneTree:
     @property
     def is_empty(self) -> bool:
         return not self.root.children
-
-    def copy(self) -> "PlaneTree":
-        return copy.deepcopy(self)
 
     def to_json(self) -> dict:
         """Nested children with dotted flags; arrows as child-index paths."""
@@ -236,50 +234,43 @@ def _chain(edge: TreeEdge) -> Optional[list[TreeEdge]]:
     return out
 
 
-def _merge_factor(
-    left: list[TreeEdge],
-    right: list[TreeEdge],
-    rest: tuple[TreeEdge, ...] = (),
-):
-    """(numerator, denominator, profile) for merging two sibling chains.
+def _rule(
+    left: list[TreeEdge], right: list[TreeEdge], rest: tuple[TreeEdge, ...]
+) -> Optional[int]:
+    """The rule (1, 2 or 3) that merges two sibling chains, or None.
 
-    None when no rule applies.  The denominator is 1 except under rule
-    3, and profile lists the dotted flags of the merged chain: the left
-    chain is grafted above the right one, so the right chain keeps its
-    decoration and the new top edge is dotted under rules 2 and 3.
-    rest holds the top edges right of the pair at the same vertex: an
-    original dotted top there vetoes rule 1, which must not jump the
-    queue ahead of the dotted chain it would feed.
+    Decided from the dotted, merged and arrow flags alone, and home of
+    every refusal guard.  rest holds the top edges right of the pair at
+    the same vertex: an original dotted top there vetoes rule 1, which
+    must not jump the queue ahead of the dotted chain it would feed.
     """
     if any(e.dotted for e in left):
         return None
     l_top, r_top = left[0], right[0]
-    n, m = len(left), len(right)
     if r_top.dotted:
-        profile = (True,) + (False,) * (n - 1) + tuple(e.dotted for e in right)
-        num = q2_binomial(m + n, m) * _one_plus_powers(1, n)
         if r_top.outgoing is None:
             if l_top.incoming is not None:
                 return None
-            if (n > 1 or m > 2) and any(e.merged for e in right):
+            if (len(left) > 1 or len(right) > 2) and any(e.merged for e in right):
                 return None
-            return num, ONE, profile
+            return 2
         if r_top.outgoing is l_top:
-            if n > 1 and l_top.outgoing is not None:
+            if len(left) > 1 and l_top.outgoing is not None:
                 return None
-            return num * q_int(2 * m + n), q_int(2 * m + 2 * n), profile
+            return 3
         return None
     if any(e.dotted for e in right):
         return None
     if any(e.dotted and not e.merged for e in rest):
         return None
     if r_top.outgoing is None and r_top.incoming is None and l_top.incoming is None:
-        return q_binomial(m + n, m), ONE, (False,) * (m + n)
+        return 1
     return None
 
 
-def _eligible_merges(tree: PlaneTree) -> list[tuple[TreeNode, int]]:
-    """(vertex, left-child index) sites where a rule fires, deepest first.
+def _eligible_merges(tree: PlaneTree) -> list[tuple]:
+    """(vertex, left-child index, rule, left chain, right chain) sites
+    where a rule fires, deepest first.
 
     Vertices strictly below an edge that carries an arrow are skipped:
     collapsing them first would erase what the arrow points at.
@@ -291,34 +282,36 @@ def _eligible_merges(tree: PlaneTree) -> list[tuple[TreeNode, int]]:
             walk(e.child, allowed and e.outgoing is None and e.incoming is None)
         if not allowed:
             return
-        kids = [(_chain(e)) for e in node.children]
-        for k in range(len(kids) - 1):
-            if kids[k] is not None and kids[k + 1] is not None:
-                rest = tuple(node.children[k + 2 :])
-                if _merge_factor(kids[k], kids[k + 1], rest) is not None:
-                    sites.append((node, k))
+        kids = [_chain(e) for e in node.children]
+        for k, (left, right) in enumerate(zip(kids, kids[1:])):
+            if left is not None and right is not None:
+                rule = _rule(left, right, tuple(node.children[k + 2 :]))
+                if rule is not None:
+                    sites.append((node, k, rule, left, right))
 
     walk(tree.root, True)
     return sites
 
 
-def _apply_merge(node: TreeNode, k: int) -> tuple[PolyQ, PolyQ]:
-    """Merge the chains at children k and k+1, return (num, den)."""
-    left = _chain(node.children[k])
-    right = _chain(node.children[k + 1])
-    if left is None or right is None:
-        raise AssertionError("merge site is not a pair of chains")
-    got = _merge_factor(left, right, tuple(node.children[k + 2 :]))
-    if got is None:
-        raise AssertionError("merge site is not eligible")
-    num, den, profile = got
-    target = left[0].outgoing
+def _apply_merge(
+    node: TreeNode, k: int, rule: int, left: list[TreeEdge], right: list[TreeEdge]
+) -> tuple[PolyQ, PolyQ]:
+    """Merge the chains at children k and k+1 in place, return (num, den)."""
+    n, m = len(left), len(right)
+    if rule == 1:
+        num, den = q_binomial(m + n, m), ONE
+    else:
+        num, den = q2_binomial(m + n, m) * _one_plus_powers(1, n), ONE
+        if rule == 3:
+            num, den = num * q_int(2 * m + n), q_int(2 * m + 2 * n)
+    profile = (rule != 1,) + (False,) * (n - 1) + tuple(e.dotted for e in right)
     top = TreeEdge(TreeNode(), dotted=profile[0], merged=True)
     tail = top
     for flag in profile[1:]:
         nxt = TreeEdge(TreeNode(), dotted=flag, merged=True)
         tail.child.children = [nxt]
         tail = nxt
+    target = left[0].outgoing
     if target is not None and target not in (left[0], right[0]):
         top.outgoing = target
         target.incoming = top
@@ -373,6 +366,9 @@ def evaluations(tree: PlaneTree, memo: dict) -> list[tuple[PolyQ, PolyQ]]:
     """All (numerator, denominator) pairs over complete merge orders.
 
     memo caches the pairs of every tree state reached; pass a new dict.
+    Each merge is undone after its branch (the pair's two tops go back,
+    a relinked arrow target gets its incoming edge back), so tree is
+    unchanged on return.
     """
     key = _encode(tree)
     if key in memo:
@@ -382,14 +378,17 @@ def evaluations(tree: PlaneTree, memo: dict) -> list[tuple[PolyQ, PolyQ]]:
     if chain is not None:
         results.append((_terminal(chain), ONE))
     else:
-        for pick in range(len(_eligible_merges(tree))):
-            work = tree.copy()
-            node, k = _eligible_merges(work)[pick]
-            a, b = _apply_merge(node, k)
-            for num, den in evaluations(work, memo):
+        for node, k, rule, left, right in _eligible_merges(tree):
+            target = left[0].outgoing
+            held = None if target is None else target.incoming
+            a, b = _apply_merge(node, k, rule, left, right)
+            for num, den in evaluations(tree, memo):
                 pair = (a * num, b * den)
                 if pair not in results:
                     results.append(pair)
+            node.children[k : k + 1] = [left[0], right[0]]
+            if target is not None:
+                target.incoming = held
     memo[key] = results
     return results
 

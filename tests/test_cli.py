@@ -9,6 +9,7 @@ from dycktile import cli
 from dycktile.cli import main, run_check
 from dycktile.incidence import IncidenceMatrix, build
 from dycktile.qpoly import ONE, ZERO
+from dycktile.treeform import StuckTreeError
 
 
 def run(capsys, *argv):
@@ -257,6 +258,20 @@ def test_registry_check_can_fail(monkeypatch, capsys, name, attr, broken):
     assert code == 1
     assert [name, "FAIL"] in [line.split()[:2] for line in out.splitlines()]
     assert out.splitlines()[-1] == "some checks FAILED"
+
+
+def test_stuck_trees_fail_below_length_6_and_are_skipped_from_6_on(monkeypatch):
+    def stuck(tree):
+        raise StuckTreeError("no merge rule applies to this tree")
+
+    monkeypatch.setattr(cli, "omega", stuck)
+    monkeypatch.setattr(cli, "evaluations", lambda tree, memo: [])
+    for name in ("tree-evaluation", "merge-confluence"):
+        report = run_check(name, 6)
+        assert report["cases"] == 127
+        assert len(report["failures"]) == 63  # every word of length 0..5
+        assert report["skipped"] == 64  # every word of length 6
+        assert report["failures"][0] == "lam=: stuck below length 6"
 
 
 def test_missing_subcommand():

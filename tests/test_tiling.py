@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dycktile
 from dycktile.pathword import (
     PathWord,
     all_words,
@@ -344,9 +346,13 @@ print(refusal(check_inverse, m, m))
 
 
 def test_invariants_raise_under_optimize():
+    # the subprocess imports the same dycktile as this test run
+    src = os.path.dirname(os.path.dirname(dycktile.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run(
         [sys.executable, "-O", "-c", OPTIMIZED_SCRIPT],
         capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=path),
     ).stdout
     assert out.splitlines() == [
         "1",

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from dycktile.treeform import (
     _eligible_merges,
     a_factor,
     build_tree,
+    evaluations,
     factorized_p_b,
     factorized_p_d,
     kw_type_a,
@@ -158,9 +161,9 @@ def _order_outcomes(tree):
         return {(_terminal(chain), ONE)}
     out = set()
     for pick in range(len(_eligible_merges(tree))):
-        work = tree.copy()
-        node, k = _eligible_merges(work)[pick]
-        num, den = _apply_merge(node, k)
+        work = copy.deepcopy(tree)
+        node, k, rule, left, right = _eligible_merges(work)[pick]
+        num, den = _apply_merge(node, k, rule, left, right)
         out |= {(num * a, den * b) for a, b in _order_outcomes(work)}
     return out
 
@@ -173,6 +176,35 @@ def test_merge_orders_agree_up_to_length_5():
             pairs = _order_outcomes(build_tree(w))
             values = {exact_div(a, b) for a, b in pairs}
             assert len(values) == 1, w
+
+
+def test_in_place_search_matches_copying_search():
+    for n in range(8):
+        for w in all_words(n):
+            tree = build_tree(w)
+            assert set(evaluations(tree, {})) == _order_outcomes(tree), w
+
+
+def _snapshot(tree):
+    """Every edge with the objects and flags a merge could change.
+
+    TreeEdge compares by identity, so equal snapshots hold the same
+    objects, not copies of them.
+    """
+    edges = [
+        (e, e.outgoing, e.incoming, e.dotted, e.merged, list(e.child.children))
+        for e in tree.edges()
+    ]
+    return edges, list(tree.root.children)
+
+
+def test_evaluations_restore_the_tree_exactly():
+    for n in range(9):
+        for w in all_words(n):
+            tree = build_tree(w)
+            before = _snapshot(tree)
+            evaluations(tree, {})
+            assert _snapshot(tree) == before, w
 
 
 def test_kw_type_a_examples():
