@@ -52,16 +52,30 @@ candidate whose requirement can never hold (dropped cells that meet the
 tile or leave the region, a neighbor outside the region at x <= L, or a
 set no candidate contains) is discarded before the search.  The size
 bound and the two-by-two condition need no check of their own; they
-follow from containment (see _inclusive_needs and _exclusive_needs).
-The search is Algorithm X over the region's cells in (x, y) order,
-always covering the first uncovered cell.  When a tile is placed, each
-of its requirements is checked against the tile that already covers
-the first cell of the set, or parked on that cell; the tile that later
-covers it must then contain the whole set.  Family-B ballot ribbons
-are fused with their partner and glue box when the candidates are
-built.  The search runs to the end in both classes, so a second
-cover-exclusive tiling would surface and exclusive_signed_weight would
-refuse it.
+follow from containment (see _inclusive_needs and CandidatePool).
+
+Candidates.  A lower sum builds its candidate tiles once, from the
+region of lam under the family's top word; an upper sum from the
+region of the family's bottom word under mu; a lone region from
+itself.  The sum's other regions lie inside this enclosing region:
+their words lie between its words, and their two-by-twos share its
+residue class.  None of their unit cells is the west cell of an
+enclosing two-by-two, since that would put an end height of lam or mu
+in the two-by-two residue class, which an end height never is.  So
+each region keeps the enclosing candidates whose cells it contains,
+one mask test each, and drops requirements by mask tests too; the
+inclusive ones depend on lam, which a lower sum shares.
+
+The search is Algorithm X (Knuth's exact cover, here over bit masks)
+over the enclosing region's cells in (x, y) order, with the cells
+outside the region covered from the start, always covering the first
+uncovered cell.  When a tile is placed, each of its requirements is
+checked against the tile that already covers the first cell of the
+set, or parked on that cell; the tile that later covers it must then
+contain the whole set.  Family-B ballot ribbons are fused with their
+partner and glue box when the candidates are built.  The search runs
+to the end in both classes, so a second cover-exclusive tiling would
+surface and exclusive_signed_weight would refuse it.
 """
 
 from __future__ import annotations
@@ -138,6 +152,11 @@ def build_region(lam: PathWord, mu: PathWord, type_tag: str) -> Region:
             raise ValueError("family A needs Dyck words")
     if type_tag == TYPE_D and lam.epsilon != mu.epsilon:
         raise ValueError("family D needs words of equal sign")
+    return _region_between(lam, mu, type_tag)
+
+
+def _region_between(lam: PathWord, mu: PathWord, type_tag: str) -> Region:
+    """The region of words already known to be valid for the family."""
     L = lam.length
     lh, mh = lam.heights, mu.heights
     units = set()
@@ -180,7 +199,7 @@ class Tile:
     upper: tuple[Coord, ...] = ()
     glue: Optional[Coord] = None
 
-    @property
+    @cached_property
     def area(self) -> int:
         if self.kind == "two_by_two":
             return 1
@@ -201,11 +220,6 @@ class Tile:
         if self.area % 2 != 1:
             raise AssertionError("tile area must be odd")
         return (self.area + 1) // 2
-
-    @property
-    def size(self) -> int:
-        """Box count for containment comparisons (two-by-two counts 1)."""
-        return self.area
 
     def to_json(self) -> dict:
         out = {
@@ -381,8 +395,8 @@ def _candidates(region: Region) -> list[Tile]:
 # -- class requirements ----------------------------------------------------
 
 # A requirement is a set of cells that one tile of the tiling must
-# contain.  The requirements of a candidate are None when no tiling of
-# the class can hold it.
+# contain.  The search holds it as a bit mask over the cells of the
+# pool's enclosing region.
 Requirement = frozenset[Coord]
 
 
@@ -412,9 +426,10 @@ def _pieces(tile: Tile) -> list[tuple[tuple[Coord, ...], int]]:
     return out
 
 
-def _inclusive_needs(region: Region, tile: Tile) -> Optional[list[Requirement]]:
+def _inclusive_needs(lam: PathWord, tile: Tile) -> Optional[list[Requirement]]:
     """Each piece that does not drop below lam must land inside one tile;
-    inside its own tile it always does.
+    inside its own tile it always does.  None when a dropped piece meets
+    its own tile without lying inside it.
 
     The definition also asks that tile to be at least as large as the
     piece, which follows from containment.  A piece larger than one box
@@ -426,12 +441,12 @@ def _inclusive_needs(region: Region, tile: Tile) -> Optional[list[Requirement]]:
     own = frozenset(tile.cells)
     needs = []
     for cells, drop in _pieces(tile):
-        if _below_after_drop(cells, drop, region.lam):
+        if _below_after_drop(cells, drop, lam):
             continue
         moved = frozenset((x, y - drop) for x, y in cells)
         if moved <= own:
             continue
-        if moved & own or not moved <= region.all_cells:
+        if moved & own:
             return None
         needs.append(moved)
     return needs
@@ -444,82 +459,161 @@ def _neighbors(cells: Iterable[Coord]) -> set[Coord]:
     return out
 
 
-def _exclusive_needs(region: Region, tile: Tile) -> Optional[list[Requirement]]:
-    """The region cells just above, northwest or northeast of the tile
-    lie in one other tile; such a neighbor outside the region is
-    allowed only past the terminal line.
+# -- the candidate pool ------------------------------------------------------
 
-    A tile with a two-by-two at (L, m) has the neighbor (L, m+3): the
-    south cell of the next two-by-two up, or a position outside the
-    region at x = L.  So whenever such a tile has a requirement, the
-    tile meeting it carries a two-by-two, as family D asks.
+
+class CandidatePool:
+    """The candidates of an enclosing region with their requirements,
+    built once and shared by every region inside it.
+
+    Tiles are in (cells, kind) order, the order of a Tiling's tiles.
+    Cells are bits in the enclosing region's (x, y) order; masks[i]
+    marks the cells of tile i and spots[i] lists them in order.
+    terms[i] is (reach, wants, around, near, far), and a region keeps
+    tile i only when reach lies within it.  Inclusive, reach is the tile
+    with its dropped pieces, which are its requirements (wants), since
+    lam is shared.  Exclusive, the requirement is the tile's neighbor
+    positions inside the region: around marks those inside the
+    enclosing region, near those of them at x <= L, and far says that
+    one outside the enclosing region lies at x <= L.
+
+    The exclusive rule: the region cells just above, northwest or
+    northeast of the tile lie in one other tile; such a neighbor outside
+    the region is allowed only past the terminal line.  A tile with a
+    two-by-two at (L, m) has the neighbor (L, m+3): the south cell of
+    the next two-by-two up, or a position outside the region at x = L.
+    So whenever such a tile has a requirement, the tile meeting it
+    carries a two-by-two, as family D asks.
     """
-    around = _neighbors(tile.cells).difference(tile.cells)
-    inside = frozenset(around & region.all_cells)
-    if not inside:
-        return []
-    if any(x <= region.length for x, _ in around - inside):
-        return None
-    return [inside]
+
+    def __init__(self, region: Region, cls: str):
+        if cls not in (INCLUSIVE, EXCLUSIVE):
+            raise ValueError("class must be inclusive or exclusive, got %r" % (cls,))
+        self.region, self.cls = region, cls
+        order = sorted(region.all_cells)
+        index = self.index = {c: i for i, c in enumerate(order)}
+        self.full = (1 << len(order)) - 1
+        self.spots: list[list[int]] = []
+        self.masks: list[int] = []
+        self.terms: list[tuple[int, tuple[int, ...], int, int, bool]] = []
+        self.tiles: list[Tile] = []
+        self.by_cell: list[list[int]] = [[] for _ in order]
+        self._fits: dict[int, frozenset[int]] = {}
+        L = region.length
+        for t in sorted(_candidates(region), key=lambda t: (t.cells, t.kind)):
+            ss = [index[c] for c in t.cells]  # t.cells is sorted, like order
+            mask = sum(1 << s for s in ss)
+            wants: tuple[int, ...] = ()
+            around = near = 0
+            far = False
+            if cls == INCLUSIVE:
+                needs = _inclusive_needs(region.lam, t)
+                if needs is None or not all(n <= region.all_cells for n in needs):
+                    continue
+                wants = tuple(sum(1 << index[c] for c in n) for n in needs)
+            else:
+                for x, y in _neighbors(t.cells).difference(t.cells):
+                    s = index.get((x, y))
+                    if s is None:
+                        far = far or x <= L
+                        continue
+                    around |= 1 << s
+                    if x <= L:
+                        near |= 1 << s
+            for s in ss:
+                self.by_cell[s].append(len(self.tiles))
+            self.tiles.append(t)
+            self.spots.append(ss)
+            self.masks.append(mask)
+            self.terms.append((mask | sum(wants), wants, around, near, far))
+
+    def select(self, region: Region) -> tuple[int, list[list[int]], dict[int, list]]:
+        """The pool cells `region` lacks, as a mask; the pool tiles kept
+        in `region`, by first cell; and each kept tile's requirements as
+        (s, fits): the tile covering cell s, the first of the set, must
+        be one of fits.
+
+        `region` must lie inside the pool's region, with its unit cells
+        and two-by-twos among the pool region's; then a pool tile is one
+        of its candidates exactly when its cells lie in it (see the
+        module docstring).  A tile is also dropped when a requirement
+        leaves the region, when an exclusive neighbor outside the region
+        lies at x <= L, or when no tile kept in the region fits a
+        requirement.  Fits may name tiles outside the region; only kept
+        tiles are ever tested against it.
+        """
+        enclosing = self.region
+        if not (
+            region.type_tag == enclosing.type_tag
+            and region.length == enclosing.length
+            and region.unit_cells <= enclosing.unit_cells
+            and region.atoms <= enclosing.atoms
+            and (self.cls == EXCLUSIVE or region.lam == enclosing.lam)
+        ):
+            raise ValueError("region does not lie inside the candidate pool's region")
+        index = self.index
+        outside = self.full & ~sum(1 << index[c] for c in region.all_cells)
+        inside = ~outside
+        kept: dict[int, tuple[int, ...]] = {}
+        for i, (reach, wants, around, near, far) in enumerate(self.terms):
+            if reach & outside:
+                continue
+            hood = around & inside
+            if hood:
+                if far or near & outside:
+                    continue
+                wants = (hood,)
+            kept[i] = wants
+        first: list[list[int]] = [[] for _ in self.by_cell]
+        reqs: dict[int, list] = {}
+        spots = self.spots
+        for i, wants in kept.items():
+            compiled = []
+            for want in wants:
+                fits = self.fits(want)
+                if not any(j in kept for j in fits):
+                    break
+                compiled.append(((want & -want).bit_length() - 1, fits))
+            else:
+                first[spots[i][0]].append(i)
+                reqs[i] = compiled
+        return outside, first, reqs
+
+    def fits(self, want: int) -> frozenset[int]:
+        """The tiles that contain every cell of the requirement `want`."""
+        found = self._fits.get(want)
+        if found is None:
+            s = (want & -want).bit_length() - 1
+            masks = self.masks
+            found = frozenset(j for j in self.by_cell[s] if masks[j] & want == want)
+            self._fits[want] = found
+        return found
 
 
 # -- the pruned exact-cover search ----------------------------------------
 
 
-def _class_covers(region: Region, cls: str) -> list[tuple[Tile, ...]]:
-    """Every exact cover by candidate tiles that meets the class's
-    requirements, checked as each tile is placed.
+def _class_covers(region: Region, pool: CandidatePool) -> list[tuple[int, ...]]:
+    """Every exact cover of the region by pool tiles that meets the
+    class's requirements, checked as each tile is placed; a cover lists
+    pool indices.
 
-    Cells are bits in (x, y) order.  A node covers the first uncovered
-    cell, so only candidates whose first cell it is can fit there.
-    owner[s] names the placed tile covering cell s; parked[s] holds the
-    fits sets of requirements waiting for cell s to be covered, and the
-    waiting mask marks those cells.
+    The pool's cells outside the region start covered.  A node covers
+    the first uncovered cell, so only candidates whose first cell it is
+    can fit there.  owner[s] names the placed tile covering cell s;
+    parked[s] holds the fits sets of requirements waiting for cell s to
+    be covered, and the waiting mask marks those cells.
     """
-    order = sorted(region.all_cells)
-    index = {c: i for i, c in enumerate(order)}
-    full = (1 << len(order)) - 1
-    needs_of = _inclusive_needs if cls == INCLUSIVE else _exclusive_needs
-    tiles, spots, masks, needs = [], [], [], []
-    by_cell: list[list[int]] = [[] for _ in order]
-    for t in _candidates(region):
-        n = needs_of(region, t)
-        if n is None:
-            continue
-        ss = [index[c] for c in t.cells]  # t.cells is sorted, like order
-        for s in ss:
-            by_cell[s].append(len(tiles))
-        tiles.append(t)
-        spots.append(ss)
-        masks.append(sum(1 << s for s in ss))
-        needs.append(n)
-
-    # A requirement becomes (s, fits): the tile covering the first cell
-    # s of its set must be one of the candidates in fits, those that
-    # contain the whole set.  A candidate with an empty fits is dropped.
-    reqs: list = []
-    first: list[list[int]] = [[] for _ in order]
-    for i in range(len(tiles)):
-        compiled = []
-        for cells in needs[i]:
-            s = min(index[c] for c in cells)
-            want = sum(1 << index[c] for c in cells)
-            fits = frozenset(j for j in by_cell[s] if masks[j] & want == want)
-            if not fits:
-                break
-            compiled.append((s, fits))
-        else:
-            first[spots[i][0]].append(i)
-        reqs.append(compiled)
-
-    owner = [0] * len(order)  # read only where the cell is covered
-    parked: list[list[frozenset]] = [[] for _ in order]
+    outside, first, reqs = pool.select(region)
+    spots, masks, full = pool.spots, pool.masks, pool.full
+    owner = [0] * len(first)  # read only where the cell is covered
+    parked: list[list[frozenset]] = [[] for _ in first]
     chosen: list[int] = []
-    covers: list[tuple[Tile, ...]] = []
+    covers: list[tuple[int, ...]] = []
 
     def walk(covered: int, waiting: int) -> None:
         if covered == full:
-            covers.append(tuple(tiles[i] for i in chosen))
+            covers.append(tuple(chosen))
             return
         pivot = (~covered & (covered + 1)).bit_length() - 1
         for i in first[pivot]:
@@ -549,20 +643,28 @@ def _class_covers(region: Region, cls: str) -> list[tuple[Tile, ...]]:
                 for s, _ in new_parks:
                     parked[s].pop()
 
-    walk(0, 0)
+    walk(outside, 0)
     return covers
 
 
-def enumerate_tilings(region: Region, cls: str = INCLUSIVE) -> tuple[Tiling, ...]:
+def enumerate_tilings(
+    region: Region, cls: str = INCLUSIVE, pool: Optional[CandidatePool] = None
+) -> tuple[Tiling, ...]:
     """All tilings of the region in the class, found by one pruned
-    exact-cover search."""
-    if cls not in (INCLUSIVE, EXCLUSIVE):
-        raise ValueError("class must be inclusive or exclusive, got %r" % (cls,))
+    exact-cover search.
+
+    pool holds the candidates of a region enclosing this one, built by
+    the class's sum; by default the candidates are the region's own.
+    """
+    if pool is None:
+        pool = CandidatePool(region, cls)
+    elif pool.cls != cls:
+        raise ValueError("candidate pool is for the %s class, not %s" % (pool.cls, cls))
     out = []
-    for cover in _class_covers(region, cls):
-        check_exact_cover(region, cover)
-        out.append(Tiling(region, tuple(sorted(cover, key=lambda t: (t.cells, t.kind))), cls))
-    out.sort(key=lambda t: [(x.cells, x.kind) for x in t.tiles])
+    for cover in sorted(tuple(sorted(c)) for c in _class_covers(region, pool)):
+        tiles = tuple(pool.tiles[i] for i in cover)
+        check_exact_cover(region, tiles)
+        out.append(Tiling(region, tiles, cls))
     return tuple(out)
 
 
@@ -586,13 +688,15 @@ def genfun_pair(
     type_tag: str,
     cls: str = INCLUSIVE,
     weight: str = "art",
+    pool: Optional[CandidatePool] = None,
 ) -> PolyQ:
-    """Sum of q^weight over the tilings between lam and mu."""
+    """Sum of q^weight over the tilings between lam and mu; pool is as
+    for enumerate_tilings."""
     if weight not in WEIGHTS:
         raise ValueError("weight must be one of %s" % (WEIGHTS,))
     region = build_region(lam, mu, type_tag)
     counts: list[int] = []
-    for t in enumerate_tilings(region, cls):
+    for t in enumerate_tilings(region, cls, pool):
         k = t.statistic(weight)
         if k >= len(counts):
             counts.extend([0] * (k + 1 - len(counts)))
@@ -647,12 +751,23 @@ def lower_words(mu: PathWord, type_tag: str) -> list[PathWord]:
     return _comparable_words(mu, type_tag, above=False)
 
 
+def _height_sum(w: PathWord) -> int:
+    return sum(w.heights)
+
+
 def _sum_over(
-    pairs: list[tuple[PathWord, PathWord]], type_tag: str, cls: str, weight: str
+    pairs: list[tuple[PathWord, PathWord]],
+    enclosing: tuple[PathWord, PathWord],
+    type_tag: str,
+    cls: str,
+    weight: str,
 ) -> PolyQ:
+    """Sum of genfun_pair over the pairs, whose regions all lie inside
+    the region of the enclosing pair; its candidates are built once."""
+    pool = CandidatePool(_region_between(*enclosing, type_tag), cls)
     acc = ZERO
     for lam, mu in pairs:
-        acc = acc + genfun_pair(lam, mu, type_tag, cls, weight)
+        acc = acc + genfun_pair(lam, mu, type_tag, cls, weight, pool)
     return acc
 
 
@@ -662,11 +777,14 @@ def genfun_lower(
     weight: str = "art",
     cls: str = INCLUSIVE,
 ) -> PolyQ:
-    """Sum of genfun_pair(lam, mu) over every upper word mu above lam."""
+    """Sum of genfun_pair(lam, mu) over every upper word mu above lam.
+
+    Every region lies inside the one under the family's top word."""
     if weight not in WEIGHTS:
         raise ValueError("weight must be one of %s" % (WEIGHTS,))
-    pairs = [(lam, mu) for mu in upper_words(lam, type_tag)]
-    return _sum_over(pairs, type_tag, cls, weight)
+    uppers = upper_words(lam, type_tag)
+    top = max(uppers, key=_height_sum)
+    return _sum_over([(lam, mu) for mu in uppers], (lam, top), type_tag, cls, weight)
 
 
 def genfun_upper(
@@ -674,11 +792,14 @@ def genfun_upper(
     type_tag: str,
     weight: str = "tiles",
 ) -> PolyQ:
-    """Sum of cover-exclusive q^weight over every lower word below mu."""
+    """Sum of cover-exclusive q^weight over every lower word below mu.
+
+    Every region lies inside the one over the family's bottom word."""
     if weight not in WEIGHTS:
         raise ValueError("weight must be one of %s" % (WEIGHTS,))
-    pairs = [(lam, mu) for lam in lower_words(mu, type_tag)]
-    return _sum_over(pairs, type_tag, EXCLUSIVE, weight)
+    lowers = lower_words(mu, type_tag)
+    bottom = min(lowers, key=_height_sum)
+    return _sum_over([(lam, mu) for lam in lowers], (bottom, mu), type_tag, EXCLUSIVE, weight)
 
 
 # -- projection between families D and B ------------------------------------

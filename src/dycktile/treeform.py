@@ -60,6 +60,7 @@ hook quotient times connector times q_b.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Iterator, Optional
 
 from .linkflip import link_pattern
@@ -293,17 +294,23 @@ def _eligible_merges(tree: PlaneTree) -> list[tuple]:
     return sites
 
 
+@cache
+def _merge_factor(rule: int, n: int, m: int) -> tuple[PolyQ, PolyQ]:
+    """(num, den) of a rule merging a left chain of n edges with a right
+    chain of m edges; shared between calls, as PolyQ is immutable."""
+    if rule == 1:
+        return q_binomial(m + n, m), ONE
+    num = q2_binomial(m + n, m) * _one_plus_powers(1, n)
+    if rule == 3:
+        return num * q_int(2 * m + n), q_int(2 * m + 2 * n)
+    return num, ONE
+
+
 def _apply_merge(
     node: TreeNode, k: int, rule: int, left: list[TreeEdge], right: list[TreeEdge]
 ) -> tuple[PolyQ, PolyQ]:
     """Merge the chains at children k and k+1 in place, return (num, den)."""
     n, m = len(left), len(right)
-    if rule == 1:
-        num, den = q_binomial(m + n, m), ONE
-    else:
-        num, den = q2_binomial(m + n, m) * _one_plus_powers(1, n), ONE
-        if rule == 3:
-            num, den = num * q_int(2 * m + n), q_int(2 * m + 2 * n)
     profile = (rule != 1,) + (False,) * (n - 1) + tuple(e.dotted for e in right)
     top = TreeEdge(TreeNode(), dotted=profile[0], merged=True)
     tail = top
@@ -316,7 +323,7 @@ def _apply_merge(
         top.outgoing = target
         target.incoming = top
     node.children[k : k + 2] = [top]
-    return num, den
+    return _merge_factor(rule, n, m)
 
 
 def _single_chain(tree: PlaneTree) -> Optional[list[TreeEdge]]:

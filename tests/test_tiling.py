@@ -19,6 +19,7 @@ from dycktile.qpoly import PolyQ, ZERO, prod
 from dycktile.tiling import (
     EXCLUSIVE,
     INCLUSIVE,
+    CandidatePool,
     Tile,
     Tiling,
     build_region,
@@ -30,6 +31,7 @@ from dycktile.tiling import (
     lift_from_type_b,
     project_to_type_b,
     render_svg,
+    lower_words,
     tiling_record,
     upper_words,
 )
@@ -600,7 +602,7 @@ def _oracle_is_inclusive(region, tiles, sized=True):
     lh, L = region.lam.heights, region.length
     pieces = [p for t in tiles for p in _oracle_pieces(t)]
     targets = [(frozenset(cells), size) for cells, _, size in pieces]
-    targets.extend((frozenset(t.cells), t.size) for t in tiles)
+    targets.extend((frozenset(t.cells), t.area) for t in tiles)
     for cells, drop, size in pieces:
         if all(x > L or y - drop + 1 <= lh[x] for x, y in cells):
             continue
@@ -689,7 +691,53 @@ def test_size_and_two_by_two_bounds_follow_from_containment():
             )
 
 
+def _lone_region_sum(pairs, family, cls, weight):
+    """Sum of q^weight over the tilings of each pair's region alone."""
+    acc = ZERO
+    for lam, mu in pairs:
+        for t in enumerate_tilings(build_region(lam, mu, family), cls):
+            acc = acc + PolyQ((0,) * t.statistic(weight) + (1,))
+    return acc
+
+
+def test_sums_match_lone_region_enumeration():
+    # A sum builds its candidates once from an enclosing region and picks
+    # each region's tiles by mask; enumerating each region on its own,
+    # tied to the oracle above, must give the same sums.
+    for family, lo, top in (("D", 0, 6), ("B", 1, 5), ("A", 0, 6)):
+        for n in range(lo, top + 1):
+            for w in dyck_words(n) if family == "A" else all_words(n):
+                above = [(w, mu) for mu in upper_words(w, family)]
+                for cls, weight in ((INCLUSIVE, "art"), (EXCLUSIVE, "tiles")):
+                    got = genfun_lower(w, family, weight, cls)
+                    assert got == _lone_region_sum(above, family, cls, weight), (family, w, cls)
+                below = [(lam, w) for lam in lower_words(w, family)]
+                got = genfun_upper(w, family, "tiles")
+                assert got == _lone_region_sum(below, family, EXCLUSIVE, "tiles"), (family, w)
+
+
+def test_pool_refuses_a_region_outside_its_own():
+    pool = CandidatePool(build_region(W("DUDU"), W("UUDD"), "D"), INCLUSIVE)
+    for lam, mu in (("DDUU", "UUDD"), ("DUDU", "UUUU"), ("UDUD", "UUDD")):
+        with pytest.raises(ValueError):
+            enumerate_tilings(build_region(W(lam), W(mu), "D"), INCLUSIVE, pool)
+    with pytest.raises(ValueError):
+        enumerate_tilings(build_region(W("DUDU"), W("UUDD"), "D"), EXCLUSIVE, pool)
+
+
 # -- regions where one path of the search decides --------------------------
+
+
+def test_tile_with_no_neighbor_inside_has_no_exclusive_requirement():
+    # The region UUDD/UUUU is a single two-by-two.  Its neighbor positions
+    # all lie outside the region, some at x <= L, and none inside, so it
+    # has no exclusive requirement: the empty neighborhood is decided
+    # before the drop for a neighbor outside at x <= L.  The upper sum of
+    # UUUU visits this region inside the larger one under UUUU.
+    r = build_region(W("UUDD"), W("UUUU"), "D")
+    assert [[x.kind for x in t.tiles] for t in enumerate_tilings(r, EXCLUSIVE)] == [["two_by_two"]]
+    assert genfun_upper(W("UUUU"), "D", "tiles") == poly(1, 2, 1)
+
 
 
 def test_parked_requirement_is_checked_when_its_target_is_placed():

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from dycktile.linkflip import link_pattern
 from dycktile.pathword import PathWord, all_words
-from dycktile.qpoly import ONE, PolyQ, q_int
+from dycktile.qpoly import ONE, PolyQ, q2_binomial, q_binomial, q_int
 from dycktile.tiling import genfun_lower
 from dycktile.treeform import (
     PlaneTree,
@@ -14,6 +14,8 @@ from dycktile.treeform import (
     TreeNode,
     _apply_merge,
     _eligible_merges,
+    _merge_factor,
+    _one_plus_powers,
     a_factor,
     build_tree,
     evaluations,
@@ -275,3 +277,15 @@ def test_factorized_rejects_unsupported_shapes():
             factorized_p_d(PathWord(s))
         with pytest.raises(ValueError):
             factorized_p_b(PathWord(s))
+
+
+def test_merge_factor_matches_the_rule_formulas():
+    assert _merge_factor(1, 1, 1) == (PolyQ((1, 1)), ONE)
+    assert _merge_factor(2, 1, 1) == (PolyQ((1, 1, 1, 1)), ONE)
+    assert _merge_factor(3, 1, 1) == (PolyQ((1, 1, 1, 1)) * q_int(3), q_int(4))
+    for n in range(1, 7):
+        for m in range(1, 7):
+            rule2 = q2_binomial(m + n, m) * _one_plus_powers(1, n)
+            assert _merge_factor(1, n, m) == (q_binomial(m + n, m), ONE)
+            assert _merge_factor(2, n, m) == (rule2, ONE)
+            assert _merge_factor(3, n, m) == (rule2 * q_int(2 * m + n), q_int(2 * m + 2 * n))
