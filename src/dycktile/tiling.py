@@ -501,8 +501,6 @@ class CandidatePool:
         self._fits: dict[int, frozenset[int]] = {}
         L = region.length
         for t in sorted(_candidates(region), key=lambda t: (t.cells, t.kind)):
-            ss = [index[c] for c in t.cells]  # t.cells is sorted, like order
-            mask = sum(1 << s for s in ss)
             wants: tuple[int, ...] = ()
             around = near = 0
             far = False
@@ -520,6 +518,8 @@ class CandidatePool:
                     around |= 1 << s
                     if x <= L:
                         near |= 1 << s
+            ss = [index[c] for c in t.cells]  # t.cells is sorted, like order
+            mask = sum(1 << s for s in ss)
             for s in ss:
                 self.by_cell[s].append(len(self.tiles))
             self.tiles.append(t)

@@ -29,9 +29,9 @@ from dycktile.tiling import (
     genfun_pair,
     genfun_upper,
     lift_from_type_b,
+    lower_words,
     project_to_type_b,
     render_svg,
-    lower_words,
     tiling_record,
     upper_words,
 )
@@ -733,11 +733,10 @@ def test_tile_with_no_neighbor_inside_has_no_exclusive_requirement():
     # all lie outside the region, some at x <= L, and none inside, so it
     # has no exclusive requirement: the empty neighborhood is decided
     # before the drop for a neighbor outside at x <= L.  The upper sum of
-    # UUUU visits this region inside the larger one under UUUU.
+    # UUUU selects this region's tiles from those of DDDD/UUUU.
     r = build_region(W("UUDD"), W("UUUU"), "D")
     assert [[x.kind for x in t.tiles] for t in enumerate_tilings(r, EXCLUSIVE)] == [["two_by_two"]]
     assert genfun_upper(W("UUUU"), "D", "tiles") == poly(1, 2, 1)
-
 
 
 def test_parked_requirement_is_checked_when_its_target_is_placed():
