@@ -12,19 +12,30 @@ checks it exhaustively while filling each column (arc sets are small,
 at most L/2 arcs).
 
 The matrices are sparse (about 7% of the entries are nonzero at
-n = 8), and inversion touches only nonzeros.  The nonzeros of each
-row of M are read from `entries` once, as (column, entry) pairs.
+n = 8), and inversion touches only nonzeros.  Both the inversion and
+its check compute with each polynomial p stored as the int p(2^W)
+(qpoly.pack), so every term of a sum of products is one big-int
+multiply-add, exact for any W.  Only reading a result back
+(qpoly.unpack) needs W large enough: every coefficient must be
+smaller in magnitude than 2^(W-1).
+
 Column j of the inverse is exact forward substitution: entry i is
-minus the sum of M[i][k] * inv[k][j] over the k where row i of M and
-the finished part of the column, kept as a {row: PolyQ} dict, are
-both nonzero.  Each sum accumulates in one coefficient list
-(qpoly.add_product) and becomes a PolyQ once, when it is finished.
-That costs about size * nnz(M) coefficient passes.  invert then runs
-check_inverse, which forms every row of M * Minv the same way, from
-the nonzeros of both factors, and compares the full product with the
-identity.  Inverse entries only hold nonnegative coefficients; that
-positivity is re-proved downstream by the tiling bridge and asserted
-in the tests, not here.
+minus the sum of M[i][k] * inv[k][j] over the k below the diagonal
+where row i of M and the finished part of the column are both
+nonzero.  That costs about size * nnz(M) multiply-adds.  invert's
+width comes from r_i = 1 + sum over those k of |M[i][k]|_1 * r_k, one
+pass over M: by induction down the rows, every entry of row i of the
+inverse has 1-norm at most r_i, so W = bit_length(max r) + 1 decodes
+it.  invert then runs check_inverse, which forms every row of
+a * b from the nonzeros of both factors and compares the full product
+with the identity.  The check picks its own width: the largest row
+1-norm sum of a times the largest entry 1-norm of b bounds every
+coefficient of the product, and one more covers its difference from
+the identity.  A width taken from
+invert's bound would let a wrong entry that vanishes at q = 2^W, such
+as q - 2^W, pass unseen.  Inverse entries only hold nonnegative
+coefficients; that positivity is re-proved downstream by the tiling
+bridge and asserted in the tests, not here.
 """
 
 from __future__ import annotations
@@ -37,7 +48,7 @@ from functools import cached_property
 
 from .linkflip import pair_arcs, flip, weight_I, weight_II
 from .pathword import PathWord, enumerate_type_d
-from .qpoly import ONE, ZERO, PolyQ, add_product
+from .qpoly import ONE, ZERO, PolyQ, pack, unpack
 
 
 @dataclass(frozen=True)
@@ -132,7 +143,16 @@ def build(n: int, epsilon: int, kind: str) -> IncidenceMatrix:
 
 def _sparse_rows(m: IncidenceMatrix) -> list[list[tuple[int, PolyQ]]]:
     """The nonzeros of each row of m as (column, entry) pairs."""
-    return [[(k, p) for k, p in enumerate(row) if p] for row in m.entries]
+    return [[(k, p) for k, p in enumerate(row) if p.coeffs] for row in m.entries]
+
+
+def _norm1(p: PolyQ) -> int:
+    return sum(map(abs, p.coeffs))
+
+
+def _width(bound: int) -> int:
+    """A packing width whose half, 2**(width-1), exceeds bound."""
+    return bound.bit_length() + 1
 
 
 def invert(m: IncidenceMatrix) -> IncidenceMatrix:
@@ -141,22 +161,29 @@ def invert(m: IncidenceMatrix) -> IncidenceMatrix:
     for k in range(size):
         if m.entries[k][k] != ONE:
             raise ValueError("matrix is not unitriangular at %s" % m.basis[k].steps)
-    rows = _sparse_rows(m)
+    lower = [[(k, p) for k, p in row if k < i] for i, row in enumerate(_sparse_rows(m))]
+    # |inv[i][j]|_1 <= r[i] for every j, by induction down the rows
+    r: list[int] = []
+    for row in lower:
+        r.append(1 + sum(_norm1(p) * r[k] for k, p in row))
+    width = _width(max(r, default=1))
+    lower = [[(k, pack(p, width)) for k, p in row] for row in lower]
     inv: list[list[PolyQ]] = [[ZERO] * size for _ in range(size)]
     for j in range(size):
-        # column j of the inverse, nonzeros only; the rows k in [j, i)
-        # are final by the time row i reads them
-        col = {j: ONE}
+        # column j of the inverse, packed; the rows k in [j, i) are
+        # final by the time row i reads them
+        col = [0] * size
+        col[j] = 1
+        inv[j][j] = ONE
         for i in range(j + 1, size):
-            buf: list[int] = []
-            for k, mik in rows[i]:
-                ckj = col.get(k)
-                if ckj is not None:
-                    add_product(buf, mik, ckj)
-            if any(buf):
-                col[i] = PolyQ([-c for c in buf])
-        for i, p in col.items():
-            inv[i][j] = p
+            acc = 0
+            for k, mik in lower[i]:
+                ckj = col[k]
+                if ckj:
+                    acc += mik * ckj
+            if acc:
+                col[i] = -acc
+                inv[i][j] = unpack(-acc, width)
     out = IncidenceMatrix(m.basis, tuple(tuple(row) for row in inv))
     check_inverse(m, out)
     return out
@@ -165,22 +192,27 @@ def invert(m: IncidenceMatrix) -> IncidenceMatrix:
 def check_inverse(a: IncidenceMatrix, b: IncidenceMatrix) -> None:
     """Raise unless the product a * b is the identity matrix.
 
-    Row i of the product is accumulated from the nonzeros of a's row i
-    and of b's matching rows, then all of its entries are compared with
-    the identity; the first mismatch in row-major order is reported.
+    Row i of the product is accumulated, packed, from the nonzeros of
+    a's row i and of b's matching rows, then all of its entries are
+    compared with the identity; the first mismatch in row-major order
+    is reported.  The packing width comes from a and b themselves, so
+    a wrong entry of b cannot vanish at q = 2**W.
     """
     size = a.size
-    b_rows = _sparse_rows(b)
-    for i, a_row in enumerate(_sparse_rows(a)):
-        row: dict[int, list[int]] = {}
+    a_rows = _sparse_rows(a)
+    a_max = max((sum(_norm1(p) for _, p in row) for row in a_rows), default=0)
+    b_max = max((_norm1(p) for row in b.entries for p in row), default=0)
+    width = _width(a_max * b_max + 1)
+    b_rows = [
+        [(j, pack(p, width)) for j, p in enumerate(row) if p.coeffs] for row in b.entries
+    ]
+    for i, a_row in enumerate(a_rows):
+        row = [0] * size
         for k, aik in a_row:
+            aik = pack(aik, width)
             for j, bkj in b_rows[k]:
-                add_product(row.setdefault(j, []), aik, bkj)
-        for j in range(size):
-            got = row.get(j, ())
-            if i == j:
-                ok = bool(got) and got[0] == 1 and not any(got[1:])
-            else:
-                ok = not any(got)
-            if not ok:
+                row[j] += aik * bkj
+        row[i] -= 1
+        for j, x in enumerate(row):
+            if x:
                 raise AssertionError("product check failed at (%d, %d)" % (i, j))

@@ -21,9 +21,13 @@ The classical q-analogues provided here:
 Both binomials are computed numerator-first and divided exactly once,
 so an inexact division raises instead of silently truncating.
 
-add_product(buf, a, b) adds a * b into a plain coefficient list, so a
-long sum of products (a matrix product entry) builds one PolyQ at the
-end instead of one per product and one per partial sum.
+pack(p, W) stores p as the single int p(2^W) (Kronecker substitution),
+and unpack(x, W) reads it back.  A long sum of products, such as a
+matrix product entry, is then one big-int multiply-add per term and one
+PolyQ at the end.  The arithmetic on packed values is exact for any W;
+only the decoding needs a width whose half, 2^(W-1), exceeds the
+magnitude of every coefficient of the value packed.  Callers derive W
+from a proven bound on their result, never from a constant.
 """
 
 from __future__ import annotations
@@ -203,23 +207,37 @@ def exact_div(num: PolyQ, den: PolyQ) -> PolyQ:
     return PolyQ(out)
 
 
-def add_product(buf: list[int], a: PolyQ, b: PolyQ) -> None:
-    """buf += a * b in place, buf a coefficient list that grows as needed.
+def pack(p: PolyQ, width: int) -> int:
+    """p evaluated at q = 2**width, an exact int.
 
-    Sums of many products accumulate in one buffer this way, and only
-    the finished sum becomes a PolyQ.  Zero coefficients of a are
-    skipped, so a signed monomial costs one pass over b.
+    Packing is a ring homomorphism Z[q] -> Z for every width, so sums
+    and products of packed values are the packed sums and products.
     """
-    ca, cb = a.coeffs, b.coeffs
-    if not ca or not cb:
-        return
-    nb = len(cb)
-    need = len(ca) + nb - 1
-    if len(buf) < need:
-        buf.extend([0] * (need - len(buf)))
-    for i, x in enumerate(ca):
-        if x:
-            buf[i:i + nb] = [u + x * y for u, y in zip(buf[i:i + nb], cb)]
+    return sum(c << (width * i) for i, c in enumerate(p.coeffs) if c)
+
+
+def unpack(x: int, width: int) -> PolyQ:
+    """The polynomial p with pack(p, width) == x.
+
+    The digits are balanced: each coefficient is read from its
+    width-bit digit into [-2**(width-1), 2**(width-1)), so p is right
+    whenever every coefficient of the true value lies in that range.
+    """
+    if width < 1:
+        raise ValueError("width must be >= 1, got %d" % width)
+    mask = (1 << width) - 1
+    half = 1 << (width - 1)
+    out = []
+    while x:
+        c = x & mask
+        if c >= half:
+            # a negative digit borrows one from the digits above it
+            c -= mask + 1
+            x = (x >> width) + 1
+        else:
+            x >>= width
+        out.append(c)
+    return PolyQ(out)
 
 
 def prod(factors: Iterable[PolyQ]) -> PolyQ:

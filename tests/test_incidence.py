@@ -132,6 +132,42 @@ def test_check_inverse_rejects_each_corruption():
         assert str(exc.value) == "product check failed at (%d, %d)" % want
 
 
+@pytest.mark.parametrize("width", [8, 16, 32, 38, 64])
+def test_check_inverse_width_comes_from_its_operands(width):
+    # q - 2^W is zero at q = 2^W, so a check packing at that fixed
+    # width would miss it
+    m = build(5, 0, "I")
+    inv = invert(m)
+    zero_at = next(
+        (i, j) for i in range(m.size) for j in range(i) if not inv.entries[i][j]
+    )
+    bad = with_entry(inv, *zero_at, PolyQ((-(2**width), 1)))
+    want = first_mismatch(m, bad)
+    assert want is not None
+    with pytest.raises(AssertionError) as exc:
+        check_inverse(m, bad)
+    assert str(exc.value) == "product check failed at (%d, %d)" % want
+
+
+def test_invert_entries_that_are_not_monomials():
+    big = PolyQ((0, -7, 1000))  # 1000q^2 - 7q
+    cases = [
+        ((ONE, ZERO, ZERO), (big, ONE, ZERO), (-big, PolyQ((3, -5, 0, 2)), ONE)),
+        (
+            (ONE, ZERO, ZERO, ZERO),
+            (big, ONE, ZERO, ZERO),
+            (PolyQ((-12345, 0, 678)), -big * big, ONE, ZERO),
+            (big + Q, PolyQ((0, 0, 0, -999)), PolyQ((1, 1, 1, 1, 1)) * big, ONE),
+        ),
+    ]
+    for rows in cases:
+        basis = tuple(PathWord("U" * k + "D" * (len(rows) - k)) for k in range(len(rows)))
+        m = IncidenceMatrix(basis, rows)
+        inv = invert(m)
+        assert inv.entries == dense_inverse(rows)
+        check_inverse(m, inv)
+
+
 @pytest.mark.parametrize("kind", ["I", "II"])
 @pytest.mark.parametrize("eps", [0, 1])
 @pytest.mark.parametrize("n", range(1, 8))

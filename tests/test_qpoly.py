@@ -9,14 +9,15 @@ from dycktile.qpoly import (
     ZERO,
     InexactDivisionError,
     PolyQ,
-    add_product,
     exact_div,
+    pack,
     prod,
     q2_binomial,
     q_binomial,
     q_double_factorial_even,
     q_factorial,
     q_int,
+    unpack,
 )
 
 
@@ -93,41 +94,54 @@ def test_json_round_trip():
     assert PolyQ.from_json(json.loads(blob)) == p
 
 
-def test_add_product_matches_mul_and_add():
-    a = PolyQ((0, -2, 0, 3))  # negative and zero coefficients
-    b = PolyQ((-1, 4))
-    buf = []  # shorter than the product
-    add_product(buf, a, b)
-    assert buf == [0, 2, -8, -3, 12]
-    assert PolyQ(buf) == a * b
-    buf = [5]  # grows past its length, keeps what it held
-    add_product(buf, a, b)
-    assert PolyQ(buf) == PolyQ((5,)) + a * b
-    buf = [1, 1, 1, 1, 1, 1, 1, 1]  # longer than the product
-    add_product(buf, Q, b)
-    assert buf == [1, 0, 5, 1, 1, 1, 1, 1]
-    buf = [7]
-    add_product(buf, ZERO, b)
-    add_product(buf, a, ZERO)
-    assert buf == [7]
-    buf = []
-    for x, y in ((a, b), (b, b), (-a, b), (Q, ONE)):
-        add_product(buf, x, y)
-    assert PolyQ(buf) == a * b + b * b + (-a) * b + Q
-    assert PolyQ(buf) == b * b + Q
+@st.composite
+def packable(draw):
+    """A width W and a polynomial whose coefficients reach 2^(W-1) - 1."""
+    width = draw(st.integers(2, 80))
+    top = (1 << (width - 1)) - 1
+    coeffs = draw(st.lists(st.integers(-top, top), max_size=8))
+    return width, PolyQ(coeffs)
+
+
+@given(packable())
+def test_unpack_inverts_pack(case):
+    width, p = case
+    assert pack(p, width) == sum(c * 2 ** (width * i) for i, c in enumerate(p.coeffs))
+    assert unpack(pack(p, width), width) == p
+
+
+@pytest.mark.parametrize("width", [2, 8, 38, 64])
+def test_pack_extremes(width):
+    top = (1 << (width - 1)) - 1
+    for p in (
+        PolyQ((top, -top, top)),
+        PolyQ((-top, 0, 0, top)),
+        PolyQ((0, -top)),
+        PolyQ((-top,) * 5),
+    ):
+        assert unpack(pack(p, width), width) == p
+    assert pack(ZERO, width) == 0 and unpack(0, width) == ZERO
+    # one past the bound reads back as another polynomial with the
+    # same value at 2^W: top + 1 becomes -(top + 1) + q
+    past = PolyQ((top + 1,))
+    assert unpack(pack(past, width), width) == PolyQ((-(top + 1), 1))
+    with pytest.raises(ValueError):
+        unpack(1, 0)
 
 
 small_polys = st.lists(st.integers(-9, 9), max_size=6).map(PolyQ)
 
 
 @given(st.lists(st.tuples(small_polys, small_polys), max_size=5), small_polys)
-def test_add_product_sums_products(pairs, start):
-    buf = list(start.coeffs)
+def test_packed_sums_of_products(pairs, start):
+    # every coefficient of the sum is at most 5 * 6 * 81 + 9 < 2^12
+    width = 13
+    x = pack(start, width)
     want = start
     for a, b in pairs:
-        add_product(buf, a, b)
+        x += pack(a, width) * pack(b, width)
         want = want + a * b
-    assert PolyQ(buf) == want
+    assert unpack(x, width) == want
 
 
 @given(small_polys, small_polys)
