@@ -183,7 +183,7 @@ def invert(m: IncidenceMatrix) -> IncidenceMatrix:
                     acc += mik * ckj
             if acc:
                 col[i] = -acc
-                inv[i][j] = unpack(-acc, width)
+                inv[i][j] = unpack(col[i], width)
     out = IncidenceMatrix(m.basis, tuple(tuple(row) for row in inv))
     check_inverse(m, out)
     return out

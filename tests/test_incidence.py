@@ -149,6 +149,17 @@ def test_check_inverse_width_comes_from_its_operands(width):
     assert str(exc.value) == "product check failed at (%d, %d)" % want
 
 
+def test_check_inverse_width_counts_the_left_factor():
+    # b alone bounds nothing here: (a * b)[1][0] = q - 8 vanishes at the
+    # width 3 that b's 1-norms would give
+    basis = (PathWord("UU"), PathWord("DD"))
+    a = IncidenceMatrix(basis, ((ONE, ZERO), (PolyQ((-7, 1)), ONE)))
+    b = IncidenceMatrix(basis, ((ONE, ZERO), (-ONE, ONE)))
+    with pytest.raises(AssertionError) as exc:
+        check_inverse(a, b)
+    assert str(exc.value) == "product check failed at (1, 0)"
+
+
 def test_invert_entries_that_are_not_monomials():
     big = PolyQ((0, -7, 1000))  # 1000q^2 - 7q
     cases = [
