@@ -50,7 +50,7 @@ class PolyQ:
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
+        object.__setattr__(self, "coeffs", tuple(map(int, cs)))
 
     # -- basic structure ------------------------------------------------
 

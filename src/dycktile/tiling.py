@@ -57,25 +57,34 @@ follow from containment (see _inclusive_needs and CandidatePool).
 Candidates.  A lower sum builds its candidate tiles once, from the
 region of lam under the family's top word; an upper sum from the
 region of the family's bottom word under mu; a lone region from
-itself.  The sum's other regions lie inside this enclosing region:
-their words lie between its words, and their two-by-twos share its
-residue class.  None of their unit cells is the west cell of an
-enclosing two-by-two, since that would put an end height of lam or mu
-in the two-by-two residue class, which an end height never is.  So
-each region keeps the enclosing candidates whose cells it contains,
-one mask test each, and drops requirements by mask tests too; the
-inclusive ones depend on lam, which a lower sum shares.
+itself.  The sum's regions are this enclosing region cut column by
+column at the varying word's heights: in each column their cells are
+those strictly between the two words, and in family D their
+two-by-twos are those whose west cell they keep, since an end height
+is never in the two-by-two residue class.  A region's candidates are
+the enclosing candidates whose cells it holds.  Requirements do not
+change from region to region: the inclusive ones depend on lam, which
+a lower sum fixes, and a tile's exclusive neighborhood lies above it,
+so inside every region between a varying lam and the fixed mu.  The
+exclusive class over a varying mu (genfun_lower's exclusive class)
+has requirements that depend on mu, so it searches each region alone.
 
 The search is Algorithm X (Knuth's exact cover, here over bit masks)
-over the enclosing region's cells in (x, y) order, with the cells
-outside the region covered from the start, always covering the first
-uncovered cell.  When a tile is placed, each of its requirements is
-checked against the tile that already covers the first cell of the
-set, or parked on that cell; the tile that later covers it must then
-contain the whole set.  Family-B ballot ribbons are fused with their
-partner and glue box when the candidates are built.  The search runs
-to the end in both classes, so a second cover-exclusive tiling would
-surface and exclusive_signed_weight would refuse it.
+over the enclosing region's cells in (x, y) order, always covering
+the first uncovered cell, and one search finds the tilings of every
+region of a sum.  When it first reaches a column it chooses the
+varying word's height there, one step from the column before, and a
+cut covers the column's cells beyond it; a finished cover belongs to
+the region whose varying word has the chosen heights, if that word is
+one of the sum's.  The sum then visits only the regions with a
+tiling.  When a tile is placed, each of its requirements is checked
+against the tile that already covers the first cell of the set, or
+parked on that cell; the tile that later covers it must then contain
+the whole set, and a cut may not take it.  Family-B ballot ribbons
+are fused with their partner and glue box when the candidates are
+built.  The search runs to the end in both classes, so a second
+cover-exclusive tiling would surface and exclusive_signed_weight would
+refuse it.
 """
 
 from __future__ import annotations
@@ -464,18 +473,44 @@ def _neighbors(cells: Iterable[Coord]) -> set[Coord]:
 
 class CandidatePool:
     """The candidates of an enclosing region with their requirements,
-    built once and shared by every region inside it.
+    and the covers of every region of a sum inside it, found by one
+    search.
+
+    The pool's regions share one word and differ in the other, the one
+    the class's requirements do not depend on.  Inclusive requirements
+    depend on lam alone, so mu varies, as in a lower sum.  A tile's
+    exclusive neighborhood lies above it, so inside every region between
+    a lower word and mu, and lam varies, as in an upper sum.  words are
+    the varying words, each between the region's two words, with its
+    length and, in family D, its sign; by default the region's own.
+
+    The region between the fixed word and a varying one is the
+    enclosing region cut column by column at the varying word's
+    heights.  In each column x from 1 to L - 1 (to L in family B) its
+    cells are those strictly between the two heights, and in family D
+    its two-by-twos are those whose west cell, at x = L - 1, it keeps.
+    choices[x] lists the heights the words take in column x as (mask,
+    spots, h, shadow): the cells beyond h, away from the fixed word,
+    that a cut at h takes, in family D each west cell with the rest of
+    its two-by-two; and the cells outside the region of every word with
+    height h at x, beyond h + d in column x + d (towards mu's side when
+    mu varies, lam's when lam varies).  default holds the heights of
+    the enclosing region's varying-side word, and column[s] the column
+    of cell s where a height is chosen.  A lone region's pool chooses
+    no height: all of its columns are 0.
 
     Tiles are in (cells, kind) order, the order of a Tiling's tiles.
     Cells are bits in the enclosing region's (x, y) order; masks[i]
-    marks the cells of tile i and spots[i] lists them in order.
-    terms[i] is (reach, wants, around, near, far), and a region keeps
-    tile i only when reach lies within it.  Inclusive, reach is the tile
-    with its dropped pieces, which are its requirements (wants), since
-    lam is shared.  Exclusive, the requirement is the tile's neighbor
-    positions inside the region: around marks those inside the
-    enclosing region, near those of them at x <= L, and far says that
-    one outside the enclosing region lies at x <= L.
+    marks the cells of tile i, spots[i] lists them in order, and
+    first[s] lists the tiles whose first cell is s.  reqs[i] lists tile
+    i's requirements as (s, fits): the tile covering cell s, the first
+    of the set, must be one of fits.  Inclusive, the requirements are
+    the tile's dropped pieces; exclusive, its neighbor positions inside
+    the enclosing region.  A tile is dropped when a requirement leaves
+    the enclosing region, when it has exclusive neighbors inside and one
+    outside at x <= L, or when no tile fits a requirement.  found maps
+    each varying word whose region has a cover to its covers, as tuples
+    of tile indices.
 
     The exclusive rule: the region cells just above, northwest or
     northeast of the tile lie in one other tile; such a neighbor outside
@@ -486,139 +521,188 @@ class CandidatePool:
     carries a two-by-two, as family D asks.
     """
 
-    def __init__(self, region: Region, cls: str):
+    def __init__(self, region: Region, cls: str, words: Optional[Iterable[PathWord]] = None):
         if cls not in (INCLUSIVE, EXCLUSIVE):
             raise ValueError("class must be inclusive or exclusive, got %r" % (cls,))
         self.region, self.cls = region, cls
         order = sorted(region.all_cells)
-        index = self.index = {c: i for i, c in enumerate(order)}
+        index = {c: i for i, c in enumerate(order)}
         self.full = (1 << len(order)) - 1
-        self.spots: list[list[int]] = []
-        self.masks: list[int] = []
-        self.terms: list[tuple[int, tuple[int, ...], int, int, bool]] = []
+        lam, mu = region.lam, region.mu
+        self.fixed, bound = (lam, mu) if cls == INCLUSIVE else (mu, lam)
+        if words is None:
+            words, columns = (bound,), 0
+        else:
+            L = region.length
+            words, columns = tuple(words), max(L if region.type_tag == TYPE_B else L - 1, 0)
+        self._add_tiles(index)
+        self._add_choices(index, bound, words, columns)
+        self.found = _class_covers(self)
+
+    def _add_tiles(self, index: dict[Coord, int]) -> None:
+        region, cls, L = self.region, self.cls, self.region.length
         self.tiles: list[Tile] = []
-        self.by_cell: list[list[int]] = [[] for _ in order]
-        self._fits: dict[int, frozenset[int]] = {}
-        L = region.length
+        self.masks: list[int] = []
+        self.spots: list[list[int]] = []
+        by_cell: list[list[int]] = [[] for _ in index]
+        all_wants = []
         for t in sorted(_candidates(region), key=lambda t: (t.cells, t.kind)):
-            wants: tuple[int, ...] = ()
-            around = near = 0
-            far = False
             if cls == INCLUSIVE:
                 needs = _inclusive_needs(region.lam, t)
                 if needs is None or not all(n <= region.all_cells for n in needs):
                     continue
                 wants = tuple(sum(1 << index[c] for c in n) for n in needs)
             else:
+                around, far = 0, False
                 for x, y in _neighbors(t.cells).difference(t.cells):
                     s = index.get((x, y))
                     if s is None:
                         far = far or x <= L
-                        continue
-                    around |= 1 << s
-                    if x <= L:
-                        near |= 1 << s
-            ss = [index[c] for c in t.cells]  # t.cells is sorted, like order
-            mask = sum(1 << s for s in ss)
+                    else:
+                        around |= 1 << s
+                if around and far:
+                    continue
+                wants = (around,) if around else ()
+            ss = [index[c] for c in t.cells]  # t.cells is sorted, like the cells
             for s in ss:
-                self.by_cell[s].append(len(self.tiles))
+                by_cell[s].append(len(self.tiles))
             self.tiles.append(t)
             self.spots.append(ss)
-            self.masks.append(mask)
-            self.terms.append((mask | sum(wants), wants, around, near, far))
+            self.masks.append(sum(1 << s for s in ss))
+            all_wants.append(wants)
 
-    def select(self, region: Region) -> tuple[int, list[list[int]], dict[int, list]]:
-        """The pool cells `region` lacks, as a mask; the pool tiles kept
-        in `region`, by first cell; and each kept tile's requirements as
-        (s, fits): the tile covering cell s, the first of the set, must
-        be one of fits.
-
-        `region` must lie inside the pool's region, with its unit cells
-        and two-by-twos among the pool region's; then a pool tile is one
-        of its candidates exactly when its cells lie in it (see the
-        module docstring).  A tile is also dropped when a requirement
-        leaves the region, when an exclusive neighbor outside the region
-        lies at x <= L, or when no tile kept in the region fits a
-        requirement.  Fits may name tiles outside the region; only kept
-        tiles are ever tested against it.
-        """
-        enclosing = self.region
-        if not (
-            region.type_tag == enclosing.type_tag
-            and region.length == enclosing.length
-            and region.unit_cells <= enclosing.unit_cells
-            and region.atoms <= enclosing.atoms
-            and (self.cls == EXCLUSIVE or region.lam == enclosing.lam)
-        ):
-            raise ValueError("region does not lie inside the candidate pool's region")
-        index = self.index
-        outside = self.full & ~sum(1 << index[c] for c in region.all_cells)
-        inside = ~outside
-        kept: dict[int, tuple[int, ...]] = {}
-        for i, (reach, wants, around, near, far) in enumerate(self.terms):
-            if reach & outside:
-                continue
-            hood = around & inside
-            if hood:
-                if far or near & outside:
-                    continue
-                wants = (hood,)
-            kept[i] = wants
-        first: list[list[int]] = [[] for _ in self.by_cell]
-        reqs: dict[int, list] = {}
-        spots = self.spots
-        for i, wants in kept.items():
+        self.first: list[list[int]] = [[] for _ in index]
+        self.reqs: list[list[tuple[int, frozenset[int]]]] = []
+        fits_of: dict[int, frozenset[int]] = {}
+        masks = self.masks
+        for i, wants in enumerate(all_wants):
             compiled = []
             for want in wants:
-                fits = self.fits(want)
-                if not any(j in kept for j in fits):
+                s = (want & -want).bit_length() - 1
+                fits = fits_of.get(want)
+                if fits is None:
+                    fits = frozenset(j for j in by_cell[s] if masks[j] & want == want)
+                    fits_of[want] = fits
+                if not fits:
                     break
-                compiled.append(((want & -want).bit_length() - 1, fits))
+                compiled.append((s, fits))
             else:
-                first[spots[i][0]].append(i)
-                reqs[i] = compiled
-        return outside, first, reqs
+                self.first[self.spots[i][0]].append(i)
+            self.reqs.append(compiled)
 
-    def fits(self, want: int) -> frozenset[int]:
-        """The tiles that contain every cell of the requirement `want`."""
-        found = self._fits.get(want)
-        if found is None:
-            s = (want & -want).bit_length() - 1
-            masks = self.masks
-            found = frozenset(j for j in self.by_cell[s] if masks[j] & want == want)
-            self._fits[want] = found
-        return found
+    def _add_choices(
+        self, index: dict[Coord, int], bound: PathWord, words: tuple[PathWord, ...], columns: int
+    ) -> None:
+        self.default = bound.heights[: columns + 1]
+        self.boundaries = {w.heights[1 : columns + 1]: w for w in words}
+        if len(self.boundaries) != len(words):
+            raise ValueError("two words of the pool have the same heights")
+        self.column = [min(x, columns) for x, _ in index]
+        # per column, (y, the cell's bits with the rest of its two-by-two)
+        by_column: list[list[tuple[int, list[int]]]] = [[] for _ in range(columns + 1)]
+        for x, y in index:
+            if x <= columns:
+                atom = (x + 1, y)
+                cells = _atom_cells(atom) if atom in self.region.atoms else ((x, y),)
+                by_column[x].append((y, sorted(index[c] for c in cells)))
+        sign = 1 if self.cls == INCLUSIVE else -1
+        shadows: dict[tuple[int, int], int] = {}
+
+        def shadow(x: int, h: int) -> int:
+            """The cells beyond h + sign * d in column x + d, d >= 0."""
+            if x > columns:
+                return 0
+            found = shadows.get((x, h))
+            if found is None:
+                found = shadow(x + 1, h + sign)
+                for y, ss in by_column[x]:
+                    if sign * (y - h) > 0:
+                        found |= sum(1 << s for s in ss)
+                shadows[x, h] = found
+            return found
+
+        self.choices: list[list[tuple[int, list[int], int, int]]] = [[] for _ in by_column]
+        for x, heights in enumerate(zip(*self.boundaries), start=1):
+            low, high = sorted((self.fixed.heights[x], self.default[x]))
+            for h in sorted(set(heights)):
+                if not low <= h <= high:
+                    raise ValueError("word does not lie inside the candidate pool's region")
+                cut = [s for y, ss in by_column[x] if sign * (y - h) > 0 for s in ss]
+                mask = sum(1 << s for s in cut)
+                self.choices[x].append((mask, cut, h, shadow(x + 1, h + sign)))
+
+    def covers(self, region: Region) -> list[tuple[int, ...]]:
+        """The covers of `region`, which must be one of the pool's regions."""
+        lam, mu = region.lam, region.mu
+        fixed, varying = (lam, mu) if self.cls == INCLUSIVE else (mu, lam)
+        key = varying.heights[1 : len(self.default)]
+        if not (
+            region.type_tag == self.region.type_tag
+            and fixed == self.fixed
+            and self.boundaries.get(key) == varying
+        ):
+            raise ValueError("region is not one of the candidate pool's regions")
+        return self.found.get(varying, [])
 
 
 # -- the pruned exact-cover search ----------------------------------------
 
 
-def _class_covers(region: Region, pool: CandidatePool) -> list[tuple[int, ...]]:
-    """Every exact cover of the region by pool tiles that meets the
-    class's requirements, checked as each tile is placed; a cover lists
-    pool indices.
+def _class_covers(pool: CandidatePool) -> dict[PathWord, list[tuple[int, ...]]]:
+    """Every exact cover of the pool's region that meets the class's
+    requirements, checked as each tile is placed, grouped by the varying
+    word whose heights its cuts leave; a cover lists tile indices.
 
-    The pool's cells outside the region start covered.  A node covers
-    the first uncovered cell, so only candidates whose first cell it is
-    can fit there.  owner[s] names the placed tile covering cell s;
+    A node covers the first uncovered cell, so only tiles whose first
+    cell it is can fit there, and the columns left of it are finished.
+    owner[s] names the placed tile covering cell s, or -1 for a cut;
     parked[s] holds the fits sets of requirements waiting for cell s to
     be covered, and the waiting mask marks those cells.
+
+    The first node in a column x chooses the varying word's height
+    there, height[x], one step from the finished column before, and a
+    cut covers the cells beyond it.  A cut may take no covered or
+    waiting cell, since it leaves its cells outside the region.  A
+    column that tiles filled before the search reached it keeps the
+    enclosing word's height.  A height also bounds the word in every
+    later column: the cells of its shadow are blocked for tiles, and a
+    shadow that meets a placed tile rules the height out; so a filled
+    column is one step from the column before it too.  A finished cover
+    counts only when its heights are a varying word's; the lookup also
+    holds the family's end conditions, the sign in family D and the
+    return to zero in family A.
     """
-    outside, first, reqs = pool.select(region)
+    first, choices, column, reqs = pool.first, pool.choices, pool.column, pool.reqs
     spots, masks, full = pool.spots, pool.masks, pool.full
+    boundaries, default = pool.boundaries, pool.default
+    height = list(default)
     owner = [0] * len(first)  # read only where the cell is covered
     parked: list[list[frozenset]] = [[] for _ in first]
     chosen: list[int] = []
-    covers: list[tuple[int, ...]] = []
+    found: dict[PathWord, list[tuple[int, ...]]] = {}
 
-    def walk(covered: int, waiting: int) -> None:
+    def walk(covered: int, waiting: int, blocked: int, at: int) -> None:
         if covered == full:
-            covers.append(tuple(chosen))
+            w = boundaries.get(tuple(height[1:]))
+            if w is not None:
+                found.setdefault(w, []).append(tuple(chosen))
             return
         pivot = (~covered & (covered + 1)).bit_length() - 1
+        x = column[pivot]
+        if x != at:
+            for mask, cells, h, cone in choices[x]:
+                if mask & (covered | waiting) or cone & covered or abs(h - height[x - 1]) != 1:
+                    continue
+                for s in cells:
+                    owner[s] = -1
+                height[x] = h
+                walk(covered | mask, waiting, blocked | cone, x)
+            height[x] = default[x]
+            return
+        taken = covered | blocked
         for i in first[pivot]:
             mask = masks[i]
-            if mask & covered:
+            if mask & taken:
                 continue
             if mask & waiting and any(
                 i not in fits for s in spots[i] for fits in parked[s]
@@ -638,13 +722,13 @@ def _class_covers(region: Region, pool: CandidatePool) -> list[tuple[int, ...]]:
                 for s in spots[i]:
                     owner[s] = i
                 chosen.append(i)
-                walk(covered | mask, now_waiting)
+                walk(covered | mask, now_waiting, blocked, at)
                 chosen.pop()
                 for s, _ in new_parks:
                     parked[s].pop()
 
-    walk(outside, 0)
-    return covers
+    walk(0, 0, 0, 0)
+    return found
 
 
 def enumerate_tilings(
@@ -653,15 +737,15 @@ def enumerate_tilings(
     """All tilings of the region in the class, found by one pruned
     exact-cover search.
 
-    pool holds the candidates of a region enclosing this one, built by
-    the class's sum; by default the candidates are the region's own.
+    pool is the pool of a sum with this region among its regions, whose
+    search has found the covers; by default the region gets its own.
     """
     if pool is None:
         pool = CandidatePool(region, cls)
     elif pool.cls != cls:
         raise ValueError("candidate pool is for the %s class, not %s" % (pool.cls, cls))
     out = []
-    for cover in sorted(tuple(sorted(c)) for c in _class_covers(region, pool)):
+    for cover in sorted(tuple(sorted(c)) for c in pool.covers(region)):
         tiles = tuple(pool.tiles[i] for i in cover)
         check_exact_cover(region, tiles)
         out.append(Tiling(region, tiles, cls))
@@ -755,19 +839,27 @@ def _height_sum(w: PathWord) -> int:
     return sum(w.heights)
 
 
-def _sum_over(
-    pairs: list[tuple[PathWord, PathWord]],
-    enclosing: tuple[PathWord, PathWord],
-    type_tag: str,
-    cls: str,
-    weight: str,
-) -> PolyQ:
-    """Sum of genfun_pair over the pairs, whose regions all lie inside
-    the region of the enclosing pair; its candidates are built once."""
-    pool = CandidatePool(_region_between(*enclosing, type_tag), cls)
+def sum_pool(w: PathWord, type_tag: str, cls: str) -> CandidatePool:
+    """The pool of a sum with its covers found: inclusive, of every
+    region between lam = w and a word above it (a lower sum); exclusive,
+    of every region between a word below w and mu = w (an upper sum).
+
+    The enclosing region is bounded by the varying word with the
+    largest (inclusive) or smallest (exclusive) height sum."""
+    if cls == EXCLUSIVE:
+        lowers = lower_words(w, type_tag)
+        return CandidatePool(_region_between(min(lowers, key=_height_sum), w, type_tag), cls, lowers)
+    uppers = upper_words(w, type_tag)
+    return CandidatePool(_region_between(w, max(uppers, key=_height_sum), type_tag), cls, uppers)
+
+
+def _sum_over(pool: CandidatePool, type_tag: str, weight: str) -> PolyQ:
+    """Sum of genfun_pair over the pool's regions that have a tiling;
+    the others add zero."""
     acc = ZERO
-    for lam, mu in pairs:
-        acc = acc + genfun_pair(lam, mu, type_tag, cls, weight, pool)
+    for w in pool.found:
+        lam, mu = (pool.fixed, w) if pool.cls == INCLUSIVE else (w, pool.fixed)
+        acc = acc + genfun_pair(lam, mu, type_tag, pool.cls, weight, pool)
     return acc
 
 
@@ -779,12 +871,17 @@ def genfun_lower(
 ) -> PolyQ:
     """Sum of genfun_pair(lam, mu) over every upper word mu above lam.
 
-    Every region lies inside the one under the family's top word."""
+    Inclusive, one search finds every region's tilings (sum_pool).
+    Exclusive requirements depend on mu, so each region is searched
+    alone."""
     if weight not in WEIGHTS:
         raise ValueError("weight must be one of %s" % (WEIGHTS,))
-    uppers = upper_words(lam, type_tag)
-    top = max(uppers, key=_height_sum)
-    return _sum_over([(lam, mu) for mu in uppers], (lam, top), type_tag, cls, weight)
+    if cls != EXCLUSIVE:
+        return _sum_over(sum_pool(lam, type_tag, cls), type_tag, weight)
+    acc = ZERO
+    for mu in upper_words(lam, type_tag):
+        acc = acc + genfun_pair(lam, mu, type_tag, cls, weight)
+    return acc
 
 
 def genfun_upper(
@@ -792,14 +889,11 @@ def genfun_upper(
     type_tag: str,
     weight: str = "tiles",
 ) -> PolyQ:
-    """Sum of cover-exclusive q^weight over every lower word below mu.
-
-    Every region lies inside the one over the family's bottom word."""
+    """Sum of cover-exclusive q^weight over every lower word below mu,
+    from one search over every region (sum_pool)."""
     if weight not in WEIGHTS:
         raise ValueError("weight must be one of %s" % (WEIGHTS,))
-    lowers = lower_words(mu, type_tag)
-    bottom = min(lowers, key=_height_sum)
-    return _sum_over([(lam, mu) for lam in lowers], (bottom, mu), type_tag, EXCLUSIVE, weight)
+    return _sum_over(sum_pool(mu, type_tag, EXCLUSIVE), type_tag, weight)
 
 
 # -- projection between families D and B ------------------------------------

@@ -32,6 +32,7 @@ from dycktile.tiling import (
     lower_words,
     project_to_type_b,
     render_svg,
+    sum_pool,
     tiling_record,
     upper_words,
 )
@@ -701,9 +702,10 @@ def _lone_region_sum(pairs, family, cls, weight):
 
 
 def test_sums_match_lone_region_enumeration():
-    # A sum builds its candidates once from an enclosing region and picks
-    # each region's tiles by mask; enumerating each region on its own,
-    # tied to the oracle above, must give the same sums.
+    # A sum finds the tilings of all its regions in one search over an
+    # enclosing region and visits only the regions with a tiling;
+    # enumerating each region on its own, tied to the oracle above, must
+    # give the same sums.
     for family, lo, top in (("D", 0, 6), ("B", 1, 5), ("A", 0, 6)):
         for n in range(lo, top + 1):
             for w in dyck_words(n) if family == "A" else all_words(n):
@@ -716,6 +718,29 @@ def test_sums_match_lone_region_enumeration():
                 assert got == _lone_region_sum(below, family, EXCLUSIVE, "tiles"), (family, w)
 
 
+def test_sum_pool_finds_each_regions_tilings():
+    # One search over the enclosing region finds every region's covers.
+    # Each region's tilings must be those it has alone, record for
+    # record and in order, and the sum skips exactly the regions that
+    # have none.
+    for family, lo, top in (("D", 0, 6), ("B", 1, 5), ("A", 0, 6)):
+        for n in range(lo, top + 1):
+            for w in dyck_words(n) if family == "A" else all_words(n):
+                sums = (
+                    (INCLUSIVE, [(w, mu) for mu in upper_words(w, family)]),
+                    (EXCLUSIVE, [(lam, w) for lam in lower_words(w, family)]),
+                )
+                for cls, pairs in sums:
+                    pool = sum_pool(w, family, cls)
+                    for lam, mu in pairs:
+                        region = build_region(lam, mu, family)
+                        lone = [tiling_record(t) for t in enumerate_tilings(region, cls)]
+                        got = [tiling_record(t) for t in enumerate_tilings(region, cls, pool)]
+                        assert got == lone, (family, lam.steps, mu.steps, cls)
+                        visited = (mu if cls == INCLUSIVE else lam) in pool.found
+                        assert visited == bool(lone), (family, lam.steps, mu.steps, cls)
+
+
 def test_pool_refuses_a_region_outside_its_own():
     pool = CandidatePool(build_region(W("DUDU"), W("UUDD"), "D"), INCLUSIVE)
     for lam, mu in (("DDUU", "UUDD"), ("DUDU", "UUUU"), ("UDUD", "UUDD")):
@@ -723,6 +748,15 @@ def test_pool_refuses_a_region_outside_its_own():
             enumerate_tilings(build_region(W(lam), W(mu), "D"), INCLUSIVE, pool)
     with pytest.raises(ValueError):
         enumerate_tilings(build_region(W("DUDU"), W("UUDD"), "D"), EXCLUSIVE, pool)
+    # A lower sum's pool fixes lam, an upper sum's pool fixes mu.
+    lower = sum_pool(W("DUDU"), "D", INCLUSIVE)
+    assert len(enumerate_tilings(build_region(W("DUDU"), W("UUUU"), "D"), INCLUSIVE, lower)) > 0
+    with pytest.raises(ValueError):
+        enumerate_tilings(build_region(W("DDUU"), W("UUUU"), "D"), INCLUSIVE, lower)
+    upper = sum_pool(W("UUDD"), "D", EXCLUSIVE)
+    assert len(enumerate_tilings(build_region(W("DDUU"), W("UUDD"), "D"), EXCLUSIVE, upper)) == 1
+    with pytest.raises(ValueError):
+        enumerate_tilings(build_region(W("DDUU"), W("UUUU"), "D"), EXCLUSIVE, upper)
 
 
 # -- regions where one path of the search decides --------------------------
