@@ -484,20 +484,14 @@ class CandidatePool:
     the varying words, each between the region's two words, with its
     length and, in family D, its sign; by default the region's own.
 
-    The region between the fixed word and a varying one is the
-    enclosing region cut column by column at the varying word's
-    heights.  In each column x from 1 to L - 1 (to L in family B) its
-    cells are those strictly between the two heights, and in family D
-    its two-by-twos are those whose west cell, at x = L - 1, it keeps.
-    choices[x] lists the heights the words take in column x as (mask,
-    spots, h, shadow): the cells beyond h, away from the fixed word,
-    that a cut at h takes, in family D each west cell with the rest of
-    its two-by-two; and the cells outside the region of every word with
-    height h at x, beyond h + d in column x + d (towards mu's side when
-    mu varies, lam's when lam varies).  default holds the heights of
-    the enclosing region's varying-side word, and column[s] the column
-    of cell s where a height is chosen.  A lone region's pool chooses
-    no height: all of its columns are 0.
+    choices[x] lists, for each height h the words take in column x
+    (1 to L - 1, to L in family B), (mask, spots, h, shadow): the cells
+    beyond h, away from the fixed word, that a cut at h takes (in
+    family D a west cell with its whole two-by-two), and the cells
+    beyond h + d in each column x + d that no word through height h at
+    x keeps.  default holds the enclosing varying-side word's heights
+    and column[s] the column whose height is chosen at cell s; a lone
+    region's pool chooses none, so every column[s] is 0.
 
     Tiles are in (cells, kind) order, the order of a Tiling's tiles.
     Cells are bits in the enclosing region's (x, y) order; masks[i]
@@ -563,7 +557,7 @@ class CandidatePool:
                 if around and far:
                     continue
                 wants = (around,) if around else ()
-            ss = [index[c] for c in t.cells]  # t.cells is sorted, like the cells
+            ss = [index[c] for c in t.cells]  # t.cells is sorted, like index
             for s in ss:
                 by_cell[s].append(len(self.tiles))
             self.tiles.append(t)
@@ -608,16 +602,17 @@ class CandidatePool:
         sign = 1 if self.cls == INCLUSIVE else -1
         shadows: dict[tuple[int, int], int] = {}
 
+        def beyond(x: int, h: int) -> list[int]:
+            """The cells of column x beyond height h, away from the fixed word."""
+            return [s for y, ss in by_column[x] if sign * (y - h) > 0 for s in ss]
+
         def shadow(x: int, h: int) -> int:
             """The cells beyond h + sign * d in column x + d, d >= 0."""
             if x > columns:
                 return 0
             found = shadows.get((x, h))
             if found is None:
-                found = shadow(x + 1, h + sign)
-                for y, ss in by_column[x]:
-                    if sign * (y - h) > 0:
-                        found |= sum(1 << s for s in ss)
+                found = shadow(x + 1, h + sign) | sum(1 << s for s in beyond(x, h))
                 shadows[x, h] = found
             return found
 
@@ -627,9 +622,8 @@ class CandidatePool:
             for h in sorted(set(heights)):
                 if not low <= h <= high:
                     raise ValueError("word does not lie inside the candidate pool's region")
-                cut = [s for y, ss in by_column[x] if sign * (y - h) > 0 for s in ss]
-                mask = sum(1 << s for s in cut)
-                self.choices[x].append((mask, cut, h, shadow(x + 1, h + sign)))
+                cut = beyond(x, h)
+                self.choices[x].append((sum(1 << s for s in cut), cut, h, shadow(x + 1, h + sign)))
 
     def covers(self, region: Region) -> list[tuple[int, ...]]:
         """The covers of `region`, which must be one of the pool's regions."""
