@@ -23,12 +23,14 @@ B a ballot tile is a ribbon whose heights never dip below the start
 and whose rightmost cell sits on an anchor with odd rise; ballot tiles
 come in same-shape pairs at vertical offset two, fused together with
 the single box that shares edges with both ribbon starts into ONE tile.
-In family D the fusing is built in: a dyck_d tile is a dyck ribbon
-ending on the west cell of a two-by-two merged with it, and a ballot_d
-tile is a pair of same-shape ribbons landing on the south and north
-cells of one two-by-two, merged with the two-by-two and the glue box.
-Every finished tile has statistic tiles = 1 and odd area (a two-by-two
-contributes area one), so art = (area + tiles)/2 is a nonneg integer.
+The family-D tiles are the lifts of the family-B tiles of the truncated
+words, whose region has each two-by-two's west cell as an anchor: a
+dyck ribbon ending on a west cell merges with its two-by-two (a lone
+two_by_two, or a dyck_d), and a ballot pair whose anchors flank a
+two-by-two center extends its ribbons onto the two-by-two's south and
+north cells and merges with it (a ballot_d).  Every finished tile has
+statistic tiles = 1 and odd area (its cells, a two-by-two counting
+one), so art = (area + tiles)/2 is a nonneg integer.
 
 Classes.  A tiling is cover-inclusive when every piece of every tile
 (a ribbon or glue box translated down by (0,-2), a two-by-two by
@@ -198,6 +200,8 @@ class Tile:
     dyck_d).  lower/upper are the two ribbons of a ballot_d (ending on
     the south / north cell of the two-by-two) or of a fused family-B
     ballot pair (ending on anchors), with glue the shared single box.
+    A family-D tile is the lift of a family-B tile of the truncated
+    words (_lift_tile).
     """
 
     kind: str  # dyck | ballot_b | two_by_two | dyck_d | ballot_d
@@ -210,15 +214,8 @@ class Tile:
 
     @cached_property
     def area(self) -> int:
-        if self.kind == "two_by_two":
-            return 1
-        if self.kind in ("dyck", "dyck_d"):
-            return len(self.ribbon)
-        if self.kind == "ballot_d":
-            return 2 * len(self.lower) - 1
-        if self.kind == "ballot_b":
-            return len(self.cells)
-        raise ValueError("unknown tile kind %r" % (self.kind,))
+        """Its cells, with a two-by-two counting one."""
+        return len(self.cells) - (3 if self.atom is not None else 0)
 
     @property
     def tiles(self) -> int:
@@ -361,43 +358,45 @@ def _ballot_pairs(region: Region) -> list[Tile]:
     return tiles
 
 
-def _atom_tiles(region: Region, atom: Coord) -> list[Tile]:
-    """two_by_two, dyck_d, and ballot_d tiles built on one two-by-two."""
-    L, m = atom
-    west = (L - 1, m)
-    south = (L, m - 1)
-    subs = _atom_cells(atom)
-    allowed = region.unit_cells | {west}
-    tiles = [Tile(kind="two_by_two", cells=tuple(sorted(subs)), atom=atom)]
-
-    # dyck ribbons that terminate on the west cell, merged with the atom
-    for ribbon in _dyck_ending_at(west, allowed):
-        if len(ribbon) >= 3:
-            cells = tuple(sorted(set(ribbon) | set(subs)))
-            tiles.append(Tile(kind="dyck_d", cells=cells, atom=atom, ribbon=ribbon))
-
-    # paired ballot ribbons landing on the south and north cells
-    for rev in _walk_back(south, _pairable(allowed)):
-        x0, y0 = rev[-1]
-        glue = (x0 - 1, y0 + 1)
-        odd = len(rev) >= 3 and len(rev) % 2 == 1
-        if odd and glue in region.unit_cells and _starts_lowest(rev):
-            low = tuple(reversed(rev))
-            up = tuple((x, y + 2) for x, y in low)
-            cells = tuple(sorted({glue, *low, *up, *subs}))
-            tiles.append(
-                Tile(kind="ballot_d", cells=cells, atom=atom, lower=low, upper=up, glue=glue)
-            )
-    return tiles
+def _lift_tile(t: Tile, L: int, residue: int, atoms: frozenset[Coord]) -> Tile:
+    """The family-D tile of length L that a family-B tile of the truncated
+    words lifts to: a ballot pair gains the two-by-two whose south and
+    north cells extend its ribbons, a dyck ribbon ending on a two-by-two's
+    west cell merges with it, and any other dyck tile is its own lift."""
+    if t.kind == "ballot_b":
+        # the two-by-two center sits at one of the pair's two anchor
+        # heights; the residue class picks which one
+        y_low, y_up = t.lower[-1][1], t.upper[-1][1]
+        m = y_up if y_up % 4 == residue else y_low
+        if m % 4 != residue:
+            raise AssertionError("ballot pair at incompatible height")
+        atom = (L, m)
+        low = t.lower + ((L, m - 1),)
+        up = t.upper + ((L, m + 1),)
+        cells = tuple(sorted({t.glue, *low, *up, *_atom_cells(atom)}))
+        return Tile(kind="ballot_d", cells=cells, atom=atom, lower=low, upper=up, glue=t.glue)
+    end = t.ribbon[-1]
+    atom = (L, end[1])
+    if end[0] != L - 1 or atom not in atoms:
+        return t
+    cells = tuple(sorted({*t.ribbon, *_atom_cells(atom)}))
+    if len(t.ribbon) == 1:
+        return Tile(kind="two_by_two", cells=cells, atom=atom)
+    return Tile(kind="dyck_d", cells=cells, atom=atom, ribbon=t.ribbon)
 
 
 def _candidates(region: Region) -> list[Tile]:
+    """Every tile of the region.  The tiles of a family-D region are the
+    lifts of those of the family-B region between the truncated words."""
+    L = region.length
+    if region.type_tag == TYPE_D and L:
+        lam, mu = region.lam, region.mu
+        image = _region_between(truncate_last(lam), truncate_last(mu), TYPE_B)
+        residue = _atom_residue(lam)
+        return [_lift_tile(t, L, residue, region.atoms) for t in _candidates(image)]
     tiles = [_dyck_tile(r) for r in _dyck_ribbons(region.unit_cells)]
     if region.type_tag == TYPE_B:
         tiles.extend(_ballot_pairs(region))
-    if region.type_tag == TYPE_D:
-        for atom in sorted(region.atoms):
-            tiles.extend(_atom_tiles(region, atom))
     return tiles
 
 
@@ -944,33 +943,7 @@ def lift_from_type_b(tiling: Tiling, lam_d: PathWord) -> Tiling:
     mu_d = next(m for m in extensions if m.epsilon == lam_d.epsilon)
     target = build_region(lam_d, mu_d, TYPE_D)
     residue = _atom_residue(lam_d)
-    out: list[Tile] = []
-    for t in tiling.tiles:
-        if t.kind == "ballot_b":
-            # the two-by-two center sits at one of the pair's two anchor
-            # heights; the residue class picks which one
-            y_low, y_up = t.lower[-1][1], t.upper[-1][1]
-            m = y_up if y_up % 4 == residue else y_low
-            if m % 4 != residue:
-                raise AssertionError("ballot pair at incompatible height")
-            low = t.lower + ((L, m - 1),)
-            up = t.upper + ((L, m + 1),)
-            atom = (L, m)
-            cells = tuple(sorted({t.glue, *low, *up, *_atom_cells(atom)}))
-            out.append(
-                Tile(kind="ballot_d", cells=cells, atom=atom, lower=low, upper=up, glue=t.glue)
-            )
-            continue
-        end = t.ribbon[-1]
-        if end[0] == L - 1 and end[1] % 4 == residue and (L, end[1]) in target.atoms:
-            atom = (L, end[1])
-            if len(t.ribbon) == 1:
-                out.append(Tile(kind="two_by_two", cells=tuple(sorted(_atom_cells(atom))), atom=atom))
-            else:
-                cells = tuple(sorted(set(t.ribbon) | set(_atom_cells(atom))))
-                out.append(Tile(kind="dyck_d", cells=cells, atom=atom, ribbon=t.ribbon))
-        else:
-            out.append(t)
+    out = [_lift_tile(t, L, residue, target.atoms) for t in tiling.tiles]
     tiles = tuple(sorted(out, key=lambda t: (t.cells, t.kind)))
     check_exact_cover(target, tiles)
     return Tiling(target, tiles, tiling.cls)
