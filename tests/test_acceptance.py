@@ -70,7 +70,7 @@ def test_golden_matrices():
 
 @criterion(2, "matrix tiling bridge", budget=60.0)
 def test_matrix_tiling_bridge():
-    passes("matrix-bridge", 4)
+    passes("matrix-bridge", 6)
     for eps in (0, 1):
         for kind in ("I", "II"):
             m = build(4, eps, kind)

@@ -227,8 +227,8 @@ def test_verify_json_report(capsys):
 
 
 def test_run_check_clamps_to_cap():
-    report = run_check("matrix-bridge", 7)
-    assert report["bound"] == 4
+    report = run_check("matrix-bridge", 8)
+    assert report["bound"] == 7
     assert report["passed"]
 
 

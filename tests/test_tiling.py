@@ -218,6 +218,19 @@ def test_wide_region_count():
     assert g.coefficient(5) == 6
 
 
+def test_lower_sums_with_long_glue_runs():
+    # Each of these words has a tiling whose ballot tile is glued by a
+    # dyck run longer than one box; the sums equal the row sums of the
+    # inverse kind-I flip matrix.
+    five_four = factors((1, 1, 1, 1, 1), (1, 1, 1, 1), (1, 0, 0, 1))
+    assert five_four == poly(1, 2, 3, 5, 6, 6, 6, 5, 3, 2, 1)
+    assert genfun_lower(W("DUDDUD"), "D") == five_four
+    assert genfun_lower(W("DUDDUU"), "D") == five_four
+    assert five_four.eval_at_one() == 40
+    assert genfun_lower(W("DDUDDUU"), "D").eval_at_one() == 144
+    assert genfun_lower(W("DDUDUUU"), "D").eval_at_one() == 96
+
+
 def test_invalid_weight_and_class():
     with pytest.raises(ValueError):
         genfun_pair(W("UD"), W("UD"), "A", INCLUSIVE, "height")
@@ -418,11 +431,11 @@ def test_tiling_record_round_trip():
 def test_tile_statistics_by_kind():
     ballot = Tile(
         kind="ballot_d",
-        cells=((1, 0), (2, -1), (2, 1), (3, 0), (3, 2), (4, -1), (4, 1), (5, 2)),
+        cells=((1, 0), (2, -1), (2, 1), (3, 0), (3, 2), (4, 1), (4, 3), (5, 2)),
         atom=(4, 2),
         lower=((2, -1), (3, 0), (4, 1)),
         upper=((2, 1), (3, 2), (4, 3)),
-        glue=(1, 0),
+        glue=((1, 0),),
     )
     assert (ballot.area, ballot.tiles, ballot.art) == (5, 1, 3)
     atom = Tile(kind="two_by_two", cells=((1, 0), (2, -1), (2, 1), (3, 0)), atom=(2, 0))
@@ -434,7 +447,7 @@ def test_tile_statistics_by_kind():
 # enumerate_tilings checks the classes tile by tile during one pruned
 # search.  The oracle below follows the definitions instead: every exact
 # cover by candidate tiles, family-B ballot ribbons paired and fused
-# after the cover, then the whole-tiling class predicate.
+# with their glue after the cover, then the whole-tiling class predicate.
 
 
 def _oracle_atom_cells(center):
@@ -485,6 +498,7 @@ def _oracle_atom_tiles(region, atom):
     west, south = (L - 1, m), (L, m - 1)
     subs = _oracle_atom_cells(atom)
     allowed = region.unit_cells | {west}
+    dycks = _oracle_dyck_ribbons(region.unit_cells)
     tiles = [Tile(kind="two_by_two", cells=tuple(sorted(subs)), atom=atom)]
     for ribbon in _oracle_dyck_ribbons(allowed):
         if ribbon[-1] == west and len(ribbon) >= 3:
@@ -497,12 +511,14 @@ def _oracle_atom_tiles(region, atom):
         if len(rev) >= 3 and len(rev) % 2 == 1 and y == min(c[1] for c in rev):
             low = tuple(reversed(rev))
             up = tuple((cx, cy + 2) for cx, cy in low)
-            glue = (low[0][0] - 1, low[0][1] + 1)
-            if all(c in allowed for c in up[:-1]) and glue in region.unit_cells:
-                cells = tuple(sorted({glue, *low, *up, *subs}))
-                tiles.append(
-                    Tile(kind="ballot_d", cells=cells, atom=atom, lower=low, upper=up, glue=glue)
-                )
+            box = (low[0][0] - 1, low[0][1] + 1)
+            if all(c in allowed for c in up[:-1]):
+                # the glue is a dyck ribbon ending on the box beside both starts
+                for glue in (g for g in dycks if g[-1] == box):
+                    cells = tuple(sorted({*glue, *low, *up, *subs}))
+                    tiles.append(Tile(
+                        kind="ballot_d", cells=cells, atom=atom, lower=low, upper=up, glue=glue
+                    ))
         for dy in (1, -1):
             prev = (x - 1, y + dy)
             if prev in allowed:
@@ -553,7 +569,8 @@ def _oracle_exact_covers(region):
 
 def _oracle_fuse_ballot_pairs(cover):
     """Pair same-shape ballot ribbons at offset (0, 2) and fuse each pair
-    with its glue box; None when no valid pairing exists."""
+    with its glue, the dyck tile of the cover that ends on the box beside
+    both starts; None when no valid pairing exists."""
     ballots = [t for t in cover if t.kind == "ballot_b"]
     if not ballots:
         return cover
@@ -563,7 +580,7 @@ def _oracle_fuse_ballot_pairs(cover):
         xs = t.lower
         shape = (xs[0][0], tuple(b[1] - a[1] for a, b in zip(xs, xs[1:])))
         groups.setdefault(shape, []).append(t)
-    singles = {t.cells[0] for t in rest if t.kind == "dyck" and len(t.cells) == 1}
+    ends = {t.ribbon[-1]: t.ribbon for t in rest if t.kind == "dyck"}
     fused, consumed = [], set()
     for _, group in sorted(groups.items()):
         group.sort(key=lambda t: t.lower[0][1])
@@ -573,25 +590,26 @@ def _oracle_fuse_ballot_pairs(cover):
             low_t, up_t = group[k], group[k + 1]
             if up_t.lower[0][1] != low_t.lower[0][1] + 2:
                 return None
-            glue = (low_t.lower[0][0] - 1, low_t.lower[0][1] + 1)
-            if glue not in singles or glue in consumed:
+            box = (low_t.lower[0][0] - 1, low_t.lower[0][1] + 1)
+            glue = ends.get(box)
+            if glue is None or box in consumed:
                 return None
-            consumed.add(glue)
-            cells = tuple(sorted({glue, *low_t.lower, *up_t.lower}))
+            consumed.add(box)
+            cells = tuple(sorted({*glue, *low_t.lower, *up_t.lower}))
             fused.append(
                 Tile(kind="ballot_b", cells=cells, lower=low_t.lower, upper=up_t.lower, glue=glue)
             )
-    kept = [t for t in rest if not (len(t.cells) == 1 and t.cells[0] in consumed)]
+    kept = [t for t in rest if not (t.kind == "dyck" and t.ribbon[-1] in consumed)]
     return tuple(kept) + tuple(fused)
 
 
 def _oracle_pieces(tile):
-    """(cells, drop, size) for each ribbon, glue box and two-by-two."""
+    """(cells, drop, size) for each ribbon, glue run and two-by-two."""
     out = []
     if tile.kind in ("dyck", "dyck_d"):
         out.append((tile.ribbon, 2, len(tile.ribbon)))
     elif tile.kind in ("ballot_d", "ballot_b"):
-        out.append(((tile.glue,), 2, 1))
+        out.append((tile.glue, 2, len(tile.glue)))
         out.append((tile.lower, 2, len(tile.lower)))
         out.append((tile.upper, 2, len(tile.upper)))
     if tile.atom is not None:
@@ -760,6 +778,23 @@ def test_pool_refuses_a_region_outside_its_own():
 
 
 # -- regions where one path of the search decides --------------------------
+
+
+def test_glue_run_is_a_dyck_strip():
+    # The smallest region whose only one-tile tiling needs a glue run
+    # longer than one box: the ribbons (4,-1),(5,0),(6,-1) and
+    # (4,1),(5,2),(6,1) on the two-by-two at (6, 0), joined by the dyck
+    # run (1,0),(2,1),(3,0) ending on the box beside both starts.
+    r = build_region(W("DUDDUD"), W("UUDUUD"), "D")
+    for cls in (INCLUSIVE, EXCLUSIVE):
+        whole = [t.tiles[0] for t in enumerate_tilings(r, cls) if len(t.tiles) == 1]
+        assert [(x.kind, x.glue, x.area, x.art) for x in whole] == [
+            ("ballot_d", ((1, 0), (2, 1), (3, 0)), 7, 4)
+        ]
+    (t,) = enumerate_tilings(r, EXCLUSIVE)
+    (b,) = project_to_type_b(t).tiles
+    assert (b.kind, b.glue, b.area) == ("ballot_b", ((1, 0), (2, 1), (3, 0)), 7)
+    assert exclusive_signed_weight(W("DUDDUD"), W("UUDUUD"), "D") == poly(0, 0, 0, 0, -1)
 
 
 def test_tile_with_no_neighbor_inside_has_no_exclusive_requirement():
