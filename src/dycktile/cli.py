@@ -438,7 +438,7 @@ def _check_pinned_values(k: int):
 
 
 # name -> (check, cap); run_check passes min(k, cap).  The bridge
-# enumerates every region of each n and costs about 4x per step, about
+# enumerates every region of each n and costs about 5x per step, about
 # 6 s at its cap.  Positivity runs n up to k + 1 and costs about 5x per
 # step, 2-4 s at its cap.  Both tree checks skip stuck trees from
 # length 6 on.

@@ -781,8 +781,8 @@ def test_pool_refuses_a_region_outside_its_own():
 
 
 def test_glue_run_is_a_dyck_strip():
-    # The smallest region whose only one-tile tiling needs a glue run
-    # longer than one box: the ribbons (4,-1),(5,0),(6,-1) and
+    # A region whose one-tile tiling needs a glue run longer than one
+    # box: the ribbons (4,-1),(5,0),(6,-1) and
     # (4,1),(5,2),(6,1) on the two-by-two at (6, 0), joined by the dyck
     # run (1,0),(2,1),(3,0) ending on the box beside both starts.
     r = build_region(W("DUDDUD"), W("UUDUUD"), "D")
