@@ -403,15 +403,33 @@ def _check_tree_evaluation(k: int):
 
 
 def _check_merge_confluence(k: int):
+    """Every merge order agrees, and omega's canonical order with them."""
     for w in _words_through(k):
-        pairs = evaluations(build_tree(w), {})
+        tree = build_tree(w)
+        pairs = evaluations(tree, {})
+        try:
+            value = omega(tree)
+        except StuckTreeError:
+            value = None
         if not pairs:
-            yield _stuck(w)
+            yield _stuck(w) if value is None else (
+                "lam=%s: canonical order gives %s, no order finishes"
+                % (w.steps, value)
+            )
             continue
         values = {exact_div(num, den) for num, den in pairs}
-        yield None if len(values) == 1 else (
-            "lam=%s: %d orders, %d values" % (w.steps, len(pairs), len(values))
-        )
+        if len(values) > 1:
+            yield "lam=%s: %d orders, %d values" % (w.steps, len(pairs), len(values))
+        elif value is None:
+            yield "lam=%s: canonical order sticks, %d orders finish" % (
+                w.steps,
+                len(pairs),
+            )
+        else:
+            (want,) = values
+            yield None if value == want else (
+                "lam=%s: canonical order %s, every order %s" % (w.steps, value, want)
+            )
 
 
 def _check_pinned_values(k: int):

@@ -16,6 +16,7 @@ The sign of a length-L word ending at height h is the epsilon in
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator
@@ -109,7 +110,7 @@ def is_above(mu: PathWord, lam: PathWord) -> bool:
         raise ValueError(
             "words must have equal length, got %d and %d" % (mu.length, lam.length)
         )
-    return all(hm >= hl for hm, hl in zip(mu.heights, lam.heights))
+    return all(map(operator.ge, mu.heights, lam.heights))
 
 
 def all_words(n: int) -> Iterator[PathWord]:

@@ -39,14 +39,18 @@ further right among the siblings, rule 3 with a left chain longer than
 one edge requires that the left top has no outgoing arrow, and rule 2
 never consumes a left top that receives an arrow and, once the right
 chain contains edges produced by an earlier merge, only fires with a
-single left edge and at most two right edges.  Evaluation explores
-every order of the remaining merges on one tree in place, undoing each
-merge after its branch; the result is returned only when at least one
-order finishes and all finishing orders agree, and otherwise the tree
-raises StuckTreeError.  Exhaustive comparison against the tiling sums
-covers every word up to length nine: each word either evaluates to the
-same polynomial or raises, and none shorter than six raises.  That the
-raising words lie outside the rules is not shown.
+single left edge and at most two right edges.  Evaluation applies the
+merges in one canonical order on the tree in place, the deepest vertex
+first and there the leftmost pair, and undoes every merge before it
+returns; when no merge applies before a single chain remains, the tree
+raises StuckTreeError.  The search over every merge order (evaluations)
+serves as the confluence check: on every word through length twelve,
+each order that finishes gives the canonical value, and the canonical
+order sticks exactly when every order does.  Exhaustive comparison
+against the tiling sums covers every word up to length nine: each word
+either evaluates to the same polynomial or raises, and none shorter
+than six raises.  That the raising words lie outside the rules is not
+shown.
 
 The same product shapes appear on their own: kw_type_a is the hook
 quotient over the chords of a Dyck word, q_b(M, N) multiplies the
@@ -83,8 +87,10 @@ def _one_plus_q(i: int) -> PolyQ:
     return PolyQ((1,) + (0,) * (i - 1) + (1,))
 
 
+@cache
 def _one_plus_powers(lo: int, hi: int) -> PolyQ:
-    """prod(1+q^j) for lo <= j <= hi (empty when hi < lo)."""
+    """prod(1+q^j) for lo <= j <= hi (empty when hi < lo); shared
+    between calls, as PolyQ is immutable."""
     return prod(_one_plus_q(j) for j in range(lo, hi + 1))
 
 
@@ -267,29 +273,33 @@ def _rule(
     return None
 
 
-def _eligible_merges(tree: PlaneTree) -> list[tuple]:
+def _eligible_merges(tree: PlaneTree) -> Iterator[tuple]:
     """(vertex, left-child index, rule, left chain, right chain) sites
-    where a rule fires, deepest first.
+    where a rule fires, deepest first, then leftmost.
 
-    Vertices strictly below an edge that carries an arrow are skipped:
-    collapsing them first would erase what the arrow points at.
+    A generator, so a caller that wants only the first site stops the
+    walk there; it must not be resumed once a merge has changed the
+    tree.  Vertices strictly below an edge that carries an arrow are
+    skipped: collapsing them first would erase what the arrow points at.
     """
-    sites = []
 
-    def walk(node: TreeNode, allowed: bool) -> None:
+    def walk(node: TreeNode, allowed: bool) -> Iterator[tuple]:
         for e in node.children:
-            walk(e.child, allowed and e.outgoing is None and e.incoming is None)
+            yield from walk(
+                e.child, allowed and e.outgoing is None and e.incoming is None
+            )
         if not allowed:
             return
-        kids = [_chain(e) for e in node.children]
-        for k, (left, right) in enumerate(zip(kids, kids[1:])):
+        left = None
+        for k, e in enumerate(node.children):
+            right = _chain(e)
             if left is not None and right is not None:
-                rule = _rule(left, right, tuple(node.children[k + 2 :]))
+                rule = _rule(left, right, tuple(node.children[k + 1 :]))
                 if rule is not None:
-                    sites.append((node, k, rule, left, right))
+                    yield node, k - 1, rule, left, right
+            left = right
 
-    walk(tree.root, True)
-    return sites
+    return walk(tree.root, True)
 
 
 @cache
@@ -367,13 +377,28 @@ def _terminal(chain: list[TreeEdge]) -> PolyQ:
     return _one_plus_powers(1, run)
 
 
+def _undo_merge(
+    node: TreeNode,
+    k: int,
+    l_top: TreeEdge,
+    r_top: TreeEdge,
+    target: Optional[TreeEdge],
+    held: Optional[TreeEdge],
+) -> None:
+    """Put a merged pair's two tops back at children k and k+1, and give
+    a relinked arrow target its incoming edge back."""
+    node.children[k : k + 1] = [l_top, r_top]
+    if target is not None:
+        target.incoming = held
+
+
 def evaluations(tree: PlaneTree, memo: dict) -> list[tuple[PolyQ, PolyQ]]:
     """All (numerator, denominator) pairs over complete merge orders.
 
-    memo caches the pairs of every tree state reached; pass a new dict.
-    Each merge is undone after its branch (the pair's two tops go back,
-    a relinked arrow target gets its incoming edge back), so tree is
-    unchanged on return.
+    This is the all-orders reference that the merge-confluence check
+    holds omega's canonical order against.  memo caches the pairs of
+    every tree state reached; pass a new dict.  Each merge is undone
+    after its branch, so tree is unchanged on return.
     """
     key = _encode(tree)
     if key in memo:
@@ -383,7 +408,7 @@ def evaluations(tree: PlaneTree, memo: dict) -> list[tuple[PolyQ, PolyQ]]:
     if chain is not None:
         results.append((_terminal(chain), ONE))
     else:
-        for node, k, rule, left, right in _eligible_merges(tree):
+        for node, k, rule, left, right in list(_eligible_merges(tree)):
             target = left[0].outgoing
             held = None if target is None else target.incoming
             a, b = _apply_merge(node, k, rule, left, right)
@@ -391,9 +416,7 @@ def evaluations(tree: PlaneTree, memo: dict) -> list[tuple[PolyQ, PolyQ]]:
                 pair = (a * num, b * den)
                 if pair not in results:
                     results.append(pair)
-            node.children[k : k + 1] = [left[0], right[0]]
-            if target is not None:
-                target.incoming = held
+            _undo_merge(node, k, left[0], right[0], target, held)
     memo[key] = results
     return results
 
@@ -401,18 +424,41 @@ def evaluations(tree: PlaneTree, memo: dict) -> list[tuple[PolyQ, PolyQ]]:
 def omega(tree: PlaneTree) -> PolyQ:
     """Evaluate a decorated tree by chain merges; the input is not changed.
 
-    Every order of eligible merges is explored.  The value is returned
-    when at least one order finishes and all finishing orders agree;
-    when none finishes, or two orders disagree, the tree is outside the
-    rules and StuckTreeError is raised.  InexactDivisionError signals a
-    rule 3 denominator that fails to divide out.
+    Merges are applied in one canonical order: each step takes the
+    first site _eligible_merges lists, deepest vertex first, then the
+    leftmost pair.  When no site is left before a single chain remains,
+    the tree is outside the rules and StuckTreeError is raised.  That
+    every order finishing gives this value, and that this order sticks
+    exactly when every order does, is what the merge-confluence check
+    tests against evaluations; it holds for every word through length
+    12.  Rule 3 denominators are divided out once, at the end, and
+    InexactDivisionError signals one that fails to divide out.
     """
-    outcomes = {exact_div(num, den) for num, den in evaluations(tree, {})}
-    if not outcomes:
-        raise StuckTreeError("no merge rule applies to this tree")
-    if len(outcomes) > 1:
-        raise StuckTreeError("merge orders disagree on this tree")
-    return outcomes.pop()
+    num = den = ONE
+    undo = []
+    try:
+        chain = _single_chain(tree)
+        while chain is None:
+            site = next(_eligible_merges(tree), None)
+            if site is None:
+                raise StuckTreeError("no merge rule applies to this tree")
+            node, k, rule, left, right = site
+            target = left[0].outgoing
+            held = None if target is None else target.incoming
+            undo.append((node, k, left[0], right[0], target, held))
+            a, b = _apply_merge(node, k, rule, left, right)
+            if a != ONE:
+                num = num * a
+            if b != ONE:
+                den = den * b
+            chain = _single_chain(tree)
+    finally:
+        for record in reversed(undo):
+            _undo_merge(*record)
+    end = _terminal(chain)
+    if end != ONE:
+        num = num * end
+    return num if den == ONE else exact_div(num, den)
 
 
 def kw_type_a(w: PathWord) -> PolyQ:

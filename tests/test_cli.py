@@ -260,6 +260,28 @@ def test_registry_check_can_fail(monkeypatch, capsys, name, attr, broken):
     assert out.splitlines()[-1] == "some checks FAILED"
 
 
+def test_merge_confluence_checks_the_canonical_order(monkeypatch):
+    monkeypatch.setattr(cli, "omega", lambda tree: ZERO)
+    report = run_check("merge-confluence", 4)
+    assert report["passed"] is False
+    assert report["failures"][0] == "lam=: canonical order 0, every order 1"
+
+
+def test_merge_confluence_fails_when_only_one_side_sticks(monkeypatch):
+    def stuck(tree):
+        raise StuckTreeError("no merge rule applies to this tree")
+
+    monkeypatch.setattr(cli, "omega", stuck)
+    report = run_check("merge-confluence", 4)
+    assert report["failures"][0] == "lam=: canonical order sticks, 1 orders finish"
+    monkeypatch.setattr(cli, "omega", lambda tree: ONE)
+    monkeypatch.setattr(cli, "evaluations", lambda tree, memo: [])
+    report = run_check("merge-confluence", 6)
+    assert len(report["failures"]) == 127
+    assert report["skipped"] == 0
+    assert report["failures"][0] == "lam=: canonical order gives 1, no order finishes"
+
+
 def test_stuck_trees_fail_below_length_6_and_are_skipped_from_6_on(monkeypatch):
     def stuck(tree):
         raise StuckTreeError("no merge rule applies to this tree")

@@ -3,9 +3,10 @@ import copy
 import pytest
 from hypothesis import given, strategies as st
 
+from dycktile import treeform
 from dycktile.linkflip import link_pattern
 from dycktile.pathword import PathWord, all_words
-from dycktile.qpoly import ONE, PolyQ, q2_binomial, q_binomial, q_int
+from dycktile.qpoly import ONE, PolyQ, exact_div, q2_binomial, q_binomial, q_int
 from dycktile.tiling import genfun_lower
 from dycktile.treeform import (
     PlaneTree,
@@ -151,28 +152,64 @@ def test_omega_does_not_mutate_its_input():
     before = tree.to_json()
     omega(tree)
     assert tree.to_json() == before
+    # every merge is undone, also when the tree sticks part way
+    for n in range(9):
+        for w in all_words(n):
+            tree = build_tree(w)
+            before = _snapshot(tree)
+            try:
+                omega(tree)
+            except StuckTreeError:
+                pass
+            assert _snapshot(tree) == before, w
+
+
+def _omega_or_none(tree):
+    try:
+        return omega(tree)
+    except StuckTreeError:
+        return None
+
+
+def test_canonical_order_matches_every_order():
+    for n in range(10):
+        for w in all_words(n):
+            tree = build_tree(w)
+            values = {exact_div(a, b) for a, b in evaluations(tree, {})}
+            got = _omega_or_none(tree)
+            assert values == (set() if got is None else {got}), w
+
+
+def test_omega_runs_no_search(monkeypatch):
+    trees = [build_tree(w) for n in range(8) for w in all_words(n)]
+    want = [_omega_or_none(tree) for tree in trees]
+
+    def searched(*args):
+        raise AssertionError("omega must not run the all-orders search")
+
+    monkeypatch.setattr(treeform, "evaluations", searched)
+    monkeypatch.setattr(treeform, "_encode", searched)
+    assert [_omega_or_none(tree) for tree in trees] == want
+    assert want.count(None) == 20  # 2 words of length 6, 18 of length 7
 
 
 def _order_outcomes(tree):
     """Final values over every order of eligible merges."""
-    from dycktile.qpoly import exact_div
     from dycktile.treeform import _single_chain, _terminal
 
     chain = _single_chain(tree)
     if chain is not None:
         return {(_terminal(chain), ONE)}
     out = set()
-    for pick in range(len(_eligible_merges(tree))):
+    for pick in range(len(list(_eligible_merges(tree)))):
         work = copy.deepcopy(tree)
-        node, k, rule, left, right = _eligible_merges(work)[pick]
+        node, k, rule, left, right = list(_eligible_merges(work))[pick]
         num, den = _apply_merge(node, k, rule, left, right)
         out |= {(num * a, den * b) for a, b in _order_outcomes(work)}
     return out
 
 
 def test_merge_orders_agree_up_to_length_5():
-    from dycktile.qpoly import exact_div
-
     for n in range(6):
         for w in all_words(n):
             pairs = _order_outcomes(build_tree(w))
