@@ -15,14 +15,17 @@ arc and -q^(m + r - 1), r = L - j + 1, for a dashed arc, while the
 second weight is -q per arc of either kind.  These weights are the
 entries of the two incidence matrices.
 
-A link pattern completes the picture: prepend one U for every unpaired
-letter (positions 0, -1, -2, ... so the original word keeps 1..L),
-re-run the pairing on the extended word (now everything pairs), and if
-the last letter of w is a D, re-flag its arc as dashed.  Outer arcs are
-those not strictly nested inside another arc; every dashed arc is
-outer.  Each dashed arc collects an arrow chain: the non-dashed outer
-arcs strictly between it and the nearest dashed arc on its left (or
-the start of the word), listed right to left.
+A link pattern completes the picture: prepend p U's (positions 0, -1,
+-2, ... so the original word keeps 1..L) so that everything pairs, and
+if the last letter of w is a D, re-flag its arc as dashed.  The d
+unpaired D's of w number d = -min(heights), the U's left over after
+bracket matching number end_height + d, and an odd count leaves one U
+unpaired, so p = d + (end_height + d) mod 2.  One pairing pass over
+U^p w then gives every arc.  Outer arcs are those not strictly nested
+inside another arc; every dashed arc is outer.  Each dashed arc
+collects an arrow chain: the non-dashed outer arcs strictly between it
+and the nearest dashed arc on its left (or the start of the word),
+listed right to left.
 """
 
 from __future__ import annotations
@@ -142,10 +145,6 @@ class ExtArc:
     close: int
     dashed: bool
 
-    @property
-    def pair(self) -> Arc:
-        return (self.open, self.close)
-
 
 @dataclass(frozen=True)
 class LinkPattern:
@@ -154,36 +153,33 @@ class LinkPattern:
     arcs: tuple[ExtArc, ...]
 
     def outer_arcs(self) -> tuple[ExtArc, ...]:
-        """Arcs not strictly nested inside any other arc."""
-        return tuple(
-            a
-            for a in self.arcs
-            if not any(b.open < a.open and a.close < b.close for b in self.arcs)
-        )
+        """Arcs not strictly nested inside any other arc.
+
+        The arcs are sorted by open and do not cross, so an arc is outer
+        exactly when it closes past the last outer arc found so far.
+        """
+        outer: list[ExtArc] = []
+        for a in self.arcs:
+            if not outer or a.close > outer[-1].close:
+                outer.append(a)
+        return tuple(outer)
 
     def arrow_chains(self) -> tuple[tuple[ExtArc, ...], ...]:
         """One chain per dashed arc: (a0, a1, ..., am), a1.. right to left."""
-        outer = self.outer_arcs()
-        dashed = sorted((a for a in self.arcs if a.dashed), key=lambda a: a.open)
         chains = []
-        prev_close: int | None = None
-        for a0 in dashed:
-            # everything strictly after the previous dashed arc, before a0
-            members = [
-                b
-                for b in outer
-                if not b.dashed
-                and b.close < a0.open
-                and (prev_close is None or b.open > prev_close)
-            ]
-            members.sort(key=lambda b: b.open, reverse=True)
-            chains.append((a0, *members))
-            prev_close = a0.close
+        pending: list[ExtArc] = []
+        for a in self.outer_arcs():
+            if a.dashed:
+                chains.append((a, *reversed(pending)))
+                pending = []
+            else:
+                pending.append(a)
         return tuple(chains)
 
     def to_json(self) -> dict:
+        outer = set(self.outer_arcs())
         arcs = [
-            {"open": a.open, "close": a.close, "dashed": a.dashed, "outer": a in set(self.outer_arcs())}
+            {"open": a.open, "close": a.close, "dashed": a.dashed, "outer": a in outer}
             for a in self.arcs
         ]
         index = {a: k for k, a in enumerate(self.arcs)}
@@ -198,23 +194,17 @@ class LinkPattern:
 
 def link_pattern(w: PathWord) -> LinkPattern:
     """Extend w so everything pairs, then flag dashes, outers, arrows."""
-    base = pair_arcs(w)
-    p = len(base.unpaired_d) + len(base.unpaired_u)
-    positions = list(range(1 - p, 1)) + list(range(1, w.length + 1))
-    letters = "U" * p + w.steps
-    simple, dashed, ud, uu = _pair_positions(positions, letters)
+    d = -min(w.heights)
+    p = d + (w.end_height + d) % 2
+    simple, dashed, ud, uu = _pair_positions(
+        range(1 - p, w.length + 1), "U" * p + w.steps
+    )
     if ud or uu:
         raise AssertionError("extension must pair every position")
-    dashed_set = set(dashed)
-    simple_set = set(simple)
-    if w.steps and w.steps[-1] == "D":
-        closing = [a for a in simple_set if a[1] == w.length]
-        if len(closing) != 1:
-            raise AssertionError("final D must close exactly one simple arc")
-        simple_set.remove(closing[0])
-        dashed_set.add(closing[0])
-    arcs = tuple(
-        ExtArc(i, j, (i, j) in dashed_set)
-        for i, j in sorted(simple_set | dashed_set)
-    )
-    return LinkPattern(w, p, arcs)
+    if w.steps.endswith("D"):
+        # simple arcs come in closing order, so the final D closes the last
+        if simple[-1][1] != w.length:
+            raise AssertionError("final D must close a simple arc")
+        dashed.append(simple.pop())
+    arcs = sorted([(i, j, False) for i, j in simple] + [(i, j, True) for i, j in dashed])
+    return LinkPattern(w, p, tuple(ExtArc(*a) for a in arcs))

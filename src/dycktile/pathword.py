@@ -4,9 +4,8 @@ A word encodes a path from the origin: U raises the height by one, D
 lowers it by one.  Everything else in the package is parameterized by
 pairs of such words, so this module owns the height function, the
 Dyck/ballot classification, the sign epsilon that splits each length
-into two bases, the dominance order ("mu is weakly above lambda"), the
-basis enumeration used by the incidence matrices, and the chord
-structure of Dyck words.
+into two bases, the dominance order ("mu is weakly above lambda"), and
+the basis enumeration used by the incidence matrices.
 
 The sign of a length-L word ending at height h is the epsilon in
 {0, 1} with h = L + 2*epsilon (mod 4); the two signs partition all
@@ -80,15 +79,6 @@ class Classification:
     end_height: int
 
 
-@dataclass(frozen=True)
-class Chord:
-    """A matched U-D pair of a Dyck word, 1-based step indices."""
-
-    open: int
-    close: int
-    length: int
-
-
 def classify(w: PathWord) -> Classification:
     """Dyck/ballot flags and the type-D sign of a word.
 
@@ -142,25 +132,3 @@ def truncate_last(w: PathWord) -> PathWord:
     if w.length == 0:
         raise ValueError("cannot truncate the empty word")
     return PathWord(w.steps[:-1])
-
-
-def chords(w: PathWord) -> tuple[Chord, ...]:
-    """The U-D matching of a Dyck word, sorted by opening index.
-
-    The length of a chord is one plus the number of chords strictly
-    nested inside it.
-    """
-    if not classify(w).is_dyck:
-        raise ValueError("chords are defined for Dyck words, got %r" % w.steps)
-    stack: list[int] = []
-    pairs: list[tuple[int, int]] = []
-    for i, s in enumerate(w.steps, start=1):
-        if s == "U":
-            stack.append(i)
-        else:
-            pairs.append((stack.pop(), i))
-    out = []
-    for o, c in pairs:
-        inside = sum(1 for o2, c2 in pairs if o < o2 and c2 < c)
-        out.append(Chord(o, c, 1 + inside))
-    return tuple(sorted(out, key=lambda ch: ch.open))

@@ -1,14 +1,15 @@
 """Decorated plane trees of a word and closed product formulas.
 
 A word is read through its link pattern (see linkflip) and turned into
-a rooted plane tree with one edge per arc.  An arc that closes with a D
-becomes an edge above the parse of its interior, followed by the parse
-of what comes after it as right siblings; it is dotted when the arc is
-dashed.  A dashed arc that closes with a U also becomes a dotted edge,
-but it swallows everything to its right: the interior and the rest of
-the word are parsed together below it, so such an edge is always a
-rightmost child.  Arrows between edges are copied from the arrow
-chains of the link pattern, one arrow between consecutive members.
+a rooted plane tree with one edge per arc, in one left-to-right scan of
+the extended word with a stack of open vertices.  An arc's opening
+letter adds an edge below the top vertex and pushes the edge's child;
+the edge is dotted when the arc is dashed.  A closing D pops, so what
+follows an arc that closes with a D hangs beside it as right siblings.
+A dashed arc that closes with a U pops nothing: its edge swallows
+everything to its right, so such an edge is always a rightmost child.
+Arrows between edges are copied from the arrow chains of the link
+pattern, one arrow between consecutive members.
 
 The tree is then evaluated by repeatedly merging two adjacent sibling
 chains (a chain is a child edge whose subtree is a bare path).  With N
@@ -53,7 +54,7 @@ than six raises.  That the raising words lie outside the rules is not
 shown.
 
 The same product shapes appear on their own: kw_type_a is the hook
-quotient over the chords of a Dyck word, q_b(M, N) multiplies the
+quotient over the simple arcs of a Dyck word, q_b(M, N) multiplies the
 a-factors a_(j,N) onto prod(1+q^i), and factorized_p_d/_b evaluate
 words of the restricted shape (prime Dyck prefix, then D^N U^M) as
 hook quotient times connector times q_b.
@@ -65,8 +66,8 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterator, Optional
 
-from .linkflip import link_pattern
-from .pathword import PathWord, chords
+from .linkflip import arc_size, link_pattern, pair_arcs
+from .pathword import PathWord, classify
 from .qpoly import (
     ONE,
     PolyQ,
@@ -192,34 +193,19 @@ def build_tree(w: PathWord) -> PlaneTree:
     """The decorated plane tree of a word, one edge per extended arc."""
     lp = link_pattern(w)
     p = lp.prepended_u_count
-    letters = {}
-    for pos in range(1 - p, 1):
-        letters[pos] = "U"
-    for pos in range(1, w.length + 1):
-        letters[pos] = w.steps[pos - 1]
     by_open = {a.open: a for a in lp.arcs}
     edge_of = {}
-
-    def parse(positions: list[int]) -> list[TreeEdge]:
-        if not positions:
-            return []
-        arc = by_open.get(positions[0])
-        if arc is None:
-            raise AssertionError("segment must start with an opening letter")
-        split = positions.index(arc.close)
-        interior = positions[1:split]
-        rest = positions[split + 1 :]
-        edge = TreeEdge(TreeNode(), dotted=arc.dashed)
-        edge_of[arc] = edge
-        if letters[arc.close] == "D":
-            edge.child.children = parse(interior)
-            return [edge] + parse(rest)
-        if not arc.dashed:
-            raise AssertionError("an arc closing with U is always dashed")
-        edge.child.children = parse(interior + rest)
-        return [edge]
-
-    root = TreeNode(parse(sorted(letters)))
+    root = TreeNode()
+    stack = [root]
+    for pos, s in zip(range(1 - p, w.length + 1), "U" * p + w.steps):
+        arc = by_open.get(pos)
+        if arc is not None:
+            edge = TreeEdge(TreeNode(), dotted=arc.dashed)
+            edge_of[arc] = edge
+            stack[-1].children.append(edge)
+            stack.append(edge.child)
+        elif s == "D":
+            stack.pop()
     for chain in lp.arrow_chains():
         for a, b in zip(chain, chain[1:]):
             edge_of[a].outgoing = edge_of[b]
@@ -462,9 +448,11 @@ def omega(tree: PlaneTree) -> PolyQ:
 
 
 def kw_type_a(w: PathWord) -> PolyQ:
-    """Hook quotient of a Dyck word: [n]! over the chord lengths."""
-    cs = chords(w)
-    return exact_div(q_factorial(len(cs)), prod(q_int(c.length) for c in cs))
+    """Hook quotient of a Dyck word: [n]! over the simple arc sizes."""
+    if not classify(w).is_dyck:
+        raise ValueError("kw_type_a needs a Dyck word, got %r" % w.steps)
+    sizes = [arc_size(a) for a in pair_arcs(w).simple_arcs]
+    return exact_div(q_factorial(len(sizes)), prod(q_int(m) for m in sizes))
 
 
 def a_factor(j: int, n: int) -> tuple[PolyQ, PolyQ]:

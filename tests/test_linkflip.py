@@ -176,3 +176,14 @@ def test_link_pattern_structure(w):
     for chain in chains:
         assert chain[0].dashed
         assert all(not b.dashed for b in chain[1:])
+
+
+@given(words)
+def test_outer_arcs_are_the_arcs_nested_in_no_other(w):
+    lp = link_pattern(w)
+    want = tuple(
+        a
+        for a in lp.arcs
+        if not any(b.open < a.open and a.close < b.close for b in lp.arcs)
+    )
+    assert lp.outer_arcs() == want

@@ -2,10 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dycktile.pathword import (
-    Chord,
     PathWord,
     all_words,
-    chords,
     classify,
     dyck_words,
     enumerate_type_d,
@@ -76,16 +74,6 @@ def test_truncate_last():
         truncate_last(PathWord(""))
 
 
-def test_chords_examples():
-    assert set(chords(PathWord("UDUD"))) == {Chord(1, 2, 1), Chord(3, 4, 1)}
-    assert set(chords(PathWord("UUDD"))) == {Chord(2, 3, 1), Chord(1, 4, 2)}
-    assert chords(PathWord("")) == ()
-    lens = sorted(c.length for c in chords(PathWord("UUDDUD")))
-    assert lens == [1, 1, 2]
-    with pytest.raises(ValueError):
-        chords(PathWord("DU"))
-
-
 @given(words, words, words)
 def test_is_above_is_a_partial_order(a, b, c):
     if not (a.length == b.length == c.length):
@@ -95,15 +83,6 @@ def test_is_above_is_a_partial_order(a, b, c):
         assert a == b
     if is_above(a, b) and is_above(b, c):
         assert is_above(a, c)
-
-
-@given(st.integers(0, 5))
-def test_chord_count_and_mirror_invariance(size):
-    for w in dyck_words(2 * size):
-        cs = chords(w)
-        assert len(cs) == size
-        mirrored = sorted(c.length for c in chords(w.mirror()))
-        assert mirrored == sorted(c.length for c in cs)
 
 
 @given(words)

@@ -1,12 +1,23 @@
 import copy
+import hashlib
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from dycktile import treeform
 from dycktile.linkflip import link_pattern
-from dycktile.pathword import PathWord, all_words
-from dycktile.qpoly import ONE, PolyQ, exact_div, q2_binomial, q_binomial, q_int
+from dycktile.pathword import PathWord, all_words, dyck_words
+from dycktile.qpoly import (
+    ONE,
+    PolyQ,
+    exact_div,
+    prod,
+    q2_binomial,
+    q_binomial,
+    q_factorial,
+    q_int,
+)
 from dycktile.tiling import genfun_lower
 from dycktile.treeform import (
     PlaneTree,
@@ -88,6 +99,21 @@ def test_tree_shape_duuduu():
         (True, [(False, []), (False, []), (True, [])])
     ]
     assert arrows("DUUDUU") == [((0, 2), (0, 1))]
+
+
+# sha256 of the link pattern and tree JSON of every word of length 0-10,
+# one sort_keys dump per line, recorded from the recursive parser that
+# built the trees before the one-scan build
+TREE_DIGEST_0_10 = "bbf13465d2bf564e8606c14cb3fa6a831b28a0ab1e19be290b85dd5f1a8cf4e7"
+
+
+def test_link_patterns_and_trees_match_the_recorded_digest():
+    h = hashlib.sha256()
+    for n in range(11):
+        for w in all_words(n):
+            blob = [link_pattern(w).to_json(), build_tree(w).to_json()]
+            h.update((json.dumps(blob, sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == TREE_DIGEST_0_10
 
 
 @given(words)
@@ -252,6 +278,30 @@ def test_kw_type_a_examples():
     assert kw_type_a(PathWord("UDUD")) == P2
     assert kw_type_a(PathWord("UUDD")) == ONE
     assert kw_type_a(PathWord("UUDDUD")) == q_int(3)
+
+
+def test_kw_type_a_hooks_count_nested_arcs():
+    # the hook length of a matched U-D pair is one plus the number of
+    # pairs strictly nested inside it
+    for n in range(0, 11, 2):
+        for w in dyck_words(n):
+            stack, pairs = [], []
+            for i, s in enumerate(w.steps):
+                if s == "U":
+                    stack.append(i)
+                else:
+                    pairs.append((stack.pop(), i))
+            hooks = [
+                1 + sum(1 for o2, c2 in pairs if o < o2 and c2 < c) for o, c in pairs
+            ]
+            want = exact_div(q_factorial(len(pairs)), prod(q_int(h) for h in hooks))
+            assert kw_type_a(w) == want, w
+
+
+@given(st.integers(0, 5))
+def test_kw_type_a_mirror_invariance(size):
+    for w in dyck_words(2 * size):
+        assert kw_type_a(w) == kw_type_a(w.mirror()), w
 
 
 def test_kw_type_a_rejects_non_dyck():
