@@ -17,15 +17,15 @@ entries of the two incidence matrices.
 
 A link pattern completes the picture: prepend p U's (positions 0, -1,
 -2, ... so the original word keeps 1..L) so that everything pairs, and
-if the last letter of w is a D, re-flag its arc as dashed.  The d
-unpaired D's of w number d = -min(heights), the U's left over after
-bracket matching number end_height + d, and an odd count leaves one U
-unpaired, so p = d + (end_height + d) mod 2.  One pairing pass over
-U^p w then gives every arc.  Outer arcs are those not strictly nested
-inside another arc; every dashed arc is outer.  Each dashed arc
-collects an arrow chain: the non-dashed outer arcs strictly between it
-and the nearest dashed arc on its left (or the start of the word),
-listed right to left.
+if the last letter of w is a D, re-flag its arc as dashed.  Bracket
+matching leaves d = -min(heights) D's of w unpaired and end_height + d
+U's over, and an odd count of those leaves one U unpaired, so
+p = d + (end_height + d) mod 2.  One pairing pass over U^p w then
+gives every arc.  Outer arcs are those not strictly nested inside
+another arc; every dashed arc is outer.  Each dashed arc collects an
+arrow chain: the non-dashed outer arcs strictly between it and the
+nearest dashed arc on its left (or the start of the word), listed
+right to left.
 """
 
 from __future__ import annotations

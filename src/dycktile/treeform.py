@@ -201,15 +201,15 @@ def build_tree(w: PathWord) -> PlaneTree:
         arc = by_open.get(pos)
         if arc is not None:
             edge = TreeEdge(TreeNode(), dotted=arc.dashed)
-            edge_of[arc] = edge
+            edge_of[pos] = edge
             stack[-1].children.append(edge)
             stack.append(edge.child)
         elif s == "D":
             stack.pop()
     for chain in lp.arrow_chains():
         for a, b in zip(chain, chain[1:]):
-            edge_of[a].outgoing = edge_of[b]
-            edge_of[b].incoming = edge_of[a]
+            edge_of[a.open].outgoing = edge_of[b.open]
+            edge_of[b.open].incoming = edge_of[a.open]
     return PlaneTree(root)
 
 
