@@ -7,17 +7,32 @@ weight, kind "II" the size-blind one.  Both matrices are
 lower-unitriangular in the basis order of enumerate_type_d (highest
 word first), because flips only move words downward.
 
-The uniqueness of S is an assumption the definition leans on; build()
-checks it exhaustively while filling each column (arc sets are small,
-at most L/2 arcs).
-
 The matrices are sparse (about 7% of the entries are nonzero at
-n = 8), and inversion touches only nonzeros.  Both the inversion and
-its check compute with each polynomial p stored as the int p(2^W)
-(qpoly.pack), so every term of a sum of products is one big-int
-multiply-add, exact for any W.  Only reading a result back
-(qpoly.unpack) needs W large enough: every coefficient must be
-smaller in magnitude than 2^(W-1).
+n = 8), so a matrix stores only its nonzeros: rows[i] is the tuple of
+(column, entry) pairs of row i, sorted by column.  The zero-filled
+grid `entries` is made from the rows on first use, for rendering and
+for callers that index it.
+
+build() fills the matrix column by column.  Column mu pairs its arcs
+once, then asks linkflip for each arc alone: flip(mu, {a}) gives the
+letters the arc changes, as an XOR mask over the word read as bits
+(D = 1), and the weight of {a} is a monomial -q^e.  Distinct arcs
+touch disjoint positions, so flip(mu, S) is mu XOR the masks of S,
+and the weight of S is the product (-1)^|S| q^(sum of e) of its
+arcs' monomials: exactly what flip and the weight give for S itself.
+Every subset is then a sign and an exponent, and equal monomials
+share one PolyQ.  The uniqueness of S is an assumption the definition
+leans on; build() checks it exhaustively (arc sets are small, at most
+L/2 arcs): no two subsets of one column may land in the same row.
+
+Both the inversion and its check compute with each polynomial p
+stored as the int p(2^W) (qpoly.pack), so every term of a sum of
+products is one big-int multiply-add, exact for any W.  Only reading
+a result back (qpoly.unpack) needs W large enough: every coefficient
+must be smaller in magnitude than 2^(W-1).  Packing and unpacking are
+functions of the value and the width alone, so each distinct entry is
+packed once and each distinct packed int is decoded once per call;
+the inverse's rows share the decoded objects.
 
 Column j of the inverse is exact forward substitution: entry i is
 minus the sum of M[i][k] * inv[k][j] over the k below the diagonal
@@ -42,23 +57,50 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
+from typing import Sequence
 
-from .linkflip import pair_arcs, flip, weight_I, weight_II
+from .linkflip import Arc, pair_arcs, flip, weight_I, weight_II
 from .pathword import PathWord, enumerate_type_d
 from .qpoly import ONE, ZERO, PolyQ, pack, unpack
+
+Row = tuple[tuple[int, PolyQ], ...]
 
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
     basis: tuple[PathWord, ...]
-    entries: tuple[tuple[PolyQ, ...], ...]  # entries[row][col]
+    rows: tuple[Row, ...]  # rows[i]: the (col, entry) nonzeros, by column
+
+    @classmethod
+    def from_dense(
+        cls, basis: Sequence[PathWord], grid: Sequence[Sequence[PolyQ]]
+    ) -> "IncidenceMatrix":
+        """The matrix with grid[row][col] as entries; zeros are dropped."""
+        basis = tuple(basis)
+        size = len(basis)
+        if len(grid) != size or any(len(row) != size for row in grid):
+            raise ValueError("grid must be %d x %d, one row and column per word" % (size, size))
+        rows = tuple(tuple((j, p) for j, p in enumerate(row) if p) for row in grid)
+        return cls(basis, rows)
 
     @cached_property
     def _index(self) -> dict[str, int]:
         return {w.steps: k for k, w in enumerate(self.basis)}
+
+    @cached_property
+    def entries(self) -> tuple[tuple[PolyQ, ...], ...]:
+        """The full grid, entries[row][col], zeros included."""
+        grid = []
+        for row in self.rows:
+            dense = [ZERO] * self.size
+            for j, p in row:
+                dense[j] = p
+            grid.append(tuple(dense))
+        return tuple(grid)
 
     @property
     def size(self) -> int:
@@ -71,7 +113,9 @@ class IncidenceMatrix:
             j = self._index[mu.steps]
         except KeyError as exc:
             raise ValueError("word %s is not in the basis" % exc.args[0])
-        return self.entries[i][j]
+        row = self.rows[i]
+        k = bisect_left(row, j, key=itemgetter(0))
+        return row[k][1] if k < len(row) and row[k][0] == j else ZERO
 
     # -- serialization ---------------------------------------------------
 
@@ -83,11 +127,9 @@ class IncidenceMatrix:
 
     @classmethod
     def from_json(cls, data: dict) -> "IncidenceMatrix":
-        basis = tuple(PathWord(s) for s in data["basis"])
-        entries = tuple(
-            tuple(PolyQ.from_json(p) for p in row) for row in data["entries"]
-        )
-        return cls(basis, entries)
+        basis = [PathWord(s) for s in data["basis"]]
+        grid = [[PolyQ.from_json(p) for p in row] for row in data["entries"]]
+        return cls.from_dense(basis, grid)
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -118,32 +160,51 @@ class IncidenceMatrix:
         return "\n".join(lines)
 
 
+_BITS = str.maketrans("UD", "01")
+
+
+def _code(w: PathWord) -> int:
+    """w read as a binary number, D = 1; a flip is an XOR of its bits."""
+    return int(w.steps.translate(_BITS), 2)
+
+
+def _exponent(p: PolyQ, mu: PathWord, arc: Arc) -> int:
+    """The e of a one-arc weight p = -q^e."""
+    c = p.coeffs
+    if not c or c[-1] != -1 or any(c[:-1]):
+        raise AssertionError("weight of arc %r of %s is %s, not -q^e" % (arc, mu.steps, p))
+    return len(c) - 1
+
+
 def build(n: int, epsilon: int, kind: str) -> IncidenceMatrix:
     """The incidence matrix of the length-n sign-epsilon basis."""
     if kind not in ("I", "II"):
         raise ValueError("kind must be 'I' or 'II', got %r" % (kind,))
     weigh = weight_I if kind == "I" else weight_II
     basis = tuple(enumerate_type_d(n, epsilon))
-    index = {w.steps: k for k, w in enumerate(basis)}
-    size = len(basis)
-    grid: list[list[PolyQ]] = [[ZERO] * size for _ in range(size)]
+    index = {_code(w): k for k, w in enumerate(basis)}
+    rows: list[list[tuple[int, PolyQ]]] = [[] for _ in basis]
+    # (-1)^s q^e, keyed by (s, e) with s = |S| mod 2
+    monomials: dict[tuple[int, int], PolyQ] = {(0, 0): ONE}
     for j, mu in enumerate(basis):
-        arcs = pair_arcs(mu).all_arcs()
-        for k in range(len(arcs) + 1):
-            for S in itertools.combinations(arcs, k):
-                lam = flip(mu, S)
-                i = index[lam.steps]  # flips preserve the sign
-                if grid[i][j]:
-                    raise AssertionError(
-                        "two flip subsets of %s give %s" % (mu.steps, lam.steps)
-                    )
-                grid[i][j] = weigh(mu, S)
-    return IncidenceMatrix(basis, tuple(tuple(row) for row in grid))
-
-
-def _sparse_rows(m: IncidenceMatrix) -> list[list[tuple[int, PolyQ]]]:
-    """The nonzeros of each row of m as (column, entry) pairs."""
-    return [[(k, p) for k, p in enumerate(row) if p.coeffs] for row in m.entries]
+        code = _code(mu)
+        subsets = [(code, 0, 0)]  # (code of flip(mu, S), |S| mod 2, exponent)
+        for a in pair_arcs(mu).all_arcs():
+            mask = code ^ _code(flip(mu, (a,)))
+            e = _exponent(weigh(mu, (a,)), mu, a)
+            subsets += [(c ^ mask, s ^ 1, t + e) for c, s, t in subsets]
+        for c, s, t in subsets:
+            i = index[c]  # flips preserve the sign
+            row = rows[i]
+            if row and row[-1][0] == j:
+                raise AssertionError(
+                    "two flip subsets of %s give %s" % (mu.steps, basis[i].steps)
+                )
+            p = monomials.get((s, t))
+            if p is None:
+                p = monomials[s, t] = PolyQ((0,) * t + (-1 if s else 1,))
+            row.append((j, p))
+    return IncidenceMatrix(basis, tuple(map(tuple, rows)))
 
 
 def _norm1(p: PolyQ) -> int:
@@ -155,26 +216,43 @@ def _width(bound: int) -> int:
     return bound.bit_length() + 1
 
 
+def _distinct(rows: Sequence[Row]) -> list[PolyQ]:
+    """One of each distinct entry of rows."""
+    return list({p.coeffs: p for row in rows for _, p in row}.values())
+
+
+def _pack_rows(rows: Sequence[Row], width: int) -> list[list[tuple[int, int]]]:
+    """rows with every entry packed at width, each distinct entry once."""
+    packed = {p.coeffs: pack(p, width) for p in _distinct(rows)}
+    return [[(k, packed[p.coeffs]) for k, p in row] for row in rows]
+
+
 def invert(m: IncidenceMatrix) -> IncidenceMatrix:
     """Exact inverse of a lower-unitriangular matrix."""
     size = m.size
-    for k in range(size):
-        if m.entries[k][k] != ONE:
-            raise ValueError("matrix is not unitriangular at %s" % m.basis[k].steps)
-    lower = [[(k, p) for k, p in row if k < i] for i, row in enumerate(_sparse_rows(m))]
+    for i, row in enumerate(m.rows):
+        # rows are sorted, so this also rules out nonzeros above the diagonal
+        if not row or row[-1] != (i, ONE):
+            j = max(i, row[-1][0]) if row else i
+            raise ValueError(
+                "matrix is not unitriangular at row %s, column %s"
+                % (m.basis[i].steps, m.basis[j].steps)
+            )
+    lower = [row[:-1] for row in m.rows]
     # |inv[i][j]|_1 <= r[i] for every j, by induction down the rows
     r: list[int] = []
     for row in lower:
         r.append(1 + sum(_norm1(p) * r[k] for k, p in row))
     width = _width(max(r, default=1))
-    lower = [[(k, pack(p, width)) for k, p in row] for row in lower]
-    inv: list[list[PolyQ]] = [[ZERO] * size for _ in range(size)]
+    lower = _pack_rows(lower, width)
+    rows: list[list[tuple[int, PolyQ]]] = [[] for _ in range(size)]
+    decoded: dict[int, PolyQ] = {}
     for j in range(size):
         # column j of the inverse, packed; the rows k in [j, i) are
         # final by the time row i reads them
         col = [0] * size
         col[j] = 1
-        inv[j][j] = ONE
+        rows[j].append((j, ONE))
         for i in range(j + 1, size):
             acc = 0
             for k, mik in lower[i]:
@@ -182,9 +260,12 @@ def invert(m: IncidenceMatrix) -> IncidenceMatrix:
                 if ckj:
                     acc += mik * ckj
             if acc:
-                col[i] = -acc
-                inv[i][j] = unpack(col[i], width)
-    out = IncidenceMatrix(m.basis, tuple(tuple(row) for row in inv))
+                x = col[i] = -acc
+                p = decoded.get(x)
+                if p is None:
+                    p = decoded[x] = unpack(x, width)
+                rows[i].append((j, p))
+    out = IncidenceMatrix(m.basis, tuple(map(tuple, rows)))
     check_inverse(m, out)
     return out
 
@@ -199,20 +280,16 @@ def check_inverse(a: IncidenceMatrix, b: IncidenceMatrix) -> None:
     a wrong entry of b cannot vanish at q = 2**W.
     """
     size = a.size
-    a_rows = _sparse_rows(a)
-    a_max = max((sum(_norm1(p) for _, p in row) for row in a_rows), default=0)
-    b_max = max((_norm1(p) for row in b.entries for p in row), default=0)
+    a_max = max((sum(_norm1(p) for _, p in row) for row in a.rows), default=0)
+    b_max = max(map(_norm1, _distinct(b.rows)), default=0)
     width = _width(a_max * b_max + 1)
-    b_rows = [
-        [(j, pack(p, width)) for j, p in enumerate(row) if p.coeffs] for row in b.entries
-    ]
-    for i, a_row in enumerate(a_rows):
+    b_rows = _pack_rows(b.rows, width)
+    for i, a_row in enumerate(_pack_rows(a.rows, width)):
         row = [0] * size
         for k, aik in a_row:
-            aik = pack(aik, width)
             for j, bkj in b_rows[k]:
                 row[j] += aik * bkj
         row[i] -= 1
-        for j, x in enumerate(row):
-            if x:
-                raise AssertionError("product check failed at (%d, %d)" % (i, j))
+        if any(row):
+            j = next(j for j, x in enumerate(row) if x)
+            raise AssertionError("product check failed at (%d, %d)" % (i, j))

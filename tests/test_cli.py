@@ -51,6 +51,26 @@ def test_matrix_rejects_bad_n(capsys):
     assert exc.value.code == 2
 
 
+# sha256 of the stdout of `dycktile matrix --n N --epsilon E --kind K
+# --format F` over N = 1..6, E = 0, 1, K = M, N, Minv, Ninv and
+# F = text, json, csv, latex, in that loop order; recorded from the
+# dense-grid matrices that came before the row storage
+MATRIX_DIGEST_1_6 = "44d738304402ae4a267f9f81d752a13d03e858a5dbf0ba5f34d526aebbaec20e"
+
+
+def test_matrix_output_matches_the_recorded_digest(capsys):
+    h = hashlib.sha256()
+    for n in range(1, 7):
+        for eps in (0, 1):
+            for kind in ("M", "N", "Minv", "Ninv"):
+                for fmt in ("text", "json", "csv", "latex"):
+                    argv = ["--n", str(n), "--epsilon", str(eps), "--kind", kind, "--format", fmt]
+                    code, out, _ = run(capsys, "matrix", *argv)
+                    assert code == 0
+                    h.update(out.encode())
+    assert h.hexdigest() == MATRIX_DIGEST_1_6
+
+
 def test_genfun_lower_sum(capsys):
     code, out, _ = run(capsys, "genfun", "--lambda", "DDUUDD")
     assert code == 0

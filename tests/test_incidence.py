@@ -3,9 +3,10 @@ import json
 
 import pytest
 
+from dycktile import incidence
 from dycktile.incidence import IncidenceMatrix, build, check_inverse, invert
-from dycktile.linkflip import flip, pair_arcs
-from dycktile.pathword import PathWord, is_above
+from dycktile.linkflip import flip, pair_arcs, weight_I, weight_II
+from dycktile.pathword import PathWord, enumerate_type_d, is_above
 from dycktile.qpoly import ONE, Q, ZERO, PolyQ
 
 from dycktile.golden import BASIS_4_0, M_4_0, M_INV_4_0, N_4_0, N_INV_4_0
@@ -55,11 +56,62 @@ def test_one_by_one():
 
 def test_invert_identity_and_errors():
     basis = tuple(PathWord(s) for s in ("UU", "DD"))
-    eye = IncidenceMatrix(basis, ((ONE, ZERO), (ZERO, ONE)))
+    eye = IncidenceMatrix.from_dense(basis, ((ONE, ZERO), (ZERO, ONE)))
     assert invert(eye).entries == eye.entries
-    bad = IncidenceMatrix(basis, ((ZERO, ZERO), (ZERO, ONE)))
+    bad = IncidenceMatrix.from_dense(basis, ((ZERO, ZERO), (ZERO, ONE)))
     with pytest.raises(ValueError):
         invert(bad)
+
+
+def test_invert_names_a_nonzero_above_the_diagonal():
+    basis = (PathWord("UU"), PathWord("DD"))
+    upper = IncidenceMatrix.from_dense(basis, ((ONE, Q), (ZERO, ONE)))
+    with pytest.raises(ValueError, match="at row UU, column DD$"):
+        invert(upper)
+
+
+def test_from_dense_rejects_a_grid_that_is_not_square():
+    short_row = {
+        "basis": ["UU", "DD"],
+        "entries": [[{"coeffs": [1]}], [{"coeffs": [0]}, {"coeffs": [1]}]],
+    }
+    with pytest.raises(ValueError, match="grid must be 2 x 2"):
+        IncidenceMatrix.from_json(short_row)
+    basis = (PathWord("UU"), PathWord("DD"))
+    with pytest.raises(ValueError, match="grid must be 2 x 2"):
+        IncidenceMatrix.from_dense(basis, ((ONE, ZERO),))
+    with pytest.raises(ValueError, match="grid must be 2 x 2"):
+        IncidenceMatrix.from_dense(basis, ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO)))
+
+
+def reference_build(n, eps, kind):
+    """Every arc subset of every column, flipped and weighed whole."""
+    weigh = weight_I if kind == "I" else weight_II
+    basis = enumerate_type_d(n, eps)
+    index = {w.steps: k for k, w in enumerate(basis)}
+    grid = [[ZERO] * len(basis) for _ in basis]
+    for j, mu in enumerate(basis):
+        arcs = pair_arcs(mu).all_arcs()
+        for k in range(len(arcs) + 1):
+            for S in itertools.combinations(arcs, k):
+                i = index[flip(mu, S).steps]
+                assert not grid[i][j], "two flip subsets of %s reach row %d" % (mu, i)
+                grid[i][j] = weigh(mu, S)
+    return IncidenceMatrix.from_dense(basis, grid)
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+@pytest.mark.parametrize("eps", [0, 1])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_build_matches_the_subset_by_subset_reference(n, eps, kind):
+    assert build(n, eps, kind) == reference_build(n, eps, kind)
+
+
+def test_build_refuses_two_subsets_that_reach_one_word(monkeypatch):
+    # every arc of UUUU, the first column, now flips it to DDDD
+    monkeypatch.setattr(incidence, "flip", lambda mu, arcs: PathWord("DDDD"))
+    with pytest.raises(AssertionError, match="two flip subsets of UUUU give DDDD"):
+        build(4, 0, "I")
 
 
 def dense_inverse(entries):
@@ -105,7 +157,7 @@ def first_mismatch(a, b):
 def with_entry(m, i, j, p):
     rows = [list(row) for row in m.entries]
     rows[i][j] = p
-    return IncidenceMatrix(m.basis, tuple(tuple(row) for row in rows))
+    return IncidenceMatrix.from_dense(m.basis, tuple(tuple(row) for row in rows))
 
 
 def test_check_inverse_rejects_each_corruption():
@@ -153,8 +205,8 @@ def test_check_inverse_width_counts_the_left_factor():
     # b alone bounds nothing here: (a * b)[1][0] = q - 8 vanishes at the
     # width 3 that b's 1-norms would give
     basis = (PathWord("UU"), PathWord("DD"))
-    a = IncidenceMatrix(basis, ((ONE, ZERO), (PolyQ((-7, 1)), ONE)))
-    b = IncidenceMatrix(basis, ((ONE, ZERO), (-ONE, ONE)))
+    a = IncidenceMatrix.from_dense(basis, ((ONE, ZERO), (PolyQ((-7, 1)), ONE)))
+    b = IncidenceMatrix.from_dense(basis, ((ONE, ZERO), (-ONE, ONE)))
     with pytest.raises(AssertionError) as exc:
         check_inverse(a, b)
     assert str(exc.value) == "product check failed at (1, 0)"
@@ -173,7 +225,7 @@ def test_invert_entries_that_are_not_monomials():
     ]
     for rows in cases:
         basis = tuple(PathWord("U" * k + "D" * (len(rows) - k)) for k in range(len(rows)))
-        m = IncidenceMatrix(basis, rows)
+        m = IncidenceMatrix.from_dense(basis, rows)
         inv = invert(m)
         assert inv.entries == dense_inverse(rows)
         check_inverse(m, inv)
@@ -245,7 +297,7 @@ def test_csv_and_latex_render():
     assert tex[7] == "-q^{3} & q^{3} & 0 & 0 & 0 & -q & 1 & 0 \\\\"
     assert tex[-1] == "\\end{pmatrix}"
     wide = PolyQ((-1, 0, 2) + (0,) * 8 + (-3,))
-    odd = IncidenceMatrix((PathWord("UU"), PathWord("DD")), ((ONE, ZERO), (wide, ONE)))
+    odd = IncidenceMatrix.from_dense((PathWord("UU"), PathWord("DD")), ((ONE, ZERO), (wide, ONE)))
     assert odd.to_latex().splitlines()[2] == "-1+2q^{2}-3q^{11} & 1 \\\\"
     txt = m.to_text()
     assert txt.splitlines()[1].lstrip().startswith("UUUU")
