@@ -65,9 +65,10 @@ def test_invert_identity_and_errors():
 
 def test_invert_names_a_nonzero_above_the_diagonal():
     basis = (PathWord("UU"), PathWord("DD"))
-    upper = IncidenceMatrix.from_dense(basis, ((ONE, Q), (ZERO, ONE)))
-    with pytest.raises(ValueError, match="at row UU, column DD$"):
-        invert(upper)
+    for p in (Q, ONE):
+        upper = IncidenceMatrix.from_dense(basis, ((ONE, p), (ZERO, ONE)))
+        with pytest.raises(ValueError, match="at row UU, column DD$"):
+            invert(upper)
 
 
 def test_from_dense_rejects_a_grid_that_is_not_square():
