@@ -331,11 +331,11 @@ def _check_matrix_positivity(k: int):
         for eps in (0, 1):
             for kind in ("I", "II"):
                 inv = invert(build(n, eps, kind))
-                for row, lam in zip(inv.entries, inv.basis):
-                    for p, mu in zip(row, inv.basis):
+                for row, lam in zip(inv.rows, inv.basis):
+                    for j, p in row:
                         yield None if all(c >= 0 for c in p.coeffs) else (
                             "n=%d eps=%d kind=%s lam=%s mu=%s: %s"
-                            % (n, eps, kind, lam.steps, mu.steps, p)
+                            % (n, eps, kind, lam.steps, inv.basis[j].steps, p)
                         )
 
 

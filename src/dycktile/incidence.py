@@ -13,17 +13,19 @@ n = 8), so a matrix stores only its nonzeros: rows[i] is the tuple of
 grid `entries` is made from the rows on first use, for rendering and
 for callers that index it.
 
-build() fills the matrix column by column.  Column mu pairs its arcs
-once, then asks linkflip for each arc alone: flip(mu, {a}) gives the
-letters the arc changes, as an XOR mask over the word read as bits
-(D = 1), and the weight of {a} is a monomial -q^e.  Distinct arcs
-touch disjoint positions, so flip(mu, S) is mu XOR the masks of S,
-and the weight of S is the product (-1)^|S| q^(sum of e) of its
-arcs' monomials: exactly what flip and the weight give for S itself.
-Every subset is then a sign and an exponent, and equal monomials
-share one PolyQ.  The uniqueness of S is an assumption the definition
-leans on; build() checks it exhaustively (arc sets are small, at most
-L/2 arcs): no two subsets of one column may land in the same row.
+build() fills the matrix column by column and pairs each column once:
+linkflip.arc_exponents(mu, kind) lists the arcs of mu, each with the
+e of its weight -q^e.  Both arc kinds toggle both endpoints of the
+word read as bits (D = 1): U...D becomes D...U and U...U becomes
+D...D.  Distinct arcs touch disjoint positions, so flip(mu, S) is mu
+XOR the endpoint bits of S, and the weight of S is the product
+(-1)^|S| q^(sum of e) of its arcs' monomials.  Every subset is then a
+sign and an exponent, and equal monomials share one PolyQ.  One call
+of flip(mu, every arc) per column cross-checks the masks against
+linkflip's own rewriting.  The uniqueness of S is an assumption the
+definition leans on; build() checks it exhaustively (arc sets are
+small, at most L/2 arcs): no two subsets of one column may land in
+the same row.
 
 Both the inversion and its check compute with each polynomial p
 stored as the int p(2^W) (qpoly.pack), so every term of a sum of
@@ -34,21 +36,32 @@ functions of the value and the width alone, so each distinct entry is
 packed once and each distinct packed int is decoded once per call;
 the inverse's rows share the decoded objects.
 
-Column j of the inverse is exact forward substitution: entry i is
-minus the sum of M[i][k] * inv[k][j] over the k below the diagonal
-where row i of M and the finished part of the column are both
-nonzero.  That costs about size * nnz(M) multiply-adds.  invert's
-width comes from r_i = 1 + sum over those k of |M[i][k]|_1 * r_k, one
-pass over M: by induction down the rows, every entry of row i of the
-inverse has 1-norm at most r_i, so W = bit_length(max r) + 1 decodes
-it.  invert then runs check_inverse, which forms every row of
-a * b from the nonzeros of both factors and compares the full product
-with the identity.  The check picks its own width: the largest row
-1-norm sum of a times the largest entry 1-norm of b bounds every
-coefficient of the product, and one more covers its difference from
-the identity.  A width taken from
-invert's bound would let a wrong entry that vanishes at q = 2^W, such
-as q - 2^W, pass unseen.  Inverse entries only hold nonnegative
+Column j of the inverse is exact forward substitution, done by
+scatter: M's strictly lower nonzeros are stored by column, and once
+entry k of the column is final, M[i][k] * inv[k][j] is subtracted
+from each entry i below it.  That is one multiply-add per nonzero
+product actually formed (33,215 for kind I, sign 0 at n = 8), with no
+visit to an entry that is still zero.
+
+invert decodes first at a trial width, _width(a_max), where a_max is
+the largest row 1-norm sum of M, and returns if check_inverse's
+comparison passes.  The trial needs no proof: the check forms every
+row of a * b from the nonzeros of both factors, at a width taken from
+the decoded b itself, and compares the full product with the
+identity, so a * b = I certifies b = a^-1 whatever width decoded it.
+The trial width suffices for every matrix build makes through n = 11
+(7 to 9 bits at n = 8 to 11, where the largest inverse coefficient
+needs 4 to 7).
+When it does not, invert substitutes again at a proven width:
+r_i = 1 + sum over k < i of |M[i][k]|_1 * r_k bounds, by induction
+down the rows, the 1-norm of every entry of row i of the inverse, so
+W = bit_length(max r) + 1 decodes it (38 bits at n = 8, 95 at
+n = 11); the check then runs again and raises if it fails.  The
+check picks its own width: the largest row 1-norm sum of a times the
+largest entry 1-norm of b bounds every coefficient of the product,
+and one more covers its difference from the identity.  A width taken
+from invert's bound would let a wrong entry that vanishes at q = 2^W,
+such as q - 2^W, pass unseen.  Inverse entries only hold nonnegative
 coefficients; that positivity is re-proved downstream by the tiling
 bridge and asserted in the tests, not here.
 """
@@ -63,7 +76,7 @@ from functools import cached_property
 from operator import itemgetter
 from typing import Sequence
 
-from .linkflip import Arc, pair_arcs, flip, weight_I, weight_II
+from .linkflip import arc_exponents, flip
 from .pathword import PathWord, enumerate_type_d
 from .qpoly import ONE, ZERO, PolyQ, pack, unpack
 
@@ -168,19 +181,10 @@ def _code(w: PathWord) -> int:
     return int(w.steps.translate(_BITS), 2)
 
 
-def _exponent(p: PolyQ, mu: PathWord, arc: Arc) -> int:
-    """The e of a one-arc weight p = -q^e."""
-    c = p.coeffs
-    if not c or c[-1] != -1 or any(c[:-1]):
-        raise AssertionError("weight of arc %r of %s is %s, not -q^e" % (arc, mu.steps, p))
-    return len(c) - 1
-
-
 def build(n: int, epsilon: int, kind: str) -> IncidenceMatrix:
     """The incidence matrix of the length-n sign-epsilon basis."""
     if kind not in ("I", "II"):
         raise ValueError("kind must be 'I' or 'II', got %r" % (kind,))
-    weigh = weight_I if kind == "I" else weight_II
     basis = tuple(enumerate_type_d(n, epsilon))
     index = {_code(w): k for k, w in enumerate(basis)}
     rows: list[list[tuple[int, PolyQ]]] = [[] for _ in basis]
@@ -188,10 +192,11 @@ def build(n: int, epsilon: int, kind: str) -> IncidenceMatrix:
     monomials: dict[tuple[int, int], PolyQ] = {(0, 0): ONE}
     for j, mu in enumerate(basis):
         code = _code(mu)
+        arcs = arc_exponents(mu, kind)
         subsets = [(code, 0, 0)]  # (code of flip(mu, S), |S| mod 2, exponent)
-        for a in pair_arcs(mu).all_arcs():
-            mask = code ^ _code(flip(mu, (a,)))
-            e = _exponent(weigh(mu, (a,)), mu, a)
+        for (a, b), e in arcs:
+            # both arc kinds toggle both endpoints: U...D -> D...U, U...U -> D...D
+            mask = (1 << (n - a)) | (1 << (n - b))
             subsets += [(c ^ mask, s ^ 1, t + e) for c, s, t in subsets]
         for c, s, t in subsets:
             i = index[c]  # flips preserve the sign
@@ -204,6 +209,13 @@ def build(n: int, epsilon: int, kind: str) -> IncidenceMatrix:
             if p is None:
                 p = monomials[s, t] = PolyQ((0,) * t + (-1 if s else 1,))
             row.append((j, p))
+        # the last subset holds every arc
+        whole = flip(mu, [arc for arc, _ in arcs])
+        if _code(whole) != subsets[-1][0]:
+            raise AssertionError(
+                "flipping every arc of %s gives %s, not %s"
+                % (mu.steps, whole.steps, basis[index[subsets[-1][0]]].steps)
+            )
     return IncidenceMatrix(basis, tuple(map(tuple, rows)))
 
 
@@ -227,9 +239,45 @@ def _pack_rows(rows: Sequence[Row], width: int) -> list[list[tuple[int, int]]]:
     return [[(k, packed[p.coeffs]) for k, p in row] for row in rows]
 
 
+def _max_row_norm(rows: Sequence[Row]) -> int:
+    """The largest 1-norm sum of a row's entries."""
+    return max((sum(_norm1(p) for _, p in row) for row in rows), default=0)
+
+
+def _substitute(
+    cols: Sequence[Sequence[tuple[int, PolyQ]]], width: int
+) -> tuple[Row, ...]:
+    """Rows of the inverse, by scatter, decoded at width.
+
+    cols[k] holds the strictly lower nonzeros (i, M[i][k]) of column k.
+    """
+    size = len(cols)
+    packed = {p.coeffs: pack(p, width) for col in cols for _, p in col}
+    cols = [[(i, packed[p.coeffs]) for i, p in col] for col in cols]
+    rows: list[list[tuple[int, PolyQ]]] = [[] for _ in range(size)]
+    decoded: dict[int, PolyQ] = {1: ONE}
+    for j in range(size):
+        # column j of the inverse, packed; entry k is final once the
+        # columns of M before k have scattered into it
+        x = [0] * size
+        x[j] = 1
+        for k in range(j, size):
+            xk = x[k]
+            if not xk:
+                continue
+            p = decoded.get(xk)
+            if p is None:
+                p = decoded[xk] = unpack(xk, width)
+            rows[k].append((j, p))
+            for i, mik in cols[k]:
+                x[i] -= mik * xk
+    return tuple(map(tuple, rows))
+
+
 def invert(m: IncidenceMatrix) -> IncidenceMatrix:
     """Exact inverse of a lower-unitriangular matrix."""
     size = m.size
+    cols: list[list[tuple[int, PolyQ]]] = [[] for _ in range(size)]
     for i, row in enumerate(m.rows):
         # rows are sorted, so this also rules out nonzeros above the diagonal
         if not row or row[-1] != (i, ONE):
@@ -238,36 +286,40 @@ def invert(m: IncidenceMatrix) -> IncidenceMatrix:
                 "matrix is not unitriangular at row %s, column %s"
                 % (m.basis[i].steps, m.basis[j].steps)
             )
-    lower = [row[:-1] for row in m.rows]
+        for k, p in row[:-1]:
+            cols[k].append((i, p))
+    # a trial width, certified by the product check
+    a_max = _max_row_norm(m.rows)
+    out = IncidenceMatrix(m.basis, _substitute(cols, _width(a_max)))
+    if _product_mismatch(m, out, a_max) is None:
+        return out
     # |inv[i][j]|_1 <= r[i] for every j, by induction down the rows
     r: list[int] = []
-    for row in lower:
-        r.append(1 + sum(_norm1(p) * r[k] for k, p in row))
-    width = _width(max(r, default=1))
-    lower = _pack_rows(lower, width)
-    rows: list[list[tuple[int, PolyQ]]] = [[] for _ in range(size)]
-    decoded: dict[int, PolyQ] = {}
-    for j in range(size):
-        # column j of the inverse, packed; the rows k in [j, i) are
-        # final by the time row i reads them
-        col = [0] * size
-        col[j] = 1
-        rows[j].append((j, ONE))
-        for i in range(j + 1, size):
-            acc = 0
-            for k, mik in lower[i]:
-                ckj = col[k]
-                if ckj:
-                    acc += mik * ckj
-            if acc:
-                x = col[i] = -acc
-                p = decoded.get(x)
-                if p is None:
-                    p = decoded[x] = unpack(x, width)
-                rows[i].append((j, p))
-    out = IncidenceMatrix(m.basis, tuple(map(tuple, rows)))
+    for row in m.rows:
+        r.append(1 + sum(_norm1(p) * r[k] for k, p in row[:-1]))
+    out = IncidenceMatrix(m.basis, _substitute(cols, _width(max(r, default=1))))
     check_inverse(m, out)
     return out
+
+
+def _product_mismatch(
+    a: IncidenceMatrix, b: IncidenceMatrix, a_max: int
+) -> tuple[int, int] | None:
+    """The first (i, j) in row-major order where a * b is not the
+    identity, or None; a_max is the largest row 1-norm sum of a."""
+    size = a.size
+    b_max = max(map(_norm1, _distinct(b.rows)), default=0)
+    width = _width(a_max * b_max + 1)
+    b_rows = _pack_rows(b.rows, width)
+    for i, a_row in enumerate(_pack_rows(a.rows, width)):
+        row = [0] * size
+        for k, aik in a_row:
+            for j, bkj in b_rows[k]:
+                row[j] += aik * bkj
+        row[i] -= 1
+        if any(row):
+            return i, next(j for j, x in enumerate(row) if x)
+    return None
 
 
 def check_inverse(a: IncidenceMatrix, b: IncidenceMatrix) -> None:
@@ -279,17 +331,6 @@ def check_inverse(a: IncidenceMatrix, b: IncidenceMatrix) -> None:
     is reported.  The packing width comes from a and b themselves, so
     a wrong entry of b cannot vanish at q = 2**W.
     """
-    size = a.size
-    a_max = max((sum(_norm1(p) for _, p in row) for row in a.rows), default=0)
-    b_max = max(map(_norm1, _distinct(b.rows)), default=0)
-    width = _width(a_max * b_max + 1)
-    b_rows = _pack_rows(b.rows, width)
-    for i, a_row in enumerate(_pack_rows(a.rows, width)):
-        row = [0] * size
-        for k, aik in a_row:
-            for j, bkj in b_rows[k]:
-                row[j] += aik * bkj
-        row[i] -= 1
-        if any(row):
-            j = next(j for j, x in enumerate(row) if x)
-            raise AssertionError("product check failed at (%d, %d)" % (i, j))
+    bad = _product_mismatch(a, b, _max_row_norm(a.rows))
+    if bad is not None:
+        raise AssertionError("product check failed at (%d, %d)" % bad)

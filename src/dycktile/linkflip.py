@@ -12,8 +12,10 @@ swaps its letters U...D -> D...U, a dashed arc turns both U's into D's.
 Flips carry multiplicative weights; with L the word length and
 m = (j - i + 1)/2 the arc size, the first weight is -q^m for a simple
 arc and -q^(m + r - 1), r = L - j + 1, for a dashed arc, while the
-second weight is -q per arc of either kind.  These weights are the
-entries of the two incidence matrices.
+second weight is -q per arc of either kind.  arc_exponents(w, kind)
+lists every arc with its e from one pairing of w, and both weights are
+products of -q^e over it.  These weights are the entries of the two
+incidence matrices.
 
 A link pattern completes the picture: prepend p U's (positions 0, -1,
 -2, ... so the original word keeps 1..L) so that everything pairs, and
@@ -110,31 +112,46 @@ def flip(w: PathWord, arcs: Iterable[Arc]) -> PathWord:
     return PathWord("".join(letters))
 
 
-def weight_I(w: PathWord, arcs: Iterable[Arc]) -> PolyQ:
-    """Size-sensitive flip weight: product of -q^m and -q^(m+r-1) factors."""
+def arc_exponents(w: PathWord, kind: str) -> tuple[tuple[Arc, int], ...]:
+    """Every arc of w, by opening index, with the e of its weight -q^e.
+
+    Kind "I": the arc size m for a simple arc, m + r - 1 with
+    r = L - j + 1 for a dashed arc (i, j).  Kind "II": 1 for every arc.
+    """
+    if kind not in ("I", "II"):
+        raise ValueError("kind must be 'I' or 'II', got %r" % (kind,))
     pairing = pair_arcs(w)
+    out = []
+    for arc in pairing.all_arcs():
+        if kind == "II":
+            e = 1
+        elif arc in pairing.simple_arcs:
+            e = arc_size(arc)
+        else:
+            e = arc_size(arc) + w.length - arc[1]
+        out.append((arc, e))
+    return tuple(out)
+
+
+def _weight(w: PathWord, arcs: Iterable[Arc], kind: str) -> PolyQ:
+    exponents = dict(arc_exponents(w, kind))
     acc = ONE
     for arc in arcs:
-        m = arc_size(arc)
-        if arc in pairing.simple_arcs:
-            acc = acc.scale_by_monomial(-1, m)
-        elif arc in pairing.dashed_arcs:
-            r = w.length - arc[1] + 1
-            acc = acc.scale_by_monomial(-1, m + r - 1)
-        else:
+        e = exponents.get(arc)
+        if e is None:
             raise ValueError("%r is not an arc of %s" % (arc, w.steps or "''"))
+        acc = acc.scale_by_monomial(-1, e)
     return acc
+
+
+def weight_I(w: PathWord, arcs: Iterable[Arc]) -> PolyQ:
+    """Size-sensitive flip weight: product of -q^m and -q^(m+r-1) factors."""
+    return _weight(w, arcs, "I")
 
 
 def weight_II(w: PathWord, arcs: Iterable[Arc]) -> PolyQ:
     """Size-blind flip weight: -q per arc."""
-    pairing = pair_arcs(w)
-    acc = ONE
-    for arc in arcs:
-        if arc not in pairing:
-            raise ValueError("%r is not an arc of %s" % (arc, w.steps or "''"))
-        acc = acc.scale_by_monomial(-1, 1)
-    return acc
+    return _weight(w, arcs, "II")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,10 @@ matrix product entry, is then one big-int multiply-add per term and one
 PolyQ at the end.  The arithmetic on packed values is exact for any W;
 only the decoding needs a width whose half, 2^(W-1), exceeds the
 magnitude of every coefficient of the value packed.  Callers derive W
-from a proven bound on their result, never from a constant.
+from a proven bound on their result, never from a constant, or take a
+trial width whose decoded result an exact check then certifies (a
+product or residual formed from the decoded values themselves, at a
+width proven for them).
 """
 
 from __future__ import annotations

@@ -5,6 +5,7 @@ import pytest
 
 from dycktile import incidence
 from dycktile.incidence import IncidenceMatrix, build, check_inverse, invert
+from dycktile import linkflip
 from dycktile.linkflip import flip, pair_arcs, weight_I, weight_II
 from dycktile.pathword import PathWord, enumerate_type_d, is_above
 from dycktile.qpoly import ONE, Q, ZERO, PolyQ
@@ -109,10 +110,32 @@ def test_build_matches_the_subset_by_subset_reference(n, eps, kind):
 
 
 def test_build_refuses_two_subsets_that_reach_one_word(monkeypatch):
-    # every arc of UUUU, the first column, now flips it to DDDD
-    monkeypatch.setattr(incidence, "flip", lambda mu, arcs: PathWord("DDDD"))
-    with pytest.raises(AssertionError, match="two flip subsets of UUUU give DDDD"):
+    # every arc listed twice: {a} and its copy {a'} toggle the same two
+    # letters, so both reach one row of the first column
+    monkeypatch.setattr(
+        incidence, "arc_exponents", lambda mu, kind: 2 * linkflip.arc_exponents(mu, kind)
+    )
+    with pytest.raises(AssertionError, match="two flip subsets of UUUU give DDUU"):
         build(4, 0, "I")
+
+
+def test_build_checks_its_masks_against_flip(monkeypatch):
+    # DDDD is right for UUUU, the first column, and wrong for UUDD
+    monkeypatch.setattr(incidence, "flip", lambda mu, arcs: PathWord("DDDD"))
+    with pytest.raises(AssertionError, match="every arc of UUDD gives DDDD, not DDUU"):
+        build(4, 0, "I")
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+@pytest.mark.parametrize("n", range(1, 10))
+def test_build_is_blind_to_the_sign(n, kind):
+    # toggling the last letter keeps every arc's endpoints and exponent:
+    # a final U closing a dashed (i, n) becomes a final D closing a
+    # simple (i, n), and both weigh q^m because r = 1
+    m0, m1 = build(n, 0, kind), build(n, 1, kind)
+    assert [w.steps[:-1] for w in m1.basis] == [w.steps[:-1] for w in m0.basis]
+    assert all(a.steps[-1] != b.steps[-1] for a, b in zip(m0.basis, m1.basis))
+    assert m1.rows == m0.rows
 
 
 def dense_inverse(entries):
@@ -143,6 +166,18 @@ def dense_product(a, b):
 def test_invert_matches_dense_substitution(n, eps, kind):
     m = build(n, eps, kind)
     assert invert(m).entries == dense_inverse(m.entries)
+
+
+def test_invert_falls_back_when_the_trial_width_is_too_narrow():
+    # the trial width comes from the row 1-norms (at most 6, so 4 bits,
+    # digits in [-8, 8)), but the corner entry of the inverse is 25
+    five = PolyQ((5,))
+    basis = tuple(PathWord(s) for s in ("UU", "UD", "DD"))
+    rows = ((ONE, ZERO, ZERO), (five, ONE, ZERO), (ZERO, five, ONE))
+    m = IncidenceMatrix.from_dense(basis, rows)
+    inv = invert(m)
+    assert inv.entries == dense_inverse(rows)
+    assert inv.entries[2][0] == PolyQ((25,))
 
 
 def first_mismatch(a, b):

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from dycktile.linkflip import (
     ExtArc,
+    arc_exponents,
     arc_size,
     flip,
     link_pattern,
@@ -58,6 +59,31 @@ def test_weight_examples():
     assert weight_I(PathWord("UUDD"), [(1, 4), (2, 3)]) == PolyQ((0, 0, 0, 1))
     assert weight_II(PathWord("UUDD"), [(1, 4), (2, 3)]) == PolyQ((0, 0, 1))
     assert weight_I(PathWord("UUDD"), []) == ONE
+
+
+def reference_exponent(w, arc, kind):
+    """The e of arc (i, j)'s weight -q^e, read off its geometry: the arc
+    is simple when it closes on a D and dashed when it closes on a U."""
+    if kind == "II":
+        return 1
+    i, j = arc
+    m = (j - i + 1) // 2
+    return m if w.steps[j - 1] == "D" else m + w.length - j
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+def test_arc_exponents_match_the_arc_geometry(kind):
+    for n in range(11):
+        for w in all_words(n):
+            got = arc_exponents(w, kind)
+            assert [arc for arc, _ in got] == list(pair_arcs(w).all_arcs())
+            for arc, e in got:
+                assert e == reference_exponent(w, arc, kind), (w.steps, arc)
+
+
+def test_arc_exponents_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="kind must be"):
+        arc_exponents(PathWord("UU"), "III")
 
 
 def _arcs(lp):
