@@ -252,8 +252,7 @@ def _substitute(
     cols[k] holds the strictly lower nonzeros (i, M[i][k]) of column k.
     """
     size = len(cols)
-    packed = {p.coeffs: pack(p, width) for col in cols for _, p in col}
-    cols = [[(i, packed[p.coeffs]) for i, p in col] for col in cols]
+    cols = _pack_rows(cols, width)
     rows: list[list[tuple[int, PolyQ]]] = [[] for _ in range(size)]
     decoded: dict[int, PolyQ] = {1: ONE}
     for j in range(size):

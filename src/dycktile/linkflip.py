@@ -52,9 +52,6 @@ class ArcSet:
         """Every arc, sorted by opening index."""
         return tuple(sorted(self.simple_arcs | self.dashed_arcs))
 
-    def __contains__(self, arc: Arc) -> bool:
-        return arc in self.simple_arcs or arc in self.dashed_arcs
-
 
 def arc_size(arc: Arc) -> int:
     i, j = arc
