@@ -28,7 +28,7 @@ import time
 from .golden import BASIS_4_0, M_4_0, M_INV_4_0, N_4_0, N_INV_4_0
 from .incidence import build, invert
 from .pathword import PathWord, all_words, dyck_words, is_above, truncate_last
-from .qpoly import InexactDivisionError, PolyQ, exact_div, q_int
+from .qpoly import ONE, ZERO, InexactDivisionError, PolyQ, exact_div, q_int
 from .tiling import (
     EXCLUSIVE,
     INCLUSIVE,
@@ -38,11 +38,11 @@ from .tiling import (
     WEIGHTS,
     build_region,
     enumerate_tilings,
-    exclusive_signed_weight,
     genfun_lower,
     genfun_pair,
     genfun_upper,
     render_svg,
+    sum_pool,
     tiling_record,
     upper_words,
 )
@@ -301,29 +301,46 @@ def _check_golden_matrices(k: int):
                 )
 
 
+def _tiling_sum(tilings, weight: str, signed: bool) -> PolyQ:
+    """Sum of q^weight over the tilings, each times (-1)^tiles if signed."""
+    acc = ZERO
+    for t in tilings:
+        sign = (-1) ** t.tile_count if signed else 1
+        acc = acc + ONE.scale_by_monomial(sign, t.statistic(weight))
+    return acc
+
+
 def _check_matrix_bridge(k: int):
+    """Minv holds the cover-inclusive sums and M the signed cover-exclusive
+    tilings, entry by entry.  Row lam of both inverses is read from the
+    search of lam's lower sum, column mu of both matrices from that of
+    mu's upper sum."""
     for n in range(1, k + 1):
         for eps in (0, 1):
             mat_art = build(n, eps, "I")
             mat_tiles = build(n, eps, "II")
-            inv_art = invert(mat_art)
-            inv_tiles = invert(mat_tiles)
-            for lam in mat_art.basis:
-                for mu in mat_art.basis:
-                    if not is_above(mu, lam):
-                        continue
-                    plan = (
-                        (inv_art, genfun_pair(lam, mu, TYPE_D, INCLUSIVE, "art")),
-                        (inv_tiles, genfun_pair(lam, mu, TYPE_D, INCLUSIVE, "tiles")),
-                        (mat_art, exclusive_signed_weight(lam, mu, TYPE_D, "art")),
-                        (mat_tiles, exclusive_signed_weight(lam, mu, TYPE_D, "tiles")),
-                    )
-                    for matrix, want in plan:
-                        got = matrix.entry(lam, mu)
-                        yield None if got == want else (
-                            "n=%d eps=%d lam=%s mu=%s: matrix %s, tilings %s"
-                            % (n, eps, lam.steps, mu.steps, got, want)
-                        )
+            plan = (
+                (INCLUSIVE, invert(mat_art), invert(mat_tiles)),
+                (EXCLUSIVE, mat_art, mat_tiles),
+            )
+            for cls, by_art, by_tiles in plan:
+                for w in mat_art.basis:
+                    pool = sum_pool(w, TYPE_D, cls)
+                    for v in mat_art.basis:
+                        lam, mu = (w, v) if cls == INCLUSIVE else (v, w)
+                        if not is_above(mu, lam):
+                            continue
+                        found = enumerate_tilings(build_region(lam, mu, TYPE_D), cls, pool)
+                        where = "n=%d eps=%d lam=%s mu=%s" % (n, eps, lam.steps, mu.steps)
+                        for matrix, weight in ((by_art, "art"), (by_tiles, "tiles")):
+                            if cls == EXCLUSIVE and len(found) > 1:
+                                yield "%s: %d cover-exclusive tilings" % (where, len(found))
+                                continue
+                            got = matrix.entry(lam, mu)
+                            want = _tiling_sum(found, weight, cls == EXCLUSIVE)
+                            yield None if got == want else (
+                                "%s: matrix %s, tilings %s" % (where, got, want)
+                            )
 
 
 def _check_matrix_positivity(k: int):
@@ -455,32 +472,26 @@ def _check_pinned_values(k: int):
         )
 
 
-# name -> (check, cap); run_check passes min(k, cap).  The bridge
-# enumerates every region of each n and costs about 5x per step, about
-# 6 s at its cap.  Positivity runs n up to k + 1 and costs about 5x per
-# step, 2-4 s at its cap.  Both tree checks skip stuck trees from
-# length 6 on.
+# name -> check.  Both tree checks skip stuck trees from length 6 on.
 CHECKS = {
-    "golden-matrices": (_check_golden_matrices, None),
-    "matrix-bridge": (_check_matrix_bridge, 7),
-    "matrix-positivity": (_check_matrix_positivity, 8),
-    "lower-sum-projection": (_check_lower_projection, None),
-    "upper-sum-tiles": (_check_upper_tiles, None),
-    "tail-product": (_check_tail_product, None),
-    "ballot-tail-product": (_check_ballot_tail, None),
-    "hook-product": (_check_hook_product, None),
-    "tree-evaluation": (_check_tree_evaluation, None),
-    "merge-confluence": (_check_merge_confluence, None),
-    "pinned-values": (_check_pinned_values, None),
+    "golden-matrices": _check_golden_matrices,
+    "matrix-bridge": _check_matrix_bridge,
+    "matrix-positivity": _check_matrix_positivity,
+    "lower-sum-projection": _check_lower_projection,
+    "upper-sum-tiles": _check_upper_tiles,
+    "tail-product": _check_tail_product,
+    "ballot-tail-product": _check_ballot_tail,
+    "hook-product": _check_hook_product,
+    "tree-evaluation": _check_tree_evaluation,
+    "merge-confluence": _check_merge_confluence,
+    "pinned-values": _check_pinned_values,
 }
 
 
 def run_check(name: str, k: int) -> dict:
-    """Run one registry check at bound min(k, cap) and report on it."""
-    fn, cap = CHECKS[name]
-    bound = k if cap is None else min(k, cap)
+    """Run one registry check at length k and report on it."""
     start = time.perf_counter()
-    outcomes = list(fn(bound))
+    outcomes = list(CHECKS[name](k))
     failures = [o for o in outcomes if o is not None and o is not SKIPPED]
     return {
         "name": name,
@@ -488,7 +499,7 @@ def run_check(name: str, k: int) -> dict:
         "cases": len(outcomes),
         "skipped": sum(o is SKIPPED for o in outcomes),
         "failures": failures,
-        "bound": bound,
+        "bound": k,
         "seconds": time.perf_counter() - start,
     }
 

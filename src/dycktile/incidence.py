@@ -307,9 +307,10 @@ def _product_mismatch(
     """The first (i, j) in row-major order where a * b is not the
     identity, or None; a_max is the largest row 1-norm sum of a."""
     size = a.size
-    b_max = max(map(_norm1, _distinct(b.rows)), default=0)
-    width = _width(a_max * b_max + 1)
-    b_rows = _pack_rows(b.rows, width)
+    distinct = _distinct(b.rows)
+    width = _width(a_max * max(map(_norm1, distinct), default=0) + 1)
+    packed = {p.coeffs: pack(p, width) for p in distinct}
+    b_rows = [[(k, packed[p.coeffs]) for k, p in row] for row in b.rows]
     for i, a_row in enumerate(_pack_rows(a.rows, width)):
         row = [0] * size
         for k, aik in a_row:

@@ -86,8 +86,9 @@ parked on that cell; the tile that later covers it must then contain
 the whole set, and a cut may not take it.  Family-B ballot ribbons
 are fused with their partner and glue run when the candidates are
 built.  The search runs to the end in both classes, so a second
-cover-exclusive tiling would surface and exclusive_signed_weight would
-refuse it.
+cover-exclusive tiling would surface; the matrix bridge of `dycktile
+verify` reads the signed matrix entries from these tilings and reports
+a region with more than one.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ from .pathword import (
     is_above,
     truncate_last,
 )
-from .qpoly import ONE, ZERO, PolyQ
+from .qpoly import ZERO, PolyQ
 
 Coord = tuple[int, int]
 
@@ -787,20 +788,6 @@ def genfun_pair(
     return PolyQ(counts)
 
 
-def exclusive_signed_weight(
-    lam: PathWord, mu: PathWord, type_tag: str, weight: str = "art"
-) -> PolyQ:
-    """(-1)^tiles q^weight of the unique cover-exclusive tiling, else 0."""
-    region = build_region(lam, mu, type_tag)
-    found = enumerate_tilings(region, EXCLUSIVE)
-    if not found:
-        return ZERO
-    if len(found) > 1:
-        raise AssertionError("cover-exclusive tiling is not unique")
-    t = found[0]
-    return ONE.scale_by_monomial((-1) ** t.tile_count, t.statistic(weight))
-
-
 @cache
 def _word_pool(type_tag: str, length: int, epsilon: int) -> tuple[PathWord, ...]:
     """Every word of the family with this length (and sign, for D)."""
@@ -900,7 +887,8 @@ def genfun_upper(
 
 def project_to_type_b(tiling: Tiling) -> Tiling:
     """Rebuild a family-D tiling as a family-B tiling of the truncated
-    words.  Statistics are preserved tile for tile."""
+    words: each tile becomes the family-B candidate that lifts to it
+    (_lift_tile).  Statistics are preserved tile for tile."""
     region = tiling.region
     if region.type_tag != TYPE_D:
         raise ValueError("projection starts from a family-D tiling")
@@ -913,27 +901,18 @@ def project_to_type_b(tiling: Tiling) -> Tiling:
         expect.add((L - 1, m))
     if expect != set(target.unit_cells):
         raise AssertionError("truncated region mismatch")
+    residue = _atom_residue(region.lam)
+    preimage = {
+        _lift_tile(b, region.length, residue, region.atoms): b for b in _candidates(target)
+    }
     out: list[Tile] = []
     for t in tiling.tiles:
-        if t.kind == "dyck":
-            out.append(t)
-        elif t.kind == "two_by_two":
-            west = (t.atom[0] - 1, t.atom[1])
-            out.append(Tile(kind="dyck", cells=(west,), ribbon=(west,)))
-        elif t.kind == "dyck_d":
-            out.append(Tile(kind="dyck", cells=tuple(sorted(t.ribbon)), ribbon=t.ribbon))
-        elif t.kind == "ballot_d":
-            low, up = t.lower[:-1], t.upper[:-1]
-            cells = tuple(sorted({*t.glue, *low, *up}))
-            out.append(
-                Tile(kind="ballot_b", cells=cells, lower=low, upper=up, glue=t.glue)
-            )
-        else:
-            raise ValueError("unexpected tile kind %r in family D" % (t.kind,))
+        if t not in preimage:
+            raise ValueError("%s tile %s is no lift of a family-B tile" % (t.kind, t.cells))
+        out.append(preimage[t])
     tiles = tuple(sorted(out, key=lambda t: (t.cells, t.kind)))
-    result = Tiling(target, tiles, tiling.cls)
     check_exact_cover(target, tiles)
-    return result
+    return Tiling(target, tiles, tiling.cls)
 
 
 def lift_from_type_b(tiling: Tiling, lam_d: PathWord) -> Tiling:

@@ -9,6 +9,7 @@ from dycktile import cli
 from dycktile.cli import main, run_check
 from dycktile.incidence import IncidenceMatrix, build
 from dycktile.qpoly import ONE, ZERO
+from dycktile.tiling import EXCLUSIVE, enumerate_tilings
 from dycktile.treeform import StuckTreeError
 
 
@@ -246,16 +247,33 @@ def test_verify_json_report(capsys):
         assert c["passed"] and c["bound"] == 1 and c["seconds"] >= 0
 
 
-def test_run_check_clamps_to_cap():
-    report = run_check("matrix-bridge", 8)
-    assert report["bound"] == 7
+def test_matrix_bridge_runs_at_the_length_asked():
+    report = run_check("matrix-bridge", 7)
     assert report["passed"]
+    assert report["bound"] == 7
+    assert report["cases"] == 18824  # four per comparable pair, n = 1..7
+
+
+def test_matrix_bridge_reports_a_second_exclusive_tiling(monkeypatch):
+    def twice(region, cls, pool=None):
+        found = enumerate_tilings(region, cls, pool)
+        return found * 2 if cls == EXCLUSIVE else found
+
+    monkeypatch.setattr(cli, "enumerate_tilings", twice)
+    report = run_check("matrix-bridge", 1)
+    assert report["cases"] == 8
+    assert report["failures"] == [
+        "n=1 eps=0 lam=U mu=U: 2 cover-exclusive tilings",
+        "n=1 eps=0 lam=U mu=U: 2 cover-exclusive tilings",
+        "n=1 eps=1 lam=D mu=D: 2 cover-exclusive tilings",
+        "n=1 eps=1 lam=D mu=D: 2 cover-exclusive tilings",
+    ]
 
 
 # One broken collaborator per registry check; each must make it fail.
 BREAKS = (
     ("golden-matrices", "invert", lambda m: m),
-    ("matrix-bridge", "genfun_pair", lambda *args: ZERO),
+    ("matrix-bridge", "enumerate_tilings", lambda region, cls, pool: ()),
     ("matrix-positivity", "invert", lambda m: m),
     ("lower-sum-projection", "truncate_last", lambda w: w),
     ("upper-sum-tiles", "truncate_last", lambda w: w),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dycktile
+from dycktile.incidence import build
 from dycktile.pathword import (
     PathWord,
     all_words,
@@ -15,7 +16,7 @@ from dycktile.pathword import (
     is_above,
     truncate_last,
 )
-from dycktile.qpoly import PolyQ, ZERO, prod
+from dycktile.qpoly import ONE, PolyQ, ZERO, prod
 from dycktile.tiling import (
     EXCLUSIVE,
     INCLUSIVE,
@@ -24,7 +25,6 @@ from dycktile.tiling import (
     Tiling,
     build_region,
     enumerate_tilings,
-    exclusive_signed_weight,
     genfun_lower,
     genfun_pair,
     genfun_upper,
@@ -123,12 +123,22 @@ def test_pair_weights_two_dyck_tilings():
 
 
 def test_exclusive_pair_is_signed():
-    assert exclusive_signed_weight(W("DUDU"), W("UUUU"), "D") == ZERO
-    assert exclusive_signed_weight(W("DDUU"), W("UUUU"), "D") == poly(0, 0, 0, -1)
-    assert exclusive_signed_weight(W("DDDD"), W("UUUU"), "D") == poly(0, 0, 0, 0, 1)
-    assert exclusive_signed_weight(W("DDDD"), W("UUUU"), "D", "tiles") == poly(0, 0, 1)
-    # one three-cell tile between DUDU and UUDD
-    assert exclusive_signed_weight(W("DUDU"), W("UUDD"), "D") == poly(0, 0, -1)
+    # (-1)^tiles q^weight of the one cover-exclusive tiling, 0 without
+    # one, is the pair's entry of M (weight art) or N (weight tiles)
+    cases = (
+        ("DUDU", "UUUU", "art", ZERO),
+        ("DDUU", "UUUU", "art", poly(0, 0, 0, -1)),
+        ("DDDD", "UUUU", "art", poly(0, 0, 0, 0, 1)),
+        ("DDDD", "UUUU", "tiles", poly(0, 0, 1)),
+        ("DUDU", "UUDD", "art", poly(0, 0, -1)),  # one three-cell tile
+    )
+    for lam, mu, weight, want in cases:
+        found = enumerate_tilings(build_region(W(lam), W(mu), "D"), EXCLUSIVE)
+        assert len(found) <= 1
+        signed = [ONE.scale_by_monomial((-1) ** t.tile_count, t.statistic(weight)) for t in found]
+        assert sum(signed, ZERO) == want
+        kind = "I" if weight == "art" else "II"
+        assert build(4, W(lam).epsilon, kind).entry(W(lam), W(mu)) == want
 
 
 def test_exclusive_tiling_structure():
@@ -302,6 +312,14 @@ def test_projection_input_validation():
         project_to_type_b(tb)
     with pytest.raises(ValueError):
         lift_from_type_b(tb, W("DD"))  # does not extend U
+
+
+def test_projection_refuses_a_tile_that_is_no_lift():
+    # the west cell of the two-by-two of DD/UU alone is no family-D tile
+    r = build_region(W("DD"), W("UU"), "D")
+    west = Tile(kind="dyck", cells=((1, 0),), ribbon=((1, 0),))
+    with pytest.raises(ValueError, match="no lift"):
+        project_to_type_b(Tiling(r, (west,), INCLUSIVE))
 
 
 # -- structural properties ----------------------------------------------------
@@ -794,7 +812,8 @@ def test_glue_run_is_a_dyck_strip():
     (t,) = enumerate_tilings(r, EXCLUSIVE)
     (b,) = project_to_type_b(t).tiles
     assert (b.kind, b.glue, b.area) == ("ballot_b", ((1, 0), (2, 1), (3, 0)), 7)
-    assert exclusive_signed_weight(W("DUDDUD"), W("UUDUUD"), "D") == poly(0, 0, 0, 0, -1)
+    assert (t.tile_count, t.art) == (1, 4)
+    assert build(6, 0, "I").entry(W("DUDDUD"), W("UUDUUD")) == poly(0, 0, 0, 0, -1)
 
 
 def test_tile_with_no_neighbor_inside_has_no_exclusive_requirement():
