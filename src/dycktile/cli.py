@@ -28,7 +28,7 @@ import time
 from .golden import BASIS_4_0, M_4_0, M_INV_4_0, N_4_0, N_INV_4_0
 from .incidence import build, invert
 from .pathword import PathWord, all_words, dyck_words, is_above, truncate_last
-from .qpoly import ONE, ZERO, InexactDivisionError, PolyQ, exact_div, q_int
+from .qpoly import InexactDivisionError, PolyQ, exact_div, q_int
 from .tiling import (
     EXCLUSIVE,
     INCLUSIVE,
@@ -303,11 +303,12 @@ def _check_golden_matrices(k: int):
 
 def _tiling_sum(tilings, weight: str, signed: bool) -> PolyQ:
     """Sum of q^weight over the tilings, each times (-1)^tiles if signed."""
-    acc = ZERO
+    coeffs: list[int] = []
     for t in tilings:
-        sign = (-1) ** t.tile_count if signed else 1
-        acc = acc + ONE.scale_by_monomial(sign, t.statistic(weight))
-    return acc
+        k = t.statistic(weight)
+        coeffs.extend([0] * (k + 1 - len(coeffs)))
+        coeffs[k] += (-1) ** t.tile_count if signed else 1
+    return PolyQ(coeffs)
 
 
 def _check_matrix_bridge(k: int):
