@@ -27,7 +27,7 @@ import time
 
 from .golden import BASIS_4_0, M_4_0, M_INV_4_0, N_4_0, N_INV_4_0
 from .incidence import build, invert
-from .pathword import PathWord, all_words, dyck_words, is_above, truncate_last
+from .pathword import PathWord, all_words, dyck_words, truncate_last
 from .qpoly import InexactDivisionError, PolyQ, exact_div, q_int
 from .tiling import (
     EXCLUSIVE,
@@ -315,7 +315,7 @@ def _check_matrix_bridge(k: int):
     """Minv holds the cover-inclusive sums and M the signed cover-exclusive
     tilings, entry by entry.  Row lam of both inverses is read from the
     search of lam's lower sum, column mu of both matrices from that of
-    mu's upper sum."""
+    mu's upper sum; the sum's words, in basis order, are the pairs."""
     for n in range(1, k + 1):
         for eps in (0, 1):
             mat_art = build(n, eps, "I")
@@ -327,10 +327,8 @@ def _check_matrix_bridge(k: int):
             for cls, by_art, by_tiles in plan:
                 for w in mat_art.basis:
                     pool = sum_pool(w, TYPE_D, cls)
-                    for v in mat_art.basis:
+                    for v in pool.words:
                         lam, mu = (w, v) if cls == INCLUSIVE else (v, w)
-                        if not is_above(mu, lam):
-                            continue
                         found = enumerate_tilings(build_region(lam, mu, TYPE_D), cls, pool)
                         where = "n=%d eps=%d lam=%s mu=%s" % (n, eps, lam.steps, mu.steps)
                         for matrix, weight in ((by_art, "art"), (by_tiles, "tiles")):

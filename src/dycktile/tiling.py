@@ -57,25 +57,32 @@ set no candidate contains) is discarded before the search.  The size
 bound and the two-by-two condition need no check of their own; they
 follow from containment (see _inclusive_needs and CandidatePool).
 
-Candidates.  A lower sum builds its candidate tiles once, from the
-region of lam under the family's top word; an upper sum from the
-region of the family's bottom word under mu; a lone region from
-itself.  The sum's regions are this enclosing region cut column by
-column at the varying word's heights: in each column their cells are
-those strictly between the two words, and in family D their
-two-by-twos are those whose west cell they keep, since an end height
-is never in the two-by-two residue class.  A region's candidates are
-the enclosing candidates whose cells it holds.  Requirements do not
-change from region to region: the inclusive ones depend on lam, which
-a lower sum fixes, and a tile's exclusive neighborhood lies above it,
-so inside every region between a varying lam and the fixed mu.  The
-exclusive class over a varying mu (genfun_lower's exclusive class)
-has requirements that depend on mu, so it searches each region alone.
+Candidates.  The candidate tiles of one family, length and sign are
+built once per process, from the region between the family's
+pointwise-lowest and pointwise-highest words, its universe, and
+indexed there: cells as bits, each tile's exclusive neighborhood, and
+each column's cuts (_Universe).  A candidate is defined by which cells
+are present, and in family D a west cell lies in a region exactly when
+its two-by-two does, since an end height is never in the two-by-two
+residue class; so a region's candidates are the universe's candidates
+whose cells it holds.  A lower sum searches the region of lam under
+the family's top word, an upper sum that of the family's bottom word
+under mu, and a lone region itself.  The sum's regions are this
+enclosing region cut column by column at the varying word's heights:
+in each column their cells are those strictly between the two words,
+and in family D their two-by-twos are those whose west cell they keep.
+Requirements do not change from region to region: the inclusive ones
+depend on lam, which a lower sum fixes, and a tile's exclusive
+neighborhood lies above it, so inside every region between a varying
+lam and the fixed mu.  The exclusive class over a varying mu
+(genfun_lower's exclusive class) has requirements that depend on mu,
+so it searches each region alone.
 
 The search is Algorithm X (Knuth's exact cover, here over bit masks)
-over the enclosing region's cells in (x, y) order, always covering
-the first uncovered cell, and one search finds the tilings of every
-region of a sum.  When it first reaches a column it chooses the
+over the universe's cells in (x, y) order, those outside the
+enclosing region covered from the start, always covering the first
+uncovered cell, and one search finds the tilings of every region of a
+sum.  When it first reaches a column it chooses the
 varying word's height there, one step from the column before, and a
 cut covers the column's cells beyond it; a finished cover belongs to
 the region whose varying word has the chosen heights, if that word is
@@ -411,7 +418,7 @@ def _candidates(region: Region) -> list[Tile]:
 
 # A requirement is a set of cells that one tile of the tiling must
 # contain.  The search holds it as a bit mask over the cells of the
-# pool's enclosing region.
+# family's tile universe.
 Requirement = frozenset[Coord]
 
 
@@ -474,138 +481,84 @@ def _neighbors(cells: Iterable[Coord]) -> set[Coord]:
     return out
 
 
-# -- the candidate pool ------------------------------------------------------
+# -- the tile universe -------------------------------------------------------
 
 
-class CandidatePool:
-    """The candidates of an enclosing region with their requirements,
-    and the covers of every region of a sum inside it, found by one
-    search.
+class _Universe:
+    """The region between the family's pointwise-lowest and highest words
+    of one length (and sign, in family D), with its candidates indexed
+    once; empty for family D at length 0 and family A at odd lengths.
 
-    The pool's regions share one word and differ in the other, the one
-    the class's requirements do not depend on.  Inclusive requirements
-    depend on lam alone, so mu varies, as in a lower sum.  A tile's
-    exclusive neighborhood lies above it, so inside every region between
-    a lower word and mu, and lam varies, as in an upper sum.  words are
-    the varying words, each between the region's two words, with its
-    length and, in family D, its sign; by default the region's own.
+    Cells are bits in (x, y) order: index maps a cell to its bit, full
+    marks them all and column[s] is the column whose height is chosen at
+    cell s (the x of s, at most `columns`: L - 1, or L in family B).
+    tiles are the candidates in (cells, kind) order; masks[k] marks the
+    cells of tile k, spots[k] lists them in order and holders[s] lists
+    the tiles that hold cell s.  Tile k's exclusive neighbor positions
+    inside the universe are around[k], near[k] those of them at x <= L,
+    and far[k] says whether one lies outside the universe at x <= L.
+    cuts[sign][x] maps each height h the words take in column x to
+    (mask, spots, shadow): the cells of column x beyond h, away from the
+    fixed word (sign 1 above, -1 below, a west cell with its whole
+    two-by-two), and the cells beyond h + sign * d in each column
+    x + d, d >= 1.
 
-    choices[x] lists, for each height h the words take in column x
-    (1 to L - 1, to L in family B), (mask, spots, h, shadow): the cells
-    beyond h, away from the fixed word, that a cut at h takes (in
-    family D a west cell with its whole two-by-two), and the cells
-    beyond h + d in each column x + d that no word through height h at
-    x keeps.  default holds the enclosing varying-side word's heights
-    and column[s] the column whose height is chosen at cell s; a lone
-    region's pool chooses none, so every column[s] is 0.
-
-    Tiles are in (cells, kind) order, the order of a Tiling's tiles.
-    Cells are bits in the enclosing region's (x, y) order; masks[i]
-    marks the cells of tile i, spots[i] lists them in order, and
-    first[s] lists the tiles whose first cell is s.  reqs[i] lists tile
-    i's requirements as (s, fits): the tile covering cell s, the first
-    of the set, must be one of fits.  Inclusive, the requirements are
-    the tile's dropped pieces; exclusive, its neighbor positions inside
-    the enclosing region.  A tile is dropped when a requirement leaves
-    the enclosing region, when it has exclusive neighbors inside and one
-    outside at x <= L, or when no tile fits a requirement.  found maps
-    each varying word whose region has a cover to its covers, as tuples
-    of tile indices.
-
-    The exclusive rule: the region cells just above, northwest or
-    northeast of the tile lie in one other tile; such a neighbor outside
-    the region is allowed only past the terminal line.  A tile with a
-    two-by-two at (L, m) has the neighbor (L, m+3): the south cell of
-    the next two-by-two up, or a position outside the region at x = L.
-    So whenever such a tile has a requirement, the tile meeting it
-    carries a two-by-two, as family D asks.
+    A region's candidates are the universe's candidates whose cells it
+    holds.  A candidate is defined by which cells are present: runs of
+    cells, anchors at x = L in family B, and in family D the two-by-twos
+    it lifts onto.  A family-D west cell lies in a region exactly when
+    its two-by-two does, since an end height is never in the two-by-two
+    residue class; so a region and the universe lift the same tiles.
     """
 
-    def __init__(self, region: Region, cls: str, words: Optional[Iterable[PathWord]] = None):
-        if cls not in (INCLUSIVE, EXCLUSIVE):
-            raise ValueError("class must be inclusive or exclusive, got %r" % (cls,))
-        self.region, self.cls = region, cls
-        order = sorted(region.all_cells)
-        index = {c: i for i, c in enumerate(order)}
+    def __init__(self, type_tag: str, length: int, epsilon: int):
+        words = () if type_tag == TYPE_D and not length else _word_pool(type_tag, length, epsilon)
+        region = None
+        if words:
+            low, high = min(words, key=_height_sum), max(words, key=_height_sum)
+            region = _region_between(low, high, type_tag)
+        order = sorted(region.all_cells) if region else []
+        self.index = index = {c: s for s, c in enumerate(order)}
         self.full = (1 << len(order)) - 1
-        lam, mu = region.lam, region.mu
-        self.fixed, bound = (lam, mu) if cls == INCLUSIVE else (mu, lam)
-        if words is None:
-            words, columns = (bound,), 0
-        else:
-            L = region.length
-            words, columns = tuple(words), max(L if region.type_tag == TYPE_B else L - 1, 0)
-        self._add_tiles(index)
-        self._add_choices(index, bound, words, columns)
-        self.found = _class_covers(self)
-
-    def _add_tiles(self, index: dict[Coord, int]) -> None:
-        region, cls, L = self.region, self.cls, self.region.length
-        self.tiles: list[Tile] = []
-        self.masks: list[int] = []
-        self.spots: list[list[int]] = []
-        by_cell: list[list[int]] = [[] for _ in index]
-        all_wants = []
-        for t in sorted(_candidates(region), key=lambda t: (t.cells, t.kind)):
-            if cls == INCLUSIVE:
-                needs = _inclusive_needs(region.lam, t)
-                if needs is None or not all(n <= region.all_cells for n in needs):
-                    continue
-                wants = tuple(sum(1 << index[c] for c in n) for n in needs)
-            else:
-                around, far = 0, False
-                for x, y in _neighbors(t.cells).difference(t.cells):
-                    s = index.get((x, y))
-                    if s is None:
-                        far = far or x <= L
-                    else:
-                        around |= 1 << s
-                if around and far:
-                    continue
-                wants = (around,) if around else ()
-            ss = [index[c] for c in t.cells]  # t.cells is sorted, like index
+        self.columns = columns = max(length if type_tag == TYPE_B else length - 1, 0)
+        self.column = [min(x, columns) for x, _ in order]
+        tiles = sorted(_candidates(region), key=lambda t: (t.cells, t.kind)) if region else []
+        self.tiles = tiles
+        self.spots = [[index[c] for c in t.cells] for t in tiles]  # t.cells is sorted
+        self.masks = [sum(1 << s for s in ss) for ss in self.spots]
+        self.holders: list[list[int]] = [[] for _ in order]
+        for k, ss in enumerate(self.spots):
             for s in ss:
-                by_cell[s].append(len(self.tiles))
-            self.tiles.append(t)
-            self.spots.append(ss)
-            self.masks.append(sum(1 << s for s in ss))
-            all_wants.append(wants)
+                self.holders[s].append(k)
+        self.around, self.near, self.far = [], [], []
+        for t in tiles:
+            around = near = 0
+            far = False
+            for x, y in _neighbors(t.cells).difference(t.cells):
+                s = index.get((x, y))
+                if s is None:
+                    far = far or x <= length
+                else:
+                    around |= 1 << s
+                    if x <= length:
+                        near |= 1 << s
+            self.around.append(around)
+            self.near.append(near)
+            self.far.append(far)
+        self.cuts = {
+            sign: self._cuts(region, sign) if region else [{} for _ in range(columns + 1)]
+            for sign in (1, -1)
+        }
 
-        self.first: list[list[int]] = [[] for _ in index]
-        self.reqs: list[list[tuple[int, frozenset[int]]]] = []
-        fits_of: dict[int, frozenset[int]] = {}
-        masks = self.masks
-        for i, wants in enumerate(all_wants):
-            compiled = []
-            for want in wants:
-                s = (want & -want).bit_length() - 1
-                fits = fits_of.get(want)
-                if fits is None:
-                    fits = frozenset(j for j in by_cell[s] if masks[j] & want == want)
-                    fits_of[want] = fits
-                if not fits:
-                    break
-                compiled.append((s, fits))
-            else:
-                self.first[self.spots[i][0]].append(i)
-            self.reqs.append(compiled)
-
-    def _add_choices(
-        self, index: dict[Coord, int], bound: PathWord, words: tuple[PathWord, ...], columns: int
-    ) -> None:
-        self.default = bound.heights[: columns + 1]
-        self.boundaries = {w.heights[1 : columns + 1]: w for w in words}
-        if len(self.boundaries) != len(words):
-            raise ValueError("two words of the pool have the same heights")
-        self.column = [min(x, columns) for x, _ in index]
+    def _cuts(self, region: Region, sign: int) -> list[dict[int, tuple[int, list[int], int]]]:
+        columns, index = self.columns, self.index
         # per column, (y, the cell's bits with the rest of its two-by-two)
         by_column: list[list[tuple[int, list[int]]]] = [[] for _ in range(columns + 1)]
         for x, y in index:
             if x <= columns:
                 atom = (x + 1, y)
-                cells = _atom_cells(atom) if atom in self.region.atoms else ((x, y),)
+                cells = _atom_cells(atom) if atom in region.atoms else ((x, y),)
                 by_column[x].append((y, sorted(index[c] for c in cells)))
-        sign = 1 if self.cls == INCLUSIVE else -1
         shadows: dict[tuple[int, int], int] = {}
 
         def beyond(x: int, h: int) -> list[int]:
@@ -622,14 +575,156 @@ class CandidatePool:
                 shadows[x, h] = found
             return found
 
-        self.choices: list[list[tuple[int, list[int], int, int]]] = [[] for _ in by_column]
+        out: list[dict[int, tuple[int, list[int], int]]] = [{} for _ in by_column]
+        low, high = region.lam.heights, region.mu.heights
+        for x in range(1, columns + 1):
+            for h in range(low[x], high[x] + 1, 2):
+                cut = beyond(x, h)
+                out[x][h] = (sum(1 << s for s in cut), cut, shadow(x + 1, h + sign))
+        return out
+
+
+@cache
+def _universe(type_tag: str, length: int, epsilon: int) -> _Universe:
+    """The tile universe of the family's words of this length and sign."""
+    return _Universe(type_tag, length, epsilon)
+
+
+# -- the candidate pool ------------------------------------------------------
+
+
+class CandidatePool:
+    """The candidates of an enclosing region with their requirements,
+    and the covers of every region of a sum inside it, found by one
+    search.
+
+    The pool's regions share one word and differ in the other, the one
+    the class's requirements do not depend on.  Inclusive requirements
+    depend on lam alone, so mu varies, as in a lower sum.  A tile's
+    exclusive neighborhood lies above it, so inside every region between
+    a lower word and mu, and lam varies, as in an upper sum.  words are
+    the varying words in the order given, each between the region's two
+    words, with its length and, in family D, its sign; by default the
+    region's own.
+
+    Cells and tiles are those of the family's universe (_Universe):
+    tiles, masks and spots are the universe's, and kept lists, in order,
+    the tiles whose cells the enclosing region holds, its candidates.
+    start marks the universe cells outside the region, which the search
+    counts as covered from the start; a region with a cell outside its
+    universe is refused.
+
+    choices[x] lists, for each height h the words take in column x
+    (1 to L - 1, to L in family B), (mask, spots, h, shadow): the
+    universe's cut and shadow at (x, h) inside the region.  default
+    holds the enclosing varying-side word's heights and column[s] the
+    column whose height is chosen at cell s; a lone region's pool
+    chooses none, so every column[s] is 0.
+
+    first[s] lists the kept tiles whose first cell is s and whose
+    requirements can hold.  reqs[k] lists tile k's requirements as
+    (s, fits): the tile covering cell s, the first of the set, must be
+    one of fits.  Inclusive, the requirements are the tile's dropped
+    pieces; exclusive, its neighbor positions inside the enclosing
+    region, around[k] outside start.  A tile is dropped when a requirement
+    leaves the enclosing region, when it has exclusive neighbors inside
+    and one outside at x <= L (far[k], or near[k] & start), or when no
+    tile fits a requirement.  found, searched on first use, maps each
+    varying word whose region has a cover to its covers, as tuples of
+    tile indices.
+
+    The exclusive rule: the region cells just above, northwest or
+    northeast of the tile lie in one other tile; such a neighbor outside
+    the region is allowed only past the terminal line.  A tile with a
+    two-by-two at (L, m) has the neighbor (L, m+3): the south cell of
+    the next two-by-two up, or a position outside the region at x = L.
+    So whenever such a tile has a requirement, the tile meeting it
+    carries a two-by-two, as family D asks.
+    """
+
+    def __init__(self, region: Region, cls: str, words: Optional[Iterable[PathWord]] = None):
+        if cls not in (INCLUSIVE, EXCLUSIVE):
+            raise ValueError("class must be inclusive or exclusive, got %r" % (cls,))
+        self.region, self.cls = region, cls
+        lam, mu = region.lam, region.mu
+        epsilon = lam.epsilon if region.type_tag == TYPE_D else 0
+        universe = _universe(region.type_tag, region.length, epsilon)
+        inside = 0
+        for c in region.all_cells:
+            s = universe.index.get(c)
+            if s is None:
+                raise ValueError("region has cell %s outside its family's tile universe" % (c,))
+            inside |= 1 << s
+        self.full = universe.full
+        self.start = universe.full & ~inside
+        self.fixed, bound = (lam, mu) if cls == INCLUSIVE else (mu, lam)
+        self.words = (bound,) if words is None else tuple(words)
+        self._add_tiles(universe)
+        self._add_choices(universe, bound, words is not None)
+
+    @cached_property
+    def found(self) -> dict[PathWord, list[tuple[int, ...]]]:
+        return _class_covers(self)
+
+    def _add_tiles(self, universe: _Universe) -> None:
+        cls, start, index = self.cls, self.start, universe.index
+        inside = self.full & ~start
+        self.tiles, self.masks, self.spots = universe.tiles, universe.masks, universe.spots
+        self.kept = [k for k, m in enumerate(self.masks) if not m & start]
+        alive = bytearray(len(self.tiles))
+        all_wants = []
+        for k in self.kept:
+            if cls == INCLUSIVE:
+                needs = _inclusive_needs(self.region.lam, self.tiles[k])
+                if needs is None or not all(n <= self.region.all_cells for n in needs):
+                    continue
+                wants = tuple(sum(1 << index[c] for c in n) for n in needs)
+            else:
+                around = universe.around[k] & inside
+                if around and (universe.far[k] or universe.near[k] & start):
+                    continue
+                wants = (around,) if around else ()
+            alive[k] = 1
+            all_wants.append((k, wants))
+
+        self.first: list[list[int]] = [[] for _ in index]
+        self.reqs: list[list[tuple[int, frozenset[int]]]] = [[] for _ in self.tiles]
+        fits_of: dict[int, frozenset[int]] = {}
+        masks, holders = self.masks, universe.holders
+        for k, wants in all_wants:
+            compiled = []
+            for want in wants:
+                s = (want & -want).bit_length() - 1
+                fits = fits_of.get(want)
+                if fits is None:
+                    fits = frozenset(j for j in holders[s] if alive[j] and masks[j] & want == want)
+                    fits_of[want] = fits
+                if not fits:
+                    break
+                compiled.append((s, fits))
+            else:
+                self.first[self.spots[k][0]].append(k)
+            self.reqs[k] = compiled
+
+    def _add_choices(self, universe: _Universe, bound: PathWord, chooses: bool) -> None:
+        columns = universe.columns if chooses else 0
+        self.default = bound.heights[: columns + 1]
+        self.boundaries = {w.heights[1 : columns + 1]: w for w in self.words}
+        if len(self.boundaries) != len(self.words):
+            raise ValueError("two words of the pool have the same heights")
+        self.column = universe.column if chooses else [0] * len(universe.column)
+        inside = self.full & ~self.start
+        self.choices: list[list[tuple[int, list[int], int, int]]] = [[] for _ in range(columns + 1)]
+        cuts = universe.cuts[1 if self.cls == INCLUSIVE else -1]
         for x, heights in enumerate(zip(*self.boundaries), start=1):
             low, high = sorted((self.fixed.heights[x], self.default[x]))
             for h in sorted(set(heights)):
-                if not low <= h <= high:
+                if not low <= h <= high or h not in cuts[x]:
                     raise ValueError("word does not lie inside the candidate pool's region")
-                cut = beyond(x, h)
-                self.choices[x].append((sum(1 << s for s in cut), cut, h, shadow(x + 1, h + sign)))
+                mask, spots, shadow = cuts[x][h]
+                self.choices[x].append(
+                    (mask & inside, [s for s in spots if inside >> s & 1], h, shadow & inside)
+                )
 
     def covers(self, region: Region) -> list[tuple[int, ...]]:
         """The covers of `region`, which must be one of the pool's regions."""
@@ -653,8 +748,9 @@ def _class_covers(pool: CandidatePool) -> dict[PathWord, list[tuple[int, ...]]]:
     requirements, checked as each tile is placed, grouped by the varying
     word whose heights its cuts leave; a cover lists tile indices.
 
-    A node covers the first uncovered cell, so only tiles whose first
-    cell it is can fit there, and the columns left of it are finished.
+    The universe cells outside the region start covered.  A node covers
+    the first uncovered cell, so only tiles whose first cell it is can
+    fit there, and the columns left of it are finished.
     owner[s] names the placed tile covering cell s, or -1 for a cut;
     parked[s] holds the fits sets of requirements waiting for cell s to
     be covered, and the waiting mask marks those cells.
@@ -727,7 +823,7 @@ def _class_covers(pool: CandidatePool) -> dict[PathWord, list[tuple[int, ...]]]:
                 for s, _ in new_parks:
                     parked[s].pop()
 
-    walk(0, 0, 0, 0)
+    walk(pool.start, 0, 0, 0)
     return found
 
 

@@ -21,6 +21,7 @@ from dycktile.tiling import (
     EXCLUSIVE,
     INCLUSIVE,
     CandidatePool,
+    Region,
     Tile,
     Tiling,
     build_region,
@@ -35,6 +36,8 @@ from dycktile.tiling import (
     sum_pool,
     tiling_record,
     upper_words,
+    _candidates,
+    _universe,
 )
 
 W = PathWord
@@ -793,6 +796,63 @@ def test_pool_refuses_a_region_outside_its_own():
     assert len(enumerate_tilings(build_region(W("DDUU"), W("UUDD"), "D"), EXCLUSIVE, upper)) == 1
     with pytest.raises(ValueError):
         enumerate_tilings(build_region(W("DDUU"), W("UUUU"), "D"), EXCLUSIVE, upper)
+
+
+# -- the tile universe ---------------------------------------------------------
+
+
+def test_pool_tiles_are_the_enclosing_regions_candidates():
+    # A pool picks its tiles from the universe of its family, length and
+    # sign by their cells alone.  Past the lengths the oracle reaches,
+    # they must still be the candidates its enclosing region has on its
+    # own, in order.  The pool searches only when its covers are asked
+    # for, so this builds every sum's pool without searching.
+    for family, n in (("D", 7), ("D", 8), ("B", 6), ("A", 8)):
+        for w in dyck_words(n) if family == "A" else all_words(n):
+            for cls in (INCLUSIVE, EXCLUSIVE):
+                pool = sum_pool(w, family, cls)
+                want = sorted(_candidates(pool.region), key=lambda t: (t.cells, t.kind))
+                assert [pool.tiles[k] for k in pool.kept] == want, (family, w.steps, cls)
+
+
+def test_region_with_a_cell_outside_its_universe_is_refused():
+    # (1, 4) lies above every family-D word of length 2
+    region = Region("D", W("DD"), W("UU"), frozenset({(1, 4)}), frozenset())
+    for cls in (INCLUSIVE, EXCLUSIVE):
+        with pytest.raises(ValueError, match="outside its family's tile universe"):
+            CandidatePool(region, cls)
+        with pytest.raises(ValueError, match="outside its family's tile universe"):
+            enumerate_tilings(region, cls)
+
+
+def test_pool_over_its_whole_universe():
+    # DDDD/UUUU is the whole family-D universe of length 4 and sign 0,
+    # and DDD/UUU the whole family-B universe of length 3: no cell starts
+    # covered, and the tilings are the oracle's.
+    for lam, mu, family in (("DDDD", "UUUU", "D"), ("DDD", "UUU", "B")):
+        region = build_region(W(lam), W(mu), family)
+        for cls, want in ((INCLUSIVE, "q^6"), (EXCLUSIVE, "q^4")):
+            pool = CandidatePool(region, cls)
+            assert pool.start == 0 and len(pool.kept) == len(pool.tiles)
+            got = [tiling_record(t) for t in enumerate_tilings(region, cls, pool)]
+            assert got == [tiling_record(t) for t in _oracle_tilings(region, cls)]
+            assert str(genfun_pair(W(lam), W(mu), family, cls)) == want
+
+
+def test_empty_regions_start_covered():
+    # Family D at length 0 and family A at odd lengths have empty
+    # universes; an empty region of a larger universe starts with every
+    # cell covered.  Each has the one empty tiling.
+    assert _universe("D", 0, 0).full == _universe("D", 0, 1).full == 0
+    assert _universe("A", 5, 0).tiles == []
+    for lam, mu, family in (("UDUD", "UDUD", "D"), ("DDUU", "DDUU", "B"), ("", "", "D")):
+        region = build_region(W(lam), W(mu), family)
+        for cls in (INCLUSIVE, EXCLUSIVE):
+            pool = CandidatePool(region, cls)
+            assert pool.kept == [] and pool.start == pool.full
+            (t,) = enumerate_tilings(region, cls, pool)
+            assert t.tiles == ()
+    assert genfun_lower(W(""), "D") == ONE and genfun_upper(W(""), "D") == ONE
 
 
 # -- regions where one path of the search decides --------------------------
