@@ -185,11 +185,36 @@ def exact_div(num: PolyQ, den: PolyQ) -> PolyQ:
 
     Raises InexactDivisionError when den does not divide num (nonzero
     remainder, or a leading-coefficient division that leaves Z).
+
+    The quotient is first tried packed: num and den are packed at
+    W = bit_length(max(|num|_1, |den|_1)) + 1, so 2^(W-1) exceeds every
+    coefficient of num, and the ints are divided once.  The decoded
+    quotient q is accepted only when the remainder is 0 and
+    |q|_1 * max|den| < 2^(W-1): then every coefficient of q * den lies
+    below 2^(W-1) too, and q * den and num, which pack to the same int,
+    are the same polynomial.  Anything else, an inexact division
+    included, goes to long division, which decides it.
     """
     if not den:
         raise ValueError("division by the zero polynomial")
     if not num:
         return ZERO
+    width = max(_norm(num), _norm(den)).bit_length() + 1
+    quot, rem = divmod(pack(num, width), pack(den, width))
+    if not rem:
+        q = unpack(quot, width)
+        if _norm(q) * max(map(abs, den.coeffs)) < 1 << (width - 1):
+            return q
+    return _long_division(num, den)
+
+
+def _norm(p: PolyQ) -> int:
+    """|p|_1, the sum of the absolute values of p's coefficients."""
+    return sum(map(abs, p.coeffs))
+
+
+def _long_division(num: PolyQ, den: PolyQ) -> PolyQ:
+    """exact_div by schoolbook long division, for nonzero num and den."""
     rem = list(num.coeffs)
     d = list(den.coeffs)
     lead = d[-1]
@@ -244,11 +269,28 @@ def unpack(x: int, width: int) -> PolyQ:
 
 
 def prod(factors: Iterable[PolyQ]) -> PolyQ:
-    """Product of a sequence of polynomials (empty product is 1)."""
-    acc = ONE
-    for f in factors:
-        acc = acc * f
-    return acc
+    """Product of a sequence of polynomials (empty product is 1).
+
+    Every factor is packed at W = bit_length(prod |f|_1) + 1 and the
+    ints are multiplied once.  No coefficient of the product exceeds
+    prod |f|_1 < 2^(W-1) in absolute value, so one unpack at W is exact
+    for factors of any sign.
+    """
+    fs = list(factors)
+    if not fs:
+        return ONE
+    if len(fs) == 1:
+        return fs[0]
+    bound = 1
+    for f in fs:
+        bound *= _norm(f)
+    if not bound:
+        return ZERO
+    width = bound.bit_length() + 1
+    x = 1
+    for f in fs:
+        x *= pack(f, width)
+    return unpack(x, width)
 
 
 def q_int(n: int) -> PolyQ:

@@ -40,18 +40,29 @@ further right among the siblings, rule 3 with a left chain longer than
 one edge requires that the left top has no outgoing arrow, and rule 2
 never consumes a left top that receives an arrow and, once the right
 chain contains edges produced by an earlier merge, only fires with a
-single left edge and at most two right edges.  Evaluation applies the
-merges in one canonical order on the tree in place, the deepest vertex
-first and there the leftmost pair, and undoes every merge before it
-returns; when no merge applies before a single chain remains, the tree
-raises StuckTreeError.  The search over every merge order (evaluations)
-serves as the confluence check: on every word through length twelve,
-each order that finishes gives the canonical value, and the canonical
-order sticks exactly when every order does.  Exhaustive comparison
-against the tiling sums covers every word up to length nine: each word
-either evaluates to the same polynomial or raises, and none shorter
-than six raises.  That the raising words lie outside the rules is not
-shown.
+single left edge and at most two right edges.
+
+omega applies the merges in one canonical order, as one post-order
+fold that leaves the tree unchanged: each vertex, deepest first,
+collapses its child chains into one, each time merging the first pair
+_rule accepts and rescanning from the left, and a vertex that stays
+branched raises StuckTreeError at once.  This is the order of a walker
+that restarts from the root after every merge and takes the first
+site it meets.  A merge changes only its own vertex's child list;
+every other edge keeps the presence of its arrows, and the skip below
+arrows and _rule read that presence (rule 3 also asks whether the
+right top points at the left top, both edges of the pair at hand).  So
+a vertex without a site never gains one later, and the walker, like
+the fold, would stick there.  The rule numerators and the terminal
+weight are multiplied in one packed product and the denominators
+divided out once.  The search over every merge order (evaluations)
+keeps the walker, merging and undoing in place, and serves as the
+confluence check: on every word through length twelve, each order
+that finishes gives the canonical value, and the canonical order
+sticks exactly when every order does.  Exhaustive comparison against
+the tiling sums covers every word up to length nine: each word either
+evaluates to the same polynomial or raises, and none shorter than six
+raises.  That the raising words lie outside the rules is not shown.
 
 The same product shapes appear on their own: kw_type_a is the hook
 quotient over the simple arcs of a Dyck word, q_b(M, N) multiplies the
@@ -259,21 +270,18 @@ def _rule(
     return None
 
 
-def _eligible_merges(tree: PlaneTree) -> Iterator[tuple]:
+def _eligible_merges(tree: PlaneTree) -> list[tuple]:
     """(vertex, left-child index, rule, left chain, right chain) sites
     where a rule fires, deepest first, then leftmost.
 
-    A generator, so a caller that wants only the first site stops the
-    walk there; it must not be resumed once a merge has changed the
-    tree.  Vertices strictly below an edge that carries an arrow are
-    skipped: collapsing them first would erase what the arrow points at.
+    Vertices strictly below an edge that carries an arrow are skipped:
+    collapsing them first would erase what the arrow points at.
     """
+    sites = []
 
-    def walk(node: TreeNode, allowed: bool) -> Iterator[tuple]:
+    def walk(node: TreeNode, allowed: bool) -> None:
         for e in node.children:
-            yield from walk(
-                e.child, allowed and e.outgoing is None and e.incoming is None
-            )
+            walk(e.child, allowed and e.outgoing is None and e.incoming is None)
         if not allowed:
             return
         left = None
@@ -282,10 +290,11 @@ def _eligible_merges(tree: PlaneTree) -> Iterator[tuple]:
             if left is not None and right is not None:
                 rule = _rule(left, right, tuple(node.children[k + 1 :]))
                 if rule is not None:
-                    yield node, k - 1, rule, left, right
+                    sites.append((node, k - 1, rule, left, right))
             left = right
 
-    return walk(tree.root, True)
+    walk(tree.root, True)
+    return sites
 
 
 @cache
@@ -300,24 +309,37 @@ def _merge_factor(rule: int, n: int, m: int) -> tuple[PolyQ, PolyQ]:
     return num, ONE
 
 
+def _merged_chain(
+    rule: int, left: list[TreeEdge], right: list[TreeEdge]
+) -> list[TreeEdge]:
+    """New edges for the chain a merge makes of left and right.
+
+    The left chain is grafted above the right one: the right chain keeps
+    its dots and under rules 2 and 3 the top gets one.  Every edge is
+    flagged merged, and the top takes over the outgoing arrow of the
+    left top unless the merge consumes it.  The edges are not linked
+    below each other and nothing else is changed.
+    """
+    profile = (rule != 1,) + (False,) * (len(left) - 1) + tuple(e.dotted for e in right)
+    chain = [TreeEdge(TreeNode(), dotted=flag, merged=True) for flag in profile]
+    target = left[0].outgoing
+    if target is not None and target not in (left[0], right[0]):
+        chain[0].outgoing = target
+    return chain
+
+
 def _apply_merge(
     node: TreeNode, k: int, rule: int, left: list[TreeEdge], right: list[TreeEdge]
 ) -> tuple[PolyQ, PolyQ]:
     """Merge the chains at children k and k+1 in place, return (num, den)."""
-    n, m = len(left), len(right)
-    profile = (rule != 1,) + (False,) * (n - 1) + tuple(e.dotted for e in right)
-    top = TreeEdge(TreeNode(), dotted=profile[0], merged=True)
-    tail = top
-    for flag in profile[1:]:
-        nxt = TreeEdge(TreeNode(), dotted=flag, merged=True)
-        tail.child.children = [nxt]
-        tail = nxt
-    target = left[0].outgoing
-    if target is not None and target not in (left[0], right[0]):
-        top.outgoing = target
-        target.incoming = top
+    chain = _merged_chain(rule, left, right)
+    for upper, lower in zip(chain, chain[1:]):
+        upper.child.children = [lower]
+    top = chain[0]
+    if top.outgoing is not None:
+        top.outgoing.incoming = top
     node.children[k : k + 2] = [top]
-    return _merge_factor(rule, n, m)
+    return _merge_factor(rule, len(left), len(right))
 
 
 def _single_chain(tree: PlaneTree) -> Optional[list[TreeEdge]]:
@@ -394,7 +416,7 @@ def evaluations(tree: PlaneTree, memo: dict) -> list[tuple[PolyQ, PolyQ]]:
     if chain is not None:
         results.append((_terminal(chain), ONE))
     else:
-        for node, k, rule, left, right in list(_eligible_merges(tree)):
+        for node, k, rule, left, right in _eligible_merges(tree):
             target = left[0].outgoing
             held = None if target is None else target.incoming
             a, b = _apply_merge(node, k, rule, left, right)
@@ -407,44 +429,69 @@ def evaluations(tree: PlaneTree, memo: dict) -> list[tuple[PolyQ, PolyQ]]:
     return results
 
 
+def _fold(
+    node: TreeNode, allowed: bool, nums: list[PolyQ], dens: list[PolyQ]
+) -> list[TreeEdge]:
+    """The one chain node's child chains collapse into, deepest first.
+
+    Each child's subtree is folded first, then node's chains are merged
+    pair by pair, each time the first pair _rule accepts, rescanning
+    from the left; node is not merged when allowed is false (it lies
+    below an edge with an arrow).  Merge factors other than 1 are
+    appended to nums and dens.  Raises StuckTreeError when node stays
+    branched.
+    """
+    chains = []
+    for e in node.children:
+        chain = [e]
+        if e.child.children:
+            below = allowed and e.outgoing is None and e.incoming is None
+            chain += _fold(e.child, below, nums, dens)
+        chains.append(chain)
+    while len(chains) > 1:
+        rule = None
+        if allowed:
+            for k in range(1, len(chains)):
+                rest = tuple(c[0] for c in chains[k + 1 :])
+                rule = _rule(chains[k - 1], chains[k], rest)
+                if rule is not None:
+                    break
+        if rule is None:
+            raise StuckTreeError("no merge rule applies to this tree")
+        left, right = chains[k - 1], chains[k]
+        chains[k - 1 : k + 1] = [_merged_chain(rule, left, right)]
+        num, den = _merge_factor(rule, len(left), len(right))
+        if num != ONE:
+            nums.append(num)
+        if den != ONE:
+            dens.append(den)
+    return chains[0] if chains else []
+
+
 def omega(tree: PlaneTree) -> PolyQ:
     """Evaluate a decorated tree by chain merges; the input is not changed.
 
-    Merges are applied in one canonical order: each step takes the
-    first site _eligible_merges lists, deepest vertex first, then the
-    leftmost pair.  When no site is left before a single chain remains,
-    the tree is outside the rules and StuckTreeError is raised.  That
-    every order finishing gives this value, and that this order sticks
-    exactly when every order does, is what the merge-confluence check
-    tests against evaluations; it holds for every word through length
-    12.  Rule 3 denominators are divided out once, at the end, and
-    InexactDivisionError signals one that fails to divide out.
+    One post-order fold: every vertex, deepest first, collapses its
+    child chains into one by merging the first pair _rule accepts and
+    rescanning from the left, so the merges come in the order of
+    _eligible_merges' first site after each step.  A vertex that stays
+    branched makes the tree stuck, outside the rules, and raises
+    StuckTreeError at once: no later merge changes that vertex's
+    children or the arrow flags _rule reads there.  That every order
+    finishing gives this value, and that this order sticks exactly when
+    every order does, is what the merge-confluence check tests against
+    evaluations; it holds for every word through length 12.  The rule
+    numerators and the terminal weight are multiplied once and the rule
+    3 denominators divided out once, at the end; InexactDivisionError
+    signals one that fails to divide out.
     """
-    num = den = ONE
-    undo = []
-    try:
-        chain = _single_chain(tree)
-        while chain is None:
-            site = next(_eligible_merges(tree), None)
-            if site is None:
-                raise StuckTreeError("no merge rule applies to this tree")
-            node, k, rule, left, right = site
-            target = left[0].outgoing
-            held = None if target is None else target.incoming
-            undo.append((node, k, left[0], right[0], target, held))
-            a, b = _apply_merge(node, k, rule, left, right)
-            if a != ONE:
-                num = num * a
-            if b != ONE:
-                den = den * b
-            chain = _single_chain(tree)
-    finally:
-        for record in reversed(undo):
-            _undo_merge(*record)
-    end = _terminal(chain)
+    nums: list[PolyQ] = []
+    dens: list[PolyQ] = []
+    end = _terminal(_fold(tree.root, True, nums, dens))
     if end != ONE:
-        num = num * end
-    return num if den == ONE else exact_div(num, den)
+        nums.append(end)
+    num = prod(nums)
+    return exact_div(num, prod(dens)) if dens else num
 
 
 def kw_type_a(w: PathWord) -> PolyQ:

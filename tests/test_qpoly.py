@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from dycktile import qpoly
 from dycktile.qpoly import (
     ONE,
     Q,
@@ -65,9 +66,13 @@ def test_q2_binomial_values():
 
 def test_exact_div():
     assert exact_div(q_int(6), q_int(2)) == PolyQ((1, 0, 1, 0, 1))
-    with pytest.raises(InexactDivisionError):
+    # |num|_1 is num's coefficient, and the quotient reaches |den|_1
+    assert exact_div(PolyQ((0, 64)), PolyQ((0, 8))) == PolyQ((8,))
+    assert exact_div(PolyQ((0, 0, -64)), PolyQ((0, 8))) == PolyQ((0, -8))
+    refusal = r"^1 \+ q does not divide 1 \+ q \+ q\^2 \+ q\^3 \+ q\^4$"
+    with pytest.raises(InexactDivisionError, match=refusal):
         exact_div(q_int(5), q_int(2))
-    with pytest.raises(InexactDivisionError):
+    with pytest.raises(InexactDivisionError, match=r"^2 does not divide 1 \+ q$"):
         exact_div(PolyQ((1, 1)), PolyQ((2,)))
     with pytest.raises(ValueError):
         exact_div(ONE, ZERO)
@@ -130,6 +135,7 @@ def test_pack_extremes(width):
 
 
 small_polys = st.lists(st.integers(-9, 9), max_size=6).map(PolyQ)
+wide_polys = st.lists(st.integers(-300, 300), max_size=9).map(PolyQ)
 
 
 @given(st.lists(st.tuples(small_polys, small_polys), max_size=5), small_polys)
@@ -144,11 +150,44 @@ def test_packed_sums_of_products(pairs, start):
     assert unpack(x, width) == want
 
 
-@given(small_polys, small_polys)
+@given(wide_polys, small_polys)
 def test_mul_then_divide_round_trips(a, b):
     if not b:
         return
     assert exact_div(a * b, b) == a
+    if a:
+        assert qpoly._long_division(a * b, b) == a
+
+
+def _outcome(num, den, divide):
+    try:
+        return divide(num, den)
+    except InexactDivisionError as err:
+        return str(err)
+
+
+@given(wide_polys, small_polys)
+def test_exact_div_refuses_like_long_division(num, den):
+    if num and den:
+        assert _outcome(num, den, exact_div) == _outcome(num, den, qpoly._long_division)
+
+
+def test_exact_div_falls_back_when_the_certificate_fails(monkeypatch):
+    # at W = 3 the packed remainder is 0, but |q|_1 * max|den| = 5 >= 4
+    calls = []
+    long_division = qpoly._long_division
+
+    def spy(num, den):
+        calls.append((num, den))
+        return long_division(num, den)
+
+    monkeypatch.setattr(qpoly, "_long_division", spy)
+    num, den = PolyQ((1, 0, 0, 0, 0, 1)), PolyQ((1, 1))
+    assert exact_div(num, den) == PolyQ((1, -1, 1, -1, 1))
+    assert calls == [(num, den)]
+    calls.clear()
+    assert exact_div(q_int(6), q_int(2)) == PolyQ((1, 0, 1, 0, 1))
+    assert calls == []
 
 
 @given(small_polys, small_polys, small_polys)
@@ -182,9 +221,24 @@ def test_q2_binomial_is_binomial_in_q_squared(n, m):
     assert q2_binomial(n, m) == q_binomial(n, m).subs_q_power(2)
 
 
-@given(st.lists(small_polys, max_size=4))
-def test_prod_matches_reduce(fs):
+def _left_fold(fs):
     acc = ONE
     for f in fs:
         acc = acc * f
-    assert prod(fs) == acc
+    return acc
+
+
+@given(st.lists(wide_polys, max_size=7))
+def test_prod_matches_reduce(fs):
+    assert prod(fs) == _left_fold(fs)
+    assert prod(iter(fs)) == _left_fold(fs)
+
+
+def test_packed_prod_edge_cases():
+    assert prod([]) == ONE
+    assert prod([q_int(3), ZERO, PolyQ((-2, 5))]) == ZERO
+    assert prod([PolyQ((-1, 1))] * 9) == _left_fold([PolyQ((-1, 1))] * 9)
+    # for monomials the bound prod |f|_1 is the product's coefficient
+    assert prod([PolyQ((0, 3)), PolyQ((-5,)), PolyQ((0, 0, 7))]) == PolyQ((0, 0, 0, -105))
+    assert prod([PolyQ((0, 8)), PolyQ((8,))]) == PolyQ((0, 64))
+

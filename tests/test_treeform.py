@@ -116,6 +116,24 @@ def test_link_patterns_and_trees_match_the_recorded_digest():
     assert h.hexdigest() == TREE_DIGEST_0_10
 
 
+# sha256 over every word of length 0-11 of omega's coefficients, or the
+# StuckTreeError message, one json dump per line, recorded from the
+# restart-from-root walker that evaluated omega before the fold
+OMEGA_DIGEST_0_11 = "8536bf4ec15721bb5a863e382583eba67cfa5597508993c91d11c10e5a29975f"
+
+
+def test_omega_matches_the_recorded_digest():
+    h = hashlib.sha256()
+    for n in range(12):
+        for w in all_words(n):
+            try:
+                blob = list(omega(build_tree(w)).coeffs)
+            except StuckTreeError as err:
+                blob = str(err)
+            h.update((json.dumps(blob) + "\n").encode())
+    assert h.hexdigest() == OMEGA_DIGEST_0_11
+
+
 @given(words)
 def test_tree_edges_match_arcs(w):
     lp = link_pattern(w)
@@ -178,7 +196,8 @@ def test_omega_does_not_mutate_its_input():
     before = tree.to_json()
     omega(tree)
     assert tree.to_json() == before
-    # every merge is undone, also when the tree sticks part way
+    # the fold builds merged chains from new edges and changes no edge
+    # of the tree, also when the tree sticks part way
     for n in range(9):
         for w in all_words(n):
             tree = build_tree(w)
@@ -198,7 +217,7 @@ def _omega_or_none(tree):
 
 
 def test_canonical_order_matches_every_order():
-    for n in range(10):
+    for n in range(11):
         for w in all_words(n):
             tree = build_tree(w)
             values = {exact_div(a, b) for a, b in evaluations(tree, {})}
@@ -215,6 +234,7 @@ def test_omega_runs_no_search(monkeypatch):
 
     monkeypatch.setattr(treeform, "evaluations", searched)
     monkeypatch.setattr(treeform, "_encode", searched)
+    monkeypatch.setattr(treeform, "_eligible_merges", searched)
     assert [_omega_or_none(tree) for tree in trees] == want
     assert want.count(None) == 20  # 2 words of length 6, 18 of length 7
 
@@ -227,9 +247,9 @@ def _order_outcomes(tree):
     if chain is not None:
         return {(_terminal(chain), ONE)}
     out = set()
-    for pick in range(len(list(_eligible_merges(tree)))):
+    for pick in range(len(_eligible_merges(tree))):
         work = copy.deepcopy(tree)
-        node, k, rule, left, right = list(_eligible_merges(work))[pick]
+        node, k, rule, left, right = _eligible_merges(work)[pick]
         num, den = _apply_merge(node, k, rule, left, right)
         out |= {(num * a, den * b) for a, b in _order_outcomes(work)}
     return out
