@@ -43,9 +43,9 @@ from each entry i below it.  That is one multiply-add per nonzero
 product actually formed (33,215 for kind I, sign 0 at n = 8), with no
 visit to an entry that is still zero.
 
-invert decodes first at a trial width, _width(a_max), where a_max is
-the largest row 1-norm sum of M, and returns if check_inverse's
-comparison passes.  The trial needs no proof: the check forms every
+invert decodes first at a trial width, packing_width(a_max), where
+a_max is the largest row 1-norm sum of M, and returns if
+check_inverse's comparison passes.  The trial needs no proof: the check forms every
 row of a * b from the nonzeros of both factors, at a width taken from
 the decoded b itself, and compares the full product with the
 identity, so a * b = I certifies b = a^-1 whatever width decoded it.
@@ -78,7 +78,7 @@ from typing import Sequence
 
 from .linkflip import arc_exponents, flip
 from .pathword import PathWord, enumerate_type_d
-from .qpoly import ONE, ZERO, PolyQ, pack, unpack
+from .qpoly import ONE, ZERO, PolyQ, norm1, pack, packing_width, unpack
 
 Row = tuple[tuple[int, PolyQ], ...]
 
@@ -219,15 +219,6 @@ def build(n: int, epsilon: int, kind: str) -> IncidenceMatrix:
     return IncidenceMatrix(basis, tuple(map(tuple, rows)))
 
 
-def _norm1(p: PolyQ) -> int:
-    return sum(map(abs, p.coeffs))
-
-
-def _width(bound: int) -> int:
-    """A packing width whose half, 2**(width-1), exceeds bound."""
-    return bound.bit_length() + 1
-
-
 def _distinct(rows: Sequence[Row]) -> list[PolyQ]:
     """One of each distinct entry of rows."""
     return list({p.coeffs: p for row in rows for _, p in row}.values())
@@ -241,7 +232,7 @@ def _pack_rows(rows: Sequence[Row], width: int) -> list[list[tuple[int, int]]]:
 
 def _max_row_norm(rows: Sequence[Row]) -> int:
     """The largest 1-norm sum of a row's entries."""
-    return max((sum(_norm1(p) for _, p in row) for row in rows), default=0)
+    return max((sum(norm1(p) for _, p in row) for row in rows), default=0)
 
 
 def _substitute(
@@ -289,14 +280,14 @@ def invert(m: IncidenceMatrix) -> IncidenceMatrix:
             cols[k].append((i, p))
     # a trial width, certified by the product check
     a_max = _max_row_norm(m.rows)
-    out = IncidenceMatrix(m.basis, _substitute(cols, _width(a_max)))
+    out = IncidenceMatrix(m.basis, _substitute(cols, packing_width(a_max)))
     if _product_mismatch(m, out, a_max) is None:
         return out
     # |inv[i][j]|_1 <= r[i] for every j, by induction down the rows
     r: list[int] = []
     for row in m.rows:
-        r.append(1 + sum(_norm1(p) * r[k] for k, p in row[:-1]))
-    out = IncidenceMatrix(m.basis, _substitute(cols, _width(max(r, default=1))))
+        r.append(1 + sum(norm1(p) * r[k] for k, p in row[:-1]))
+    out = IncidenceMatrix(m.basis, _substitute(cols, packing_width(max(r, default=1))))
     check_inverse(m, out)
     return out
 
@@ -308,7 +299,7 @@ def _product_mismatch(
     identity, or None; a_max is the largest row 1-norm sum of a."""
     size = a.size
     distinct = _distinct(b.rows)
-    width = _width(a_max * max(map(_norm1, distinct), default=0) + 1)
+    width = packing_width(a_max * max(map(norm1, distinct), default=0) + 1)
     packed = {p.coeffs: pack(p, width) for p in distinct}
     b_rows = [[(k, packed[p.coeffs]) for k, p in row] for row in b.rows]
     for i, a_row in enumerate(_pack_rows(a.rows, width)):

@@ -30,7 +30,9 @@ magnitude of every coefficient of the value packed.  Callers derive W
 from a proven bound on their result, never from a constant, or take a
 trial width whose decoded result an exact check then certifies (a
 product or residual formed from the decoded values themselves, at a
-width proven for them).
+width proven for them).  packing_width(B) is the least W for
+coefficients of magnitude at most B, and norm1(p), the sum of the
+absolute values of p's coefficients, is where such bounds start.
 """
 
 from __future__ import annotations
@@ -199,18 +201,13 @@ def exact_div(num: PolyQ, den: PolyQ) -> PolyQ:
         raise ValueError("division by the zero polynomial")
     if not num:
         return ZERO
-    width = max(_norm(num), _norm(den)).bit_length() + 1
+    width = packing_width(max(norm1(num), norm1(den)))
     quot, rem = divmod(pack(num, width), pack(den, width))
     if not rem:
         q = unpack(quot, width)
-        if _norm(q) * max(map(abs, den.coeffs)) < 1 << (width - 1):
+        if norm1(q) * max(map(abs, den.coeffs)) < 1 << (width - 1):
             return q
     return _long_division(num, den)
-
-
-def _norm(p: PolyQ) -> int:
-    """|p|_1, the sum of the absolute values of p's coefficients."""
-    return sum(map(abs, p.coeffs))
 
 
 def _long_division(num: PolyQ, den: PolyQ) -> PolyQ:
@@ -233,6 +230,16 @@ def _long_division(num: PolyQ, den: PolyQ) -> PolyQ:
     if any(rem):
         raise InexactDivisionError("%s does not divide %s" % (den, num))
     return PolyQ(out)
+
+
+def norm1(p: PolyQ) -> int:
+    """|p|_1, the sum of the absolute values of p's coefficients."""
+    return sum(map(abs, p.coeffs))
+
+
+def packing_width(bound: int) -> int:
+    """The least packing width whose half, 2**(width-1), exceeds bound."""
+    return bound.bit_length() + 1
 
 
 def pack(p: PolyQ, width: int) -> int:
@@ -283,10 +290,10 @@ def prod(factors: Iterable[PolyQ]) -> PolyQ:
         return fs[0]
     bound = 1
     for f in fs:
-        bound *= _norm(f)
+        bound *= norm1(f)
     if not bound:
         return ZERO
-    width = bound.bit_length() + 1
+    width = packing_width(bound)
     x = 1
     for f in fs:
         x *= pack(f, width)
