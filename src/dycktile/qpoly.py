@@ -257,9 +257,11 @@ def unpack(x: int, width: int) -> PolyQ:
     The digits are balanced: each coefficient is read from its
     width-bit digit into [-2**(width-1), 2**(width-1)), so p is right
     whenever every coefficient of the true value lies in that range.
+    The width is at least two: one-bit balanced digits are -1 and 0, so
+    a positive x would never be used up.
     """
-    if width < 1:
-        raise ValueError("width must be >= 1, got %d" % width)
+    if width < 2:
+        raise ValueError("width must be >= 2, got %d" % width)
     mask = (1 << width) - 1
     half = 1 << (width - 1)
     out = []

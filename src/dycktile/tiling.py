@@ -55,13 +55,14 @@ candidate whose requirement can never hold (dropped cells that meet the
 tile or leave the region, a neighbor outside the region at x <= L, or a
 set no candidate contains) is discarded before the search.  The size
 bound and the two-by-two condition need no check of their own; they
-follow from containment (see _inclusive_needs and CandidatePool).
+follow from containment (see _inclusive_pieces and CandidatePool).
 
 Candidates.  The candidate tiles of one family, length and sign are
 built once per process, from the region between the family's
 pointwise-lowest and pointwise-highest words, its universe, and
-indexed there: cells as bits, each tile's exclusive neighborhood, and
-each column's cuts (_Universe).  A candidate is defined by which cells
+indexed there: cells as bits, each tile's exclusive neighborhood, its
+dropped pieces as masks with the heights lam must reach for them to
+drop below it, and each column's cuts (_Universe).  A candidate is defined by which cells
 are present, and in family D a west cell lies in a region exactly when
 its two-by-two does, since an end height is never in the two-by-two
 residue class; so a region's candidates are the universe's candidates
@@ -96,13 +97,23 @@ built.  The search runs to the end in both classes, so a second
 cover-exclusive tiling would surface; the matrix bridge of `dycktile
 verify` reads the signed matrix entries from these tilings and reports
 a region with more than one.
+
+Readout.  A region stores only its family and its two words; its cells
+are computed on first use, column by column (_region_columns), and
+reading a sum never needs them.  A sum builds each region that has a
+cover (build_region, which checks its words) and reads its tilings
+through enumerate_tilings, which checks every cover by bit masks: the
+tiles' masks must be disjoint and together the region's mask, read
+from the two words' heights over the universe's cells.  Every tiling's
+statistic goes into one count list, so a sum builds one PolyQ.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .pathword import (
@@ -136,15 +147,38 @@ def _atom_residue(lam: PathWord) -> int:
 
 @dataclass(frozen=True)
 class Region:
+    """The region between lam (below) and mu (above) in one family.
+
+    Only the two words are stored.  The unit cells and the two-by-two
+    centers (atoms) are computed on first use, by one walk over the
+    columns (_region_columns); a sum reads its regions' tilings without
+    them (enumerate_tilings).
+    """
+
     type_tag: str
     lam: PathWord
     mu: PathWord
-    unit_cells: frozenset[Coord]
-    atoms: frozenset[Coord]
 
     @property
     def length(self) -> int:
         return self.lam.length
+
+    @cached_property
+    def _cells(self) -> tuple[frozenset[Coord], frozenset[Coord]]:
+        """The unit cells and two-by-two centers; a two-by-two's west
+        cell is no unit cell."""
+        columns, centers = _region_columns(self.lam, self.mu, self.type_tag)
+        L = self.length
+        units = [(x, y) for x, ys in columns for y in ys if not (x == L - 1 and y in centers)]
+        return frozenset(units), frozenset((L, m) for m in centers)
+
+    @property
+    def unit_cells(self) -> frozenset[Coord]:
+        return self._cells[0]
+
+    @property
+    def atoms(self) -> frozenset[Coord]:
+        return self._cells[1]
 
     @cached_property
     def all_cells(self) -> frozenset[Coord]:
@@ -172,33 +206,33 @@ def build_region(lam: PathWord, mu: PathWord, type_tag: str) -> Region:
             raise ValueError("family A needs Dyck words")
     if type_tag == TYPE_D and lam.epsilon != mu.epsilon:
         raise ValueError("family D needs words of equal sign")
-    return _region_between(lam, mu, type_tag)
+    return Region(type_tag, lam, mu)
 
 
-def _region_between(lam: PathWord, mu: PathWord, type_tag: str) -> Region:
-    """The region of words already known to be valid for the family."""
-    L = lam.length
+def _region_columns(
+    lam: PathWord, mu: PathWord, type_tag: str
+) -> tuple[list[tuple[int, range]], range]:
+    """The region between words already known to be valid for the family,
+    column by column: (x, ys) for each column x, and the heights of the
+    two-by-two centers at x = L.
+
+    Column x holds the cells (x, y) for y in ys, those strictly between
+    the two words' heights there: every second y, since heights have the
+    parity of x; the neighbor columns never cut them, their heights
+    being one step away.  The columns run from 1 to L - 1, to L in
+    family B (its anchors).  In family D the two-by-twos are those whose
+    four cells lie between the words; their centers lie in the residue
+    class of lam's end height plus two (_atom_residue), so they start
+    two above it and come every fourth height.  Column L - 1 still lists
+    their west cells.
+    """
+    L = len(lam.heights) - 1
     lh, mh = lam.heights, mu.heights
-    units = set()
-    for x in range(1, L):
-        for y in range(lh[x] + 1, mh[x]):
-            if (x + y) % 2 == 0:
-                continue
-            if lh[x - 1] <= y <= mh[x - 1] and lh[x + 1] <= y <= mh[x + 1]:
-                units.add((x, y))
-    atoms: set[Coord] = set()
-    if type_tag == TYPE_B and L >= 1:
-        for y in range(lh[L] + 1, mh[L]):
-            if (L + y) % 2 == 1:
-                units.add((L, y))
-    if type_tag == TYPE_D and L >= 1:
-        residue = _atom_residue(lam)
-        for m in range(lh[L] + 2, mh[L] - 1):
-            if m % 4 == residue:
-                atoms.add((L, m))
-        for a in atoms:
-            units.difference_update(_atom_cells(a))
-    return Region(type_tag, lam, mu, frozenset(units), frozenset(atoms))
+    last = L if type_tag == TYPE_B else L - 1
+    columns = [(x, range(lh[x] + 1, mh[x], 2)) for x in range(1, last + 1)]
+    if type_tag != TYPE_D or not L:
+        return columns, range(0)
+    return columns, range(lh[L] + 2, mh[L] - 1, 4)
 
 
 @dataclass(frozen=True)
@@ -405,7 +439,7 @@ def _candidates(region: Region) -> list[Tile]:
     L = region.length
     if region.type_tag == TYPE_D and L:
         lam, mu = region.lam, region.mu
-        image = _region_between(truncate_last(lam), truncate_last(mu), TYPE_B)
+        image = Region(TYPE_B, truncate_last(lam), truncate_last(mu))
         residue = _atom_residue(lam)
         return [_lift_tile(t, L, residue, region.atoms) for t in _candidates(image)]
     tiles = [_dyck_tile(r) for r in _dyck_ribbons(region.unit_cells)]
@@ -419,20 +453,6 @@ def _candidates(region: Region) -> list[Tile]:
 # A requirement is a set of cells that one tile of the tiling must
 # contain.  The search holds it as a bit mask over the cells of the
 # family's tile universe.
-Requirement = frozenset[Coord]
-
-
-def _below_after_drop(cells: Iterable[Coord], drop: int, lam: PathWord) -> bool:
-    """Whole translated cell set weakly below lam (columns past the
-    terminal line are ignored)."""
-    lh = lam.heights
-    L = lam.length
-    for x, y in cells:
-        if x > L:
-            continue
-        if y - drop + 1 > lh[x]:
-            return False
-    return True
 
 
 def _pieces(tile: Tile) -> list[tuple[tuple[Coord, ...], int]]:
@@ -448,10 +468,20 @@ def _pieces(tile: Tile) -> list[tuple[tuple[Coord, ...], int]]:
     return out
 
 
-def _inclusive_needs(lam: PathWord, tile: Tile) -> Optional[list[Requirement]]:
-    """Each piece that does not drop below lam must land inside one tile;
-    inside its own tile it always does.  None when a dropped piece meets
-    its own tile without lying inside it.
+def _inclusive_pieces(
+    tile: Tile, index: dict[Coord, int], length: int
+) -> list[tuple[tuple[tuple[int, int], ...], Optional[int]]]:
+    """The tile's inclusive requirements before lam is known: for each
+    piece whose dropped cells do not all lie inside the tile itself,
+    (tops, need).
+
+    A piece needs nothing when it drops weakly below lam: lam reaches
+    height t in column x for each (x, t) in tops, t being the top corner
+    of the piece's highest dropped cell there (columns past the terminal
+    line are ignored).  Otherwise its dropped cells must land inside one
+    tile: need is their mask over the universe's cells, or None when
+    they meet the tile without lying inside it, or leave the universe,
+    so that no tile of any region can hold them.
 
     The definition also asks that tile to be at least as large as the
     piece, which follows from containment.  A piece larger than one box
@@ -461,17 +491,20 @@ def _inclusive_needs(lam: PathWord, tile: Tile) -> Optional[list[Requirement]]:
     length, so they cannot use that column.
     """
     own = frozenset(tile.cells)
-    needs = []
+    out = []
     for cells, drop in _pieces(tile):
-        if _below_after_drop(cells, drop, lam):
-            continue
         moved = frozenset((x, y - drop) for x, y in cells)
         if moved <= own:
             continue
-        if moved & own:
-            return None
-        needs.append(moved)
-    return needs
+        tops: dict[int, int] = {}
+        for x, y in moved:
+            if x <= length:
+                tops[x] = max(tops.get(x, y + 1), y + 1)
+        need = None
+        if not moved & own and all(c in index for c in moved):
+            need = sum(1 << index[c] for c in moved)
+        out.append((tuple(tops.items()), need))
+    return out
 
 
 def _neighbors(cells: Iterable[Coord]) -> set[Coord]:
@@ -497,6 +530,9 @@ class _Universe:
     the tiles that hold cell s.  Tile k's exclusive neighbor positions
     inside the universe are around[k], near[k] those of them at x <= L,
     and far[k] says whether one lies outside the universe at x <= L.
+    pieces[k] lists tile k's inclusive requirements as (tops, need)
+    pairs (_inclusive_pieces); only the comparison of tops with lam's
+    heights waits for a pool.
     cuts[sign][x] maps each height h the words take in column x to
     (mask, spots, shadow): the cells of column x beyond h, away from the
     fixed word (sign 1 above, -1 below, a west cell with its whole
@@ -516,7 +552,7 @@ class _Universe:
         region = None
         if words:
             low, high = min(words, key=_height_sum), max(words, key=_height_sum)
-            region = _region_between(low, high, type_tag)
+            region = Region(type_tag, low, high)
         order = sorted(region.all_cells) if region else []
         self.index = index = {c: s for s, c in enumerate(order)}
         self.full = (1 << len(order)) - 1
@@ -530,6 +566,7 @@ class _Universe:
         for k, ss in enumerate(self.spots):
             for s in ss:
                 self.holders[s].append(k)
+        self.pieces = [_inclusive_pieces(t, index, length) for t in tiles]
         self.around, self.near, self.far = [], [], []
         for t in tiles:
             around = near = 0
@@ -655,7 +692,7 @@ class CandidatePool:
             if s is None:
                 raise ValueError("region has cell %s outside its family's tile universe" % (c,))
             inside |= 1 << s
-        self.full = universe.full
+        self.index, self.full = universe.index, universe.full
         self.start = universe.full & ~inside
         self.fixed, bound = (lam, mu) if cls == INCLUSIVE else (mu, lam)
         self.words = (bound,) if words is None else tuple(words)
@@ -673,12 +710,16 @@ class CandidatePool:
         self.kept = [k for k, m in enumerate(self.masks) if not m & start]
         alive = bytearray(len(self.tiles))
         all_wants = []
+        lh = self.region.lam.heights
         for k in self.kept:
             if cls == INCLUSIVE:
-                needs = _inclusive_needs(self.region.lam, self.tiles[k])
-                if needs is None or not all(n <= self.region.all_cells for n in needs):
+                wants = tuple(
+                    need
+                    for tops, need in universe.pieces[k]
+                    if any(lh[x] < t for x, t in tops)
+                )
+                if any(need is None or need & start for need in wants):
                     continue
-                wants = tuple(sum(1 << index[c] for c in n) for n in needs)
             else:
                 around = universe.around[k] & inside
                 if around and (universe.far[k] or universe.near[k] & start):
@@ -831,21 +872,56 @@ def enumerate_tilings(
     region: Region, cls: str = INCLUSIVE, pool: Optional[CandidatePool] = None
 ) -> tuple[Tiling, ...]:
     """All tilings of the region in the class, found by one pruned
-    exact-cover search.
+    exact-cover search, each with its tiles in (cells, kind) order.
 
     pool is the pool of a sum with this region among its regions, whose
     search has found the covers; by default the region gets its own.
+    Every cover is checked against the region's mask, built from the
+    two words' heights over the universe's cells (_region_mask): its
+    tiles' masks must be disjoint, so that their sum is their union,
+    and their union must be that mask.  So reading a region's tilings
+    never computes its cells.
     """
     if pool is None:
         pool = CandidatePool(region, cls)
     elif pool.cls != cls:
         raise ValueError("candidate pool is for the %s class, not %s" % (pool.cls, cls))
+    covers = pool.covers(region)
+    if not covers:
+        return ()
+    want = _region_mask(region, pool.index)
+    masks, tiles = pool.masks, pool.tiles
     out = []
-    for cover in sorted(tuple(sorted(c)) for c in pool.covers(region)):
-        tiles = tuple(pool.tiles[i] for i in cover)
-        check_exact_cover(region, tiles)
-        out.append(Tiling(region, tiles, cls))
+    for cover in sorted(tuple(sorted(c)) for c in covers):
+        bits = [masks[i] for i in cover]
+        union = reduce(or_, bits, 0)
+        if union != sum(bits):
+            raise AssertionError("tiles overlap")
+        if union != want:
+            raise AssertionError("tiles do not cover the region")
+        out.append(Tiling(region, tuple([tiles[i] for i in cover]), cls))
     return tuple(out)
+
+
+def _region_mask(region: Region, index: dict[Coord, int]) -> int:
+    """The region's cells as bits of a universe that holds them, read
+    from its words' heights (_region_columns).
+
+    The universe numbers its cells in (x, y) order and holds every cell
+    between its own words, so the cells of one column range are one run
+    of bits, and so are the cells of a run of two-by-twos in each of
+    columns L (south and north cells) and L + 1 (east cells).  Their
+    west cells are in the range of column L - 1.
+    """
+    columns, centers = _region_columns(region.lam, region.mu, region.type_tag)
+    mask = 0
+    for x, ys in columns:
+        if ys:
+            mask |= ((1 << len(ys)) - 1) << index[x, ys[0]]
+    if centers:
+        L, n, m = region.length, len(centers), centers[0]
+        mask |= ((1 << 2 * n) - 1) << index[L, m - 1] | ((1 << n) - 1) << index[L + 1, m]
+    return mask
 
 
 def check_exact_cover(region: Region, tiles: tuple[Tile, ...]) -> None:
@@ -874,14 +950,18 @@ def genfun_pair(
     for enumerate_tilings."""
     if weight not in WEIGHTS:
         raise ValueError("weight must be one of %s" % (WEIGHTS,))
-    region = build_region(lam, mu, type_tag)
     counts: list[int] = []
-    for t in enumerate_tilings(region, cls, pool):
+    _tally(counts, enumerate_tilings(build_region(lam, mu, type_tag), cls, pool), weight)
+    return PolyQ(counts)
+
+
+def _tally(counts: list[int], tilings: Iterable[Tiling], weight: str) -> None:
+    """Add one to counts[k] for each tiling whose statistic is k."""
+    for t in tilings:
         k = t.statistic(weight)
         if k >= len(counts):
             counts.extend([0] * (k + 1 - len(counts)))
         counts[k] += 1
-    return PolyQ(counts)
 
 
 @cache
@@ -930,19 +1010,25 @@ def sum_pool(w: PathWord, type_tag: str, cls: str) -> CandidatePool:
     largest (inclusive) or smallest (exclusive) height sum."""
     if cls == EXCLUSIVE:
         lowers = lower_words(w, type_tag)
-        return CandidatePool(_region_between(min(lowers, key=_height_sum), w, type_tag), cls, lowers)
+        return CandidatePool(Region(type_tag, min(lowers, key=_height_sum), w), cls, lowers)
     uppers = upper_words(w, type_tag)
-    return CandidatePool(_region_between(w, max(uppers, key=_height_sum), type_tag), cls, uppers)
+    return CandidatePool(Region(type_tag, w, max(uppers, key=_height_sum)), cls, uppers)
 
 
 def _sum_over(pool: CandidatePool, type_tag: str, weight: str) -> PolyQ:
-    """Sum of genfun_pair over the pool's regions that have a tiling;
-    the others add zero."""
-    acc = ZERO
+    """Sum of genfun_pair over the pool's regions, as one tally.
+
+    Each region that has a cover is built (build_region, which checks
+    its words) and read by enumerate_tilings, which checks every cover
+    against the region's mask; every tiling's statistic goes into one
+    count list, so the sum builds one PolyQ.  Regions without a tiling
+    add nothing and are not built.
+    """
+    counts: list[int] = []
     for w in pool.found:
         lam, mu = (pool.fixed, w) if pool.cls == INCLUSIVE else (w, pool.fixed)
-        acc = acc + genfun_pair(lam, mu, type_tag, pool.cls, weight, pool)
-    return acc
+        _tally(counts, enumerate_tilings(build_region(lam, mu, type_tag), pool.cls, pool), weight)
+    return PolyQ(counts)
 
 
 def genfun_lower(

@@ -12,6 +12,7 @@ from dycktile.qpoly import (
     PolyQ,
     exact_div,
     pack,
+    packing_width,
     prod,
     q2_binomial,
     q_binomial,
@@ -132,6 +133,16 @@ def test_pack_extremes(width):
     assert unpack(pack(past, width), width) == PolyQ((-(top + 1), 1))
     with pytest.raises(ValueError):
         unpack(1, 0)
+
+
+def test_unpack_refuses_one_bit_digits():
+    # one-bit balanced digits are -1 and 0, so unpack(1, 1) would never
+    # finish; no bound of 1 or more asks for that width
+    with pytest.raises(ValueError):
+        unpack(1, 1)
+    for bound in (1, 2, 3, 4, 7, 8, 2**40):
+        width = packing_width(bound)
+        assert width >= 2 and 1 << (width - 1) > bound >= 1 << (width - 2)
 
 
 small_polys = st.lists(st.integers(-9, 9), max_size=6).map(PolyQ)

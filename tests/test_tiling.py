@@ -20,6 +20,7 @@ from dycktile.qpoly import ONE, PolyQ, ZERO, prod
 from dycktile.tiling import (
     EXCLUSIVE,
     INCLUSIVE,
+    WEIGHTS,
     CandidatePool,
     Region,
     Tile,
@@ -36,7 +37,10 @@ from dycktile.tiling import (
     sum_pool,
     tiling_record,
     upper_words,
+    _atom_residue,
     _candidates,
+    _region_mask,
+    _sum_over,
     _universe,
 )
 
@@ -361,7 +365,7 @@ OPTIMIZED_SCRIPT = """
 import sys
 from dycktile.incidence import build, check_inverse
 from dycktile.pathword import PathWord
-from dycktile.tiling import build_region, check_exact_cover, enumerate_tilings
+from dycktile.tiling import CandidatePool, build_region, check_exact_cover, enumerate_tilings
 
 
 def refusal(check, *args):
@@ -378,6 +382,11 @@ m = build(2, 0, "I")
 print(sys.flags.optimize)
 print(refusal(check_exact_cover, region, tiles + tiles[:1]))
 print(refusal(check_exact_cover, region, tiles[1:]))
+pool = CandidatePool(region, "inclusive")
+((word, (cover, *_)),) = pool.found.items()
+for bad in (cover + cover[:1], cover[1:]):
+    pool.found[word] = [bad]
+    print(refusal(enumerate_tilings, region, "inclusive", pool))
 print(refusal(check_inverse, m, m))
 """
 
@@ -393,6 +402,8 @@ def test_invariants_raise_under_optimize():
     ).stdout
     assert out.splitlines() == [
         "1",
+        "tiles overlap",
+        "tiles do not cover the region",
         "tiles overlap",
         "tiles do not cover the region",
         "product check failed at (1, 0)",
@@ -816,8 +827,10 @@ def test_pool_tiles_are_the_enclosing_regions_candidates():
 
 
 def test_region_with_a_cell_outside_its_universe_is_refused():
-    # (1, 4) lies above every family-D word of length 2
-    region = Region("D", W("DD"), W("UU"), frozenset({(1, 4)}), frozenset())
+    # (1, 4) lies above every family-D word of length 2; a region
+    # computes its cells on first use, so seed them
+    region = Region("D", W("DD"), W("UU"))
+    region.__dict__["_cells"] = (frozenset({(1, 4)}), frozenset())
     for cls in (INCLUSIVE, EXCLUSIVE):
         with pytest.raises(ValueError, match="outside its family's tile universe"):
             CandidatePool(region, cls)
@@ -853,6 +866,88 @@ def test_empty_regions_start_covered():
             (t,) = enumerate_tilings(region, cls, pool)
             assert t.tiles == ()
     assert genfun_lower(W(""), "D") == ONE and genfun_upper(W(""), "D") == ONE
+
+
+# -- the readout ---------------------------------------------------------------
+
+
+def _defined_cells(lam, mu, family):
+    """The unit cells and two-by-two centers of the region by the module
+    docstring's definition, tried at every position near the words: lam
+    weakly below a cell's lower corners, mu weakly above its upper ones,
+    corners past the terminal line ignored."""
+    L = lam.length
+    lo, hi = lam.heights, mu.heights
+
+    def between(lower, upper):
+        return all(lo[x] <= y for x, y in lower if 0 <= x <= L) and all(
+            hi[x] >= y for x, y in upper if 0 <= x <= L
+        )
+
+    atoms = set()
+    if family == "D" and L:
+        for m in range(min(lo) - 4, max(hi) + 5):
+            if m % 4 == _atom_residue(lam) and between(
+                ((L - 2, m), (L - 1, m - 1), (L, m - 2)), ((L - 2, m), (L - 1, m + 1), (L, m + 2))
+            ):
+                atoms.add((L, m))
+    covered = {(L - 1, m) for _, m in atoms}
+    units = set()
+    for x in range(1, L + 1 if family == "B" else L):
+        for y in range(min(lo) - 2, max(hi) + 3):
+            if (x + y) % 2 and (x, y) not in covered and between(
+                ((x - 1, y), (x, y - 1), (x + 1, y)), ((x - 1, y), (x, y + 1), (x + 1, y))
+            ):
+                units.add((x, y))
+    return units, atoms
+
+
+def test_region_cells_and_mask_follow_from_the_heights():
+    # A region's cells come from its column ranges, and enumerate_tilings
+    # checks covers against a mask read from the same ranges; both must
+    # match the definition for every comparable pair through length 7.
+    pairs = 0
+    for family in "ABD":
+        for n in range(1 if family == "B" else 0, 8):
+            for lam in dyck_words(n) if family == "A" else all_words(n):
+                index = _universe(family, n, lam.epsilon if family == "D" else 0).index
+                for mu in upper_words(lam, family):
+                    region = build_region(lam, mu, family)
+                    units, atoms = _defined_cells(lam, mu, family)
+                    assert (region.unit_cells, region.atoms) == (units, atoms), (family, lam, mu)
+                    cells = sum(1 << index[c] for c in region.all_cells)
+                    assert _region_mask(region, index) == cells, (family, lam, mu)
+                    pairs += 1
+    assert pairs == 13513
+
+
+def test_a_sum_tallies_what_its_pairs_give():
+    # A sum reads every region of its pool into one count list; it must
+    # equal the pairwise generating functions over the same regions, the
+    # regions without a tiling included.
+    for n in range(8):
+        for w in all_words(n):
+            for cls in (INCLUSIVE, EXCLUSIVE):
+                pool = sum_pool(w, "D", cls)
+                pairs = [(w, v) if cls == INCLUSIVE else (v, w) for v in pool.words]
+                for weight in WEIGHTS:
+                    want = sum((genfun_pair(lam, mu, "D", cls, weight, pool) for lam, mu in pairs), ZERO)
+                    assert _sum_over(pool, "D", weight) == want, (w, cls, weight)
+
+
+def test_a_cover_that_is_not_exact_is_refused():
+    # Every cover a pool returns is checked against the region's mask: a
+    # cover with a tile repeated overlaps, one with a tile dropped leaves
+    # cells uncovered.
+    region = build_region(W("DDDD"), W("UUUU"), "D")
+    for cls in (INCLUSIVE, EXCLUSIVE):
+        pool = CandidatePool(region, cls)
+        ((word, (cover, *_)),) = pool.found.items()
+        assert len(cover) >= 2
+        for bad, message in ((cover + cover[:1], "tiles overlap"), (cover[1:], "tiles do not cover")):
+            pool.found[word] = [bad]
+            with pytest.raises(AssertionError, match=message):
+                enumerate_tilings(region, cls, pool)
 
 
 # -- regions where one path of the search decides --------------------------
