@@ -43,6 +43,7 @@ from .tiling import (
     genfun_upper,
     render_svg,
     sum_pool,
+    tally,
     tiling_record,
     upper_words,
 )
@@ -301,21 +302,12 @@ def _check_golden_matrices(k: int):
                 )
 
 
-def _tiling_sum(tilings, weight: str, signed: bool) -> PolyQ:
-    """Sum of q^weight over the tilings, each times (-1)^tiles if signed."""
-    coeffs: list[int] = []
-    for t in tilings:
-        k = t.statistic(weight)
-        coeffs.extend([0] * (k + 1 - len(coeffs)))
-        coeffs[k] += (-1) ** t.tile_count if signed else 1
-    return PolyQ(coeffs)
-
-
 def _check_matrix_bridge(k: int):
     """Minv holds the cover-inclusive sums and M the signed cover-exclusive
     tilings, entry by entry.  Row lam of both inverses is read from the
     search of lam's lower sum, column mu of both matrices from that of
-    mu's upper sum; the sum's words, in basis order, are the pairs."""
+    mu's upper sum; the sum's words, in basis order, are the pairs.  An
+    exclusive region has at most one tiling, signed by its tile count."""
     for n in range(1, k + 1):
         for eps in (0, 1):
             mat_art = build(n, eps, "I")
@@ -336,7 +328,11 @@ def _check_matrix_bridge(k: int):
                                 yield "%s: %d cover-exclusive tilings" % (where, len(found))
                                 continue
                             got = matrix.entry(lam, mu)
-                            want = _tiling_sum(found, weight, cls == EXCLUSIVE)
+                            counts: list[int] = []
+                            tally(counts, found, weight)
+                            want = PolyQ(counts)
+                            if cls == EXCLUSIVE and found and found[0].tile_count % 2:
+                                want = -want
                             yield None if got == want else (
                                 "%s: matrix %s, tilings %s" % (where, got, want)
                             )
@@ -422,7 +418,7 @@ def _check_merge_confluence(k: int):
     """Every merge order agrees, and omega's canonical order with them."""
     for w in _words_through(k):
         tree = build_tree(w)
-        pairs = evaluations(tree, {})
+        pairs = evaluations(tree)
         try:
             value = omega(tree)
         except StuckTreeError:
@@ -435,9 +431,13 @@ def _check_merge_confluence(k: int):
             continue
         values = {exact_div(num, den) for num, den in pairs}
         if len(values) > 1:
-            yield "lam=%s: %d orders, %d values" % (w.steps, len(pairs), len(values))
+            yield "lam=%s: orders give %d values (distinct pairs: %d)" % (
+                w.steps,
+                len(values),
+                len(pairs),
+            )
         elif value is None:
-            yield "lam=%s: canonical order sticks, %d orders finish" % (
+            yield "lam=%s: canonical order sticks, other orders finish (distinct pairs: %d)" % (
                 w.steps,
                 len(pairs),
             )

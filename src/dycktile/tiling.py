@@ -951,11 +951,11 @@ def genfun_pair(
     if weight not in WEIGHTS:
         raise ValueError("weight must be one of %s" % (WEIGHTS,))
     counts: list[int] = []
-    _tally(counts, enumerate_tilings(build_region(lam, mu, type_tag), cls, pool), weight)
+    tally(counts, enumerate_tilings(build_region(lam, mu, type_tag), cls, pool), weight)
     return PolyQ(counts)
 
 
-def _tally(counts: list[int], tilings: Iterable[Tiling], weight: str) -> None:
+def tally(counts: list[int], tilings: Iterable[Tiling], weight: str) -> None:
     """Add one to counts[k] for each tiling whose statistic is k."""
     for t in tilings:
         k = t.statistic(weight)
@@ -1027,7 +1027,7 @@ def _sum_over(pool: CandidatePool, type_tag: str, weight: str) -> PolyQ:
     counts: list[int] = []
     for w in pool.found:
         lam, mu = (pool.fixed, w) if pool.cls == INCLUSIVE else (w, pool.fixed)
-        _tally(counts, enumerate_tilings(build_region(lam, mu, type_tag), pool.cls, pool), weight)
+        tally(counts, enumerate_tilings(build_region(lam, mu, type_tag), pool.cls, pool), weight)
     return PolyQ(counts)
 
 

@@ -46,20 +46,22 @@ omega applies the merges in one canonical order, as one post-order
 fold that leaves the tree unchanged: each vertex, deepest first,
 collapses its child chains into one, each time merging the first pair
 _rule accepts and rescanning from the left, and a vertex that stays
-branched raises StuckTreeError at once.  This is the order of a walker
-that restarts from the root after every merge and takes the first
-site it meets.  A merge changes only its own vertex's child list;
-every other edge keeps the presence of its arrows, and the skip below
-arrows and _rule read that presence (rule 3 also asks whether the
-right top points at the left top, both edges of the pair at hand).  So
-a vertex without a site never gains one later, and the walker, like
-the fold, would stick there.  The rule numerators and the terminal
-weight are multiplied in one packed product and the denominators
-divided out once.  The search over every merge order (evaluations)
-keeps the walker, merging and undoing in place, and serves as the
-confluence check: on every word through length twelve, each order
-that finishes gives the canonical value, and the canonical order
-sticks exactly when every order does.  Exhaustive comparison against
+branched raises StuckTreeError at once.  So each merge is the leftmost
+one _rule accepts at the first vertex, in post-order, that has one.  A
+merge changes only its own vertex's child list; every other edge keeps
+the presence of its arrows, and the skip below arrows and _rule read
+that presence (rule 3 also asks whether the right top points at the
+left top, both edges of the pair at hand).  So a vertex without a
+merge never gains one later, and every order, like the fold, sticks
+there.  The rule numerators and the terminal weight are multiplied in
+one packed product and the denominators divided out once.  The search
+over every merge order (evaluations) is a fold of the same shape: each
+vertex merges every combination of its children's outcomes in every
+order _rule accepts, over the same chain lists, so nothing changes a
+tree once build_tree returns.  It serves as the confluence check: on
+every word through length twelve, each order that finishes gives the
+canonical value, and the canonical order sticks exactly when every
+order does.  Exhaustive comparison against
 the tiling sums covers every word up to length nine: each word either
 evaluates to the same polynomial or raises, and none shorter than six
 raises.  That the raising words lie outside the rules is not shown.
@@ -224,18 +226,6 @@ def build_tree(w: PathWord) -> PlaneTree:
     return PlaneTree(root)
 
 
-def _chain(edge: TreeEdge) -> Optional[list[TreeEdge]]:
-    """The bare path below edge, or None if the subtree branches."""
-    out = [edge]
-    node = edge.child
-    while node.children:
-        if len(node.children) > 1:
-            return None
-        out.append(node.children[0])
-        node = node.children[0].child
-    return out
-
-
 def _rule(
     left: list[TreeEdge], right: list[TreeEdge], rest: tuple[TreeEdge, ...]
 ) -> Optional[int]:
@@ -270,33 +260,6 @@ def _rule(
     return None
 
 
-def _eligible_merges(tree: PlaneTree) -> list[tuple]:
-    """(vertex, left-child index, rule, left chain, right chain) sites
-    where a rule fires, deepest first, then leftmost.
-
-    Vertices strictly below an edge that carries an arrow are skipped:
-    collapsing them first would erase what the arrow points at.
-    """
-    sites = []
-
-    def walk(node: TreeNode, allowed: bool) -> None:
-        for e in node.children:
-            walk(e.child, allowed and e.outgoing is None and e.incoming is None)
-        if not allowed:
-            return
-        left = None
-        for k, e in enumerate(node.children):
-            right = _chain(e)
-            if left is not None and right is not None:
-                rule = _rule(left, right, tuple(node.children[k + 1 :]))
-                if rule is not None:
-                    sites.append((node, k - 1, rule, left, right))
-            left = right
-
-    walk(tree.root, True)
-    return sites
-
-
 @cache
 def _merge_factor(rule: int, n: int, m: int) -> tuple[PolyQ, PolyQ]:
     """(num, den) of a rule merging a left chain of n edges with a right
@@ -328,53 +291,6 @@ def _merged_chain(
     return chain
 
 
-def _apply_merge(
-    node: TreeNode, k: int, rule: int, left: list[TreeEdge], right: list[TreeEdge]
-) -> tuple[PolyQ, PolyQ]:
-    """Merge the chains at children k and k+1 in place, return (num, den)."""
-    chain = _merged_chain(rule, left, right)
-    for upper, lower in zip(chain, chain[1:]):
-        upper.child.children = [lower]
-    top = chain[0]
-    if top.outgoing is not None:
-        top.outgoing.incoming = top
-    node.children[k : k + 2] = [top]
-    return _merge_factor(rule, len(left), len(right))
-
-
-def _single_chain(tree: PlaneTree) -> Optional[list[TreeEdge]]:
-    if tree.is_empty:
-        return []
-    if len(tree.root.children) > 1:
-        return None
-    return _chain(tree.root.children[0])
-
-
-def _encode(tree: PlaneTree) -> tuple:
-    """Hashable snapshot of shape, dots, merged flags and arrows."""
-    paths: dict[int, tuple[int, ...]] = {}
-
-    def index(node: TreeNode, prefix: tuple[int, ...]) -> None:
-        for k, e in enumerate(node.children):
-            paths[id(e)] = prefix + (k,)
-            index(e.child, prefix + (k,))
-
-    index(tree.root, ())
-
-    def enc(node: TreeNode) -> tuple:
-        return tuple(
-            (
-                e.dotted,
-                e.merged,
-                paths[id(e.outgoing)] if e.outgoing is not None else None,
-                enc(e.child),
-            )
-            for e in node.children
-        )
-
-    return enc(tree.root)
-
-
 def _terminal(chain: list[TreeEdge]) -> PolyQ:
     """Weight of a finished single chain."""
     if not chain or chain[-1].dotted:
@@ -383,50 +299,6 @@ def _terminal(chain: list[TreeEdge]) -> PolyQ:
     while run < len(chain) and not chain[-1 - run].dotted:
         run += 1
     return _one_plus_powers(1, run)
-
-
-def _undo_merge(
-    node: TreeNode,
-    k: int,
-    l_top: TreeEdge,
-    r_top: TreeEdge,
-    target: Optional[TreeEdge],
-    held: Optional[TreeEdge],
-) -> None:
-    """Put a merged pair's two tops back at children k and k+1, and give
-    a relinked arrow target its incoming edge back."""
-    node.children[k : k + 1] = [l_top, r_top]
-    if target is not None:
-        target.incoming = held
-
-
-def evaluations(tree: PlaneTree, memo: dict) -> list[tuple[PolyQ, PolyQ]]:
-    """All (numerator, denominator) pairs over complete merge orders.
-
-    This is the all-orders reference that the merge-confluence check
-    holds omega's canonical order against.  memo caches the pairs of
-    every tree state reached; pass a new dict.  Each merge is undone
-    after its branch, so tree is unchanged on return.
-    """
-    key = _encode(tree)
-    if key in memo:
-        return memo[key]
-    results: list[tuple[PolyQ, PolyQ]] = []
-    chain = _single_chain(tree)
-    if chain is not None:
-        results.append((_terminal(chain), ONE))
-    else:
-        for node, k, rule, left, right in _eligible_merges(tree):
-            target = left[0].outgoing
-            held = None if target is None else target.incoming
-            a, b = _apply_merge(node, k, rule, left, right)
-            for num, den in evaluations(tree, memo):
-                pair = (a * num, b * den)
-                if pair not in results:
-                    results.append(pair)
-            _undo_merge(node, k, left[0], right[0], target, held)
-    memo[key] = results
-    return results
 
 
 def _fold(
@@ -473,10 +345,10 @@ def omega(tree: PlaneTree) -> PolyQ:
 
     One post-order fold: every vertex, deepest first, collapses its
     child chains into one by merging the first pair _rule accepts and
-    rescanning from the left, so the merges come in the order of
-    _eligible_merges' first site after each step.  A vertex that stays
-    branched makes the tree stuck, outside the rules, and raises
-    StuckTreeError at once: no later merge changes that vertex's
+    rescanning from the left, so each merge is the leftmost one _rule
+    accepts at the first vertex, in post-order, that has one.  A vertex
+    that stays branched makes the tree stuck, outside the rules, and
+    raises StuckTreeError at once: no later merge changes that vertex's
     children or the arrow flags _rule reads there.  That every order
     finishing gives this value, and that this order sticks exactly when
     every order does, is what the merge-confluence check tests against
@@ -492,6 +364,85 @@ def omega(tree: PlaneTree) -> PolyQ:
         nums.append(end)
     num = prod(nums)
     return exact_div(num, prod(dens)) if dens else num
+
+
+def _key(chain: list[TreeEdge]) -> tuple:
+    """What _rule, _merged_chain and _terminal read of a chain: a tree
+    edge by identity, an edge made by a merge by its dot and arrow (no
+    arrow ever points at one)."""
+    return tuple((e.dotted, e.outgoing) if e.merged else e for e in chain)
+
+
+def _times(a: PolyQ, b: PolyQ) -> PolyQ:
+    """a * b, without a multiplication when either is 1."""
+    return a if b == ONE else b if a == ONE else a * b
+
+
+def _collapses(node: TreeNode, allowed: bool) -> dict[tuple, list[TreeEdge]]:
+    """Every chain node's child chains can collapse into, by its factors.
+
+    Keys are (_key(chain), num, den), where num and den multiply the
+    merge factors of node's subtree, and values are the chains.  Each combination of the children's
+    outcomes is merged in every order _rule accepts, not only the first
+    pair; node is not merged when allowed is false (it lies below an
+    edge with an arrow), and a state of two or more chains that no
+    merge accepts yields nothing.  States are memoised on their chains.
+    """
+    starts = [([], ONE, ONE)]
+    for e in node.children:
+        below = allowed and e.outgoing is None and e.incoming is None
+        outcomes = _collapses(e.child, below).items()
+        starts = [
+            (chains + [[e] + chain], _times(num, a), _times(den, b))
+            for chains, num, den in starts
+            for (_, a, b), chain in outcomes
+        ]
+    memo: dict[tuple, dict] = {}
+
+    def search(chains: list[list[TreeEdge]]) -> dict[tuple, list[TreeEdge]]:
+        if len(chains) < 2:
+            chain = chains[0] if chains else []
+            return {(_key(chain), ONE, ONE): chain}
+        key = tuple(map(_key, chains))
+        if key not in memo:
+            found = memo[key] = {}
+            for k in range(1, len(chains) if allowed else 1):
+                left, right = chains[k - 1], chains[k]
+                rule = _rule(left, right, tuple(c[0] for c in chains[k + 1 :]))
+                if rule is None:
+                    continue
+                a, b = _merge_factor(rule, len(left), len(right))
+                merged = _merged_chain(rule, left, right)
+                for (ck, num, den), chain in search(
+                    chains[: k - 1] + [merged] + chains[k + 1 :]
+                ).items():
+                    found.setdefault((ck, _times(a, num), _times(b, den)), chain)
+        return memo[key]
+
+    out: dict[tuple, list[TreeEdge]] = {}
+    for chains, num, den in starts:
+        for (ck, a, b), chain in search(chains).items():
+            out.setdefault((ck, _times(num, a), _times(den, b)), chain)
+    return out
+
+
+def evaluations(tree: PlaneTree) -> list[tuple[PolyQ, PolyQ]]:
+    """All distinct (numerator, denominator) pairs over complete merge
+    orders; the tree is not changed.
+
+    This is the all-orders reference that the merge-confluence check
+    holds omega's canonical order against.  A merge changes only its own
+    vertex's child list, and _rule reads only the pair's chains and the
+    top edges right of it, whose flags no collapse below them changes.
+    So every order is an interleaving of per-vertex orders, and each
+    vertex's orders are searched once, over the outcomes of its
+    children.
+    """
+    pairs = {
+        (_times(num, _terminal(chain)), den): None
+        for (_, num, den), chain in _collapses(tree.root, True).items()
+    }
+    return list(pairs)
 
 
 def kw_type_a(w: PathWord) -> PolyQ:

@@ -281,7 +281,7 @@ BREAKS = (
     ("ballot-tail-product", "q_b", lambda m, n: ONE),
     ("hook-product", "kw_type_a", lambda w: ZERO),
     ("tree-evaluation", "omega", lambda tree: ZERO),
-    ("merge-confluence", "evaluations", lambda tree, memo: [(ONE, ONE), (ZERO, ONE)]),
+    ("merge-confluence", "evaluations", lambda tree: [(ONE, ONE), (ZERO, ONE)]),
     ("pinned-values", "genfun_pair", lambda *args: ZERO),
 )
 
@@ -303,6 +303,9 @@ def test_merge_confluence_checks_the_canonical_order(monkeypatch):
     report = run_check("merge-confluence", 4)
     assert report["passed"] is False
     assert report["failures"][0] == "lam=: canonical order 0, every order 1"
+    monkeypatch.setattr(cli, "evaluations", lambda tree: [(ONE, ONE), (ZERO, ONE)])
+    report = run_check("merge-confluence", 4)
+    assert report["failures"][0] == "lam=: orders give 2 values (distinct pairs: 2)"
 
 
 def test_merge_confluence_fails_when_only_one_side_sticks(monkeypatch):
@@ -311,9 +314,11 @@ def test_merge_confluence_fails_when_only_one_side_sticks(monkeypatch):
 
     monkeypatch.setattr(cli, "omega", stuck)
     report = run_check("merge-confluence", 4)
-    assert report["failures"][0] == "lam=: canonical order sticks, 1 orders finish"
+    assert report["failures"][0] == (
+        "lam=: canonical order sticks, other orders finish (distinct pairs: 1)"
+    )
     monkeypatch.setattr(cli, "omega", lambda tree: ONE)
-    monkeypatch.setattr(cli, "evaluations", lambda tree, memo: [])
+    monkeypatch.setattr(cli, "evaluations", lambda tree: [])
     report = run_check("merge-confluence", 6)
     assert len(report["failures"]) == 127
     assert report["skipped"] == 0
@@ -325,7 +330,7 @@ def test_stuck_trees_fail_below_length_6_and_are_skipped_from_6_on(monkeypatch):
         raise StuckTreeError("no merge rule applies to this tree")
 
     monkeypatch.setattr(cli, "omega", stuck)
-    monkeypatch.setattr(cli, "evaluations", lambda tree, memo: [])
+    monkeypatch.setattr(cli, "evaluations", lambda tree: [])
     for name in ("tree-evaluation", "merge-confluence"):
         report = run_check(name, 6)
         assert report["cases"] == 127

@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import json
 
@@ -24,8 +23,6 @@ from dycktile.treeform import (
     StuckTreeError,
     TreeEdge,
     TreeNode,
-    _apply_merge,
-    _eligible_merges,
     _merge_factor,
     _one_plus_powers,
     a_factor,
@@ -195,9 +192,10 @@ def test_omega_does_not_mutate_its_input():
     tree = build_tree(PathWord("DDUU"))
     before = tree.to_json()
     omega(tree)
+    evaluations(tree)
     assert tree.to_json() == before
-    # the fold builds merged chains from new edges and changes no edge
-    # of the tree, also when the tree sticks part way
+    # the fold and the search build merged chains from new edges and
+    # change no edge of the tree, also when the tree sticks part way
     for n in range(9):
         for w in all_words(n):
             tree = build_tree(w)
@@ -206,6 +204,7 @@ def test_omega_does_not_mutate_its_input():
                 omega(tree)
             except StuckTreeError:
                 pass
+            evaluations(tree)
             assert _snapshot(tree) == before, w
 
 
@@ -220,9 +219,47 @@ def test_canonical_order_matches_every_order():
     for n in range(11):
         for w in all_words(n):
             tree = build_tree(w)
-            values = {exact_div(a, b) for a, b in evaluations(tree, {})}
+            values = {exact_div(a, b) for a, b in evaluations(tree)}
             got = _omega_or_none(tree)
             assert values == (set() if got is None else {got}), w
+
+
+# sha256 over every word of length 0-11 of the sorted (numerator,
+# denominator) coefficient pairs of every merge order, one json dump per
+# line, recorded from the walker that searched the orders by merging and
+# undoing in place before the per-vertex search
+EVALUATIONS_DIGEST_0_11 = "0dbe84aabfc8f87b7c90c5fb5e0d148088e9cd503aec50f3590610ae6a1e8cd5"
+
+
+def test_evaluations_match_the_recorded_digest():
+    h = hashlib.sha256()
+    for n in range(12):
+        for w in all_words(n):
+            pairs = evaluations(build_tree(w))
+            blob = sorted([list(a.coeffs), list(b.coeffs)] for a, b in pairs)
+            h.update((json.dumps(blob) + "\n").encode())
+    assert h.hexdigest() == EVALUATIONS_DIGEST_0_11
+
+
+def _plain_leaves(count):
+    return [TreeEdge(TreeNode()) for _ in range(count)]
+
+
+def test_evaluations_explore_orders_omega_does_not_take(monkeypatch):
+    # with a factor of q^n for a left chain of n edges, merging the left
+    # pair of three leaves first gives q * q^2, the right pair first
+    # q * q; through length 11 no word has two distinct pairs
+    monkeypatch.setattr(
+        treeform, "_merge_factor", lambda rule, n, m: (PolyQ((0,) * n + (1,)), ONE)
+    )
+    fan = PlaneTree(TreeNode(_plain_leaves(3)))
+    forks = PlaneTree(
+        TreeNode([TreeEdge(TreeNode(_plain_leaves(3))) for _ in range(2)])
+    )
+    for tree, orders in ((fan, 2), (forks, 3)):
+        pairs = evaluations(tree)
+        assert len(pairs) == orders
+        assert (omega(tree), ONE) in pairs
 
 
 def test_omega_runs_no_search(monkeypatch):
@@ -233,41 +270,10 @@ def test_omega_runs_no_search(monkeypatch):
         raise AssertionError("omega must not run the all-orders search")
 
     monkeypatch.setattr(treeform, "evaluations", searched)
-    monkeypatch.setattr(treeform, "_encode", searched)
-    monkeypatch.setattr(treeform, "_eligible_merges", searched)
+    monkeypatch.setattr(treeform, "_collapses", searched)
+    monkeypatch.setattr(treeform, "_key", searched)
     assert [_omega_or_none(tree) for tree in trees] == want
     assert want.count(None) == 20  # 2 words of length 6, 18 of length 7
-
-
-def _order_outcomes(tree):
-    """Final values over every order of eligible merges."""
-    from dycktile.treeform import _single_chain, _terminal
-
-    chain = _single_chain(tree)
-    if chain is not None:
-        return {(_terminal(chain), ONE)}
-    out = set()
-    for pick in range(len(_eligible_merges(tree))):
-        work = copy.deepcopy(tree)
-        node, k, rule, left, right = _eligible_merges(work)[pick]
-        num, den = _apply_merge(node, k, rule, left, right)
-        out |= {(num * a, den * b) for a, b in _order_outcomes(work)}
-    return out
-
-
-def test_merge_orders_agree_up_to_length_5():
-    for n in range(6):
-        for w in all_words(n):
-            pairs = _order_outcomes(build_tree(w))
-            values = {exact_div(a, b) for a, b in pairs}
-            assert len(values) == 1, w
-
-
-def test_in_place_search_matches_copying_search():
-    for n in range(8):
-        for w in all_words(n):
-            tree = build_tree(w)
-            assert set(evaluations(tree, {})) == _order_outcomes(tree), w
 
 
 def _snapshot(tree):
@@ -281,15 +287,6 @@ def _snapshot(tree):
         for e in tree.edges()
     ]
     return edges, list(tree.root.children)
-
-
-def test_evaluations_restore_the_tree_exactly():
-    for n in range(9):
-        for w in all_words(n):
-            tree = build_tree(w)
-            before = _snapshot(tree)
-            evaluations(tree, {})
-            assert _snapshot(tree) == before, w
 
 
 def test_kw_type_a_examples():
