@@ -24,7 +24,10 @@ from dycktile.treeform import (
     TreeEdge,
     TreeNode,
     _merge_factor,
+    _merged_chain,
     _one_plus_powers,
+    _rule,
+    _terminal,
     a_factor,
     build_tree,
     evaluations,
@@ -192,10 +195,9 @@ def test_omega_does_not_mutate_its_input():
     tree = build_tree(PathWord("DDUU"))
     before = tree.to_json()
     omega(tree)
-    evaluations(tree)
     assert tree.to_json() == before
-    # the fold and the search build merged chains from new edges and
-    # change no edge of the tree, also when the tree sticks part way
+    # the fold builds merged chains from new edges and changes no edge
+    # of the tree, also when the tree sticks part way
     for n in range(9):
         for w in all_words(n):
             tree = build_tree(w)
@@ -204,7 +206,6 @@ def test_omega_does_not_mutate_its_input():
                 omega(tree)
             except StuckTreeError:
                 pass
-            evaluations(tree)
             assert _snapshot(tree) == before, w
 
 
@@ -262,6 +263,64 @@ def test_evaluations_explore_orders_omega_does_not_take(monkeypatch):
         assert (omega(tree), ONE) in pairs
 
 
+def _entries(node):
+    """A vertex's children as ("c", chain) for a path down to a leaf
+    and ("n", edge, entries) for an edge over a branched vertex."""
+    return tuple(_entry(e, _entries(e.child)) for e in node.children)
+
+
+def _entry(edge, below):
+    if not below:
+        return ("c", (edge,))
+    if len(below) == 1 and below[0][0] == "c":
+        return ("c", (edge,) + below[0][1])
+    return ("n", edge, below)
+
+
+def _moves(entries, allowed):
+    """Every single merge anywhere below entries, as copies."""
+    for k in range(1, len(entries) if allowed else 1):
+        left, right = entries[k - 1], entries[k]
+        if left[0] != "c" or right[0] != "c":
+            continue
+        rest = tuple(x[1][0] if x[0] == "c" else x[1] for x in entries[k + 1 :])
+        rule = _rule(list(left[1]), list(right[1]), rest)
+        if rule is None:
+            continue
+        chain = tuple(_merged_chain(rule, list(left[1]), list(right[1])))
+        num, den = _merge_factor(rule, len(left[1]), len(right[1]))
+        yield entries[: k - 1] + (("c", chain),) + entries[k + 1 :], num, den
+    for i, x in enumerate(entries):
+        if x[0] != "n":
+            continue
+        edge = x[1]
+        below = allowed and edge.outgoing is None and edge.incoming is None
+        for sub, num, den in _moves(x[2], below):
+            yield entries[:i] + (_entry(edge, sub),) + entries[i + 1 :], num, den
+
+
+def _order_outcomes(entries):
+    """Final (num, den) pairs over every global order of merges."""
+    if all(x[0] == "c" for x in entries) and len(entries) < 2:
+        return {(_terminal(list(entries[0][1]) if entries else []), ONE)}
+    out = set()
+    for work, num, den in _moves(entries, True):
+        out |= {(num * a, den * b) for a, b in _order_outcomes(work)}
+    return out
+
+
+def test_merge_orders_agree_up_to_length_5():
+    # a copying search over the whole tree, one merge at a time at any
+    # vertex, independent of the per-vertex search in evaluations
+    for n in range(6):
+        for w in all_words(n):
+            tree = build_tree(w)
+            pairs = _order_outcomes(_entries(tree.root))
+            values = {exact_div(a, b) for a, b in pairs}
+            assert len(values) == 1, w
+            assert set(evaluations(tree)) == pairs, w
+
+
 def test_omega_runs_no_search(monkeypatch):
     trees = [build_tree(w) for n in range(8) for w in all_words(n)]
     want = [_omega_or_none(tree) for tree in trees]
@@ -287,6 +346,15 @@ def _snapshot(tree):
         for e in tree.edges()
     ]
     return edges, list(tree.root.children)
+
+
+def test_evaluations_restore_the_tree_exactly():
+    for n in range(9):
+        for w in all_words(n):
+            tree = build_tree(w)
+            before = _snapshot(tree)
+            evaluations(tree)
+            assert _snapshot(tree) == before, w
 
 
 def test_kw_type_a_examples():
