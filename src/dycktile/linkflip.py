@@ -9,6 +9,7 @@ right end by dashed arcs; an odd count leaves the leftmost U unpaired.
 
 A flip rewrites w along a subset S of its arcs: a simple arc (i, j)
 swaps its letters U...D -> D...U, a dashed arc turns both U's into D's.
+S is a set, so flip and the weights refuse an arc listed twice.
 Flips carry multiplicative weights; with L the word length and
 m = (j - i + 1)/2 the arc size, the first weight is -q^m for a simple
 arc and -q^(m + r - 1), r = L - j + 1, for a dashed arc, while the
@@ -19,21 +20,24 @@ incidence matrices.
 
 A link pattern completes the picture: prepend p U's (positions 0, -1,
 -2, ... so the original word keeps 1..L) so that everything pairs, and
-if the last letter of w is a D, re-flag its arc as dashed.  Bracket
-matching leaves d = -min(heights) D's of w unpaired and end_height + d
-U's over, and an odd count of those leaves one U unpaired, so
-p = d + (end_height + d) mod 2.  One pairing pass over U^p w then
-gives every arc.  Outer arcs are those not strictly nested inside
-another arc; every dashed arc is outer.  Each dashed arc collects an
-arrow chain: the non-dashed outer arcs strictly between it and the
-nearest dashed arc on its left (or the start of the word), listed
-right to left.
+if the last letter of w is a D, re-flag its arc as dashed.  It is read
+off w's own pairing, the one pair_arcs makes, because prepended U's
+change no arc of it: with d unpaired D's, the k-th of them (k = 0, 1,
+...) closes the prepended U at -k, the dashed arcs stay, and an
+unpaired U, left by an odd count, pairs as a dashed arc with one more
+prepended U at -d.  So p = d, plus one when a U is unpaired.  Each arc
+is an ExtArc (open, close, dashed), a NamedTuple that also compares
+equal to the plain tuple.  Outer arcs are those not strictly nested
+inside another arc; every dashed arc is outer.  Each dashed arc
+collects an arrow chain: the non-dashed outer arcs strictly between it
+and the nearest dashed arc on its left (or the start of the word),
+listed right to left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .pathword import PathWord
 from .qpoly import ONE, PolyQ
@@ -92,11 +96,21 @@ def pair_arcs(w: PathWord) -> ArcSet:
     return ArcSet(frozenset(simple), frozenset(dashed), tuple(ud), tuple(uu))
 
 
+def _distinct(arcs: Iterable[Arc]) -> Iterator[Arc]:
+    """The arcs of a subset S, refusing one listed twice."""
+    seen = set()
+    for arc in arcs:
+        if arc in seen:
+            raise ValueError("arc %r is listed twice; S is a set of arcs" % (arc,))
+        seen.add(arc)
+        yield arc
+
+
 def flip(w: PathWord, arcs: Iterable[Arc]) -> PathWord:
     """Rewrite w along a subset of its arcs."""
     pairing = pair_arcs(w)
     letters = list(w.steps)
-    for arc in arcs:
+    for arc in _distinct(arcs):
         i, j = arc
         if arc in pairing.simple_arcs:
             letters[i - 1] = "D"
@@ -133,7 +147,7 @@ def arc_exponents(w: PathWord, kind: str) -> tuple[tuple[Arc, int], ...]:
 def _weight(w: PathWord, arcs: Iterable[Arc], kind: str) -> PolyQ:
     exponents = dict(arc_exponents(w, kind))
     acc = ONE
-    for arc in arcs:
+    for arc in _distinct(arcs):
         e = exponents.get(arc)
         if e is None:
             raise ValueError("%r is not an arc of %s" % (arc, w.steps or "''"))
@@ -151,9 +165,12 @@ def weight_II(w: PathWord, arcs: Iterable[Arc]) -> PolyQ:
     return _weight(w, arcs, "II")
 
 
-@dataclass(frozen=True)
-class ExtArc:
-    """An arc of the extended word; open may be <= 0 (prepended U)."""
+class ExtArc(NamedTuple):
+    """An arc of the extended word; open may be <= 0 (prepended U).
+
+    A NamedTuple, so it also compares equal to the plain tuple
+    (open, close, dashed).
+    """
 
     open: int
     close: int
@@ -207,18 +224,23 @@ class LinkPattern:
 
 
 def link_pattern(w: PathWord) -> LinkPattern:
-    """Extend w so everything pairs, then flag dashes, outers, arrows."""
-    d = -min(w.heights)
-    p = d + (w.end_height + d) % 2
-    simple, dashed, ud, uu = _pair_positions(
-        range(1 - p, w.length + 1), "U" * p + w.steps
-    )
-    if ud or uu:
-        raise AssertionError("extension must pair every position")
-    if w.steps.endswith("D"):
-        # simple arcs come in closing order, so the final D closes the last
-        if simple[-1][1] != w.length:
-            raise AssertionError("final D must close a simple arc")
-        dashed.append(simple.pop())
-    arcs = sorted([(i, j, False) for i, j in simple] + [(i, j, True) for i, j in dashed])
-    return LinkPattern(w, p, tuple(ExtArc(*a) for a in arcs))
+    """w's own pairing, extended by prepended U's so everything pairs.
+
+    With d unpaired D's, the k-th of them (k = 0, 1, ...) closes the
+    prepended U at -k.  When a U is left unpaired it pairs with one more
+    prepended U at -d as a dashed arc.  The arc of a final D is flagged
+    dashed.
+    """
+    length = w.length
+    simple, dashed, ud, uu = _pair_positions(range(1, length + 1), w.steps)
+    if len(uu) > 1:
+        raise AssertionError("the pairing must leave at most one U unpaired")
+    # the close of the arc to re-flag; no arc closes at 0
+    last = length if w.steps.endswith("D") else 0
+    d = len(ud)
+    head = [ExtArc(-d, uu[0], True)] if uu else []
+    head += [ExtArc(-k, ud[k], ud[k] == last) for k in range(d - 1, -1, -1)]
+    body = [ExtArc(i, j, j == last) for i, j in simple]
+    body += [ExtArc(i, j, True) for i, j in dashed]
+    body.sort()
+    return LinkPattern(w, d + len(uu), tuple(head + body))

@@ -1,15 +1,15 @@
 """Decorated plane trees of a word and closed product formulas.
 
 A word is read through its link pattern (see linkflip) and turned into
-a rooted plane tree with one edge per arc, in one left-to-right scan of
-the extended word with a stack of open vertices.  An arc's opening
-letter adds an edge below the top vertex and pushes the edge's child;
-the edge is dotted when the arc is dashed.  A closing D pops, so what
-follows an arc that closes with a D hangs beside it as right siblings.
-A dashed arc that closes with a U pops nothing: its edge swallows
-everything to its right, so such an edge is always a rightmost child.
-Arrows between edges are copied from the arrow chains of the link
-pattern, one arrow between consecutive members.
+a rooted plane tree with one edge per arc, in one pass over the arcs
+in open order with a stack of open vertices.  An arc adds an edge below
+the top vertex and pushes the edge's child; the edge is dotted when the
+arc is dashed.  An arc that closes with a D is popped before the next
+arc that opens right of it, so what follows it hangs beside it as
+right siblings.  A dashed arc that closes with a U is never popped:
+its edge swallows everything to its right, so such an edge is always a
+rightmost child.  Arrows between edges are copied from the arrow chains
+of the link pattern, one arrow between consecutive members.
 
 The tree is then evaluated by repeatedly merging two adjacent sibling
 chains (a chain is a child edge whose subtree is a bare path).  With N
@@ -53,18 +53,21 @@ the presence of its arrows, and the skip below arrows and _rule read
 that presence (rule 3 also asks whether the right top points at the
 left top, both edges of the pair at hand).  So a vertex without a
 merge never gains one later, and every order, like the fold, sticks
-there.  The rule numerators and the terminal weight are multiplied in
-one packed product and the denominators divided out once.  The search
-over every merge order (evaluations) is a fold of the same shape: each
-vertex merges every combination of its children's outcomes in every
-order _rule accepts, over the same chain lists, so nothing changes a
-tree once build_tree returns.  It serves as the confluence check: on
-every word through length twelve, each order that finishes gives the
-canonical value, and the canonical order sticks exactly when every
-order does.  Exhaustive comparison against
-the tiling sums covers every word up to length nine: each word either
-evaluates to the same polynomial or raises, and none shorter than six
-raises.  That the raising words lie outside the rules is not shown.
+there.  The rule numerators with the terminal weight, and the rule
+denominators, are sorted into two tuples of factor polynomials, and
+the product and quotient are formed once per distinct pair of tuples
+(the cache is keyed by the factors themselves, so it cannot hand out a
+product of other factors).  The search over every merge order
+(evaluations) is a fold of the same shape: each vertex merges every
+combination of its children's outcomes in every order _rule accepts,
+over the same chain lists, so nothing changes a tree once build_tree
+returns.  It serves as the confluence check: on every word through
+length twelve, each order that finishes gives the canonical value, and
+the canonical order sticks exactly when every order does.  Exhaustive
+comparison against the tiling sums covers every word up to length
+nine: each word either evaluates to the same polynomial or raises, and
+none shorter than six raises.  That the raising words lie outside the
+rules is not shown.
 
 The same product shapes appear on their own: kw_type_a is the hook
 quotient over the simple arcs of a Dyck word, q_b(M, N) multiplies the
@@ -77,6 +80,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from operator import attrgetter
 from typing import Iterator, Optional
 
 from .linkflip import arc_size, link_pattern, pair_arcs
@@ -98,7 +102,8 @@ class StuckTreeError(Exception):
 
 
 def _one_plus_q(i: int) -> PolyQ:
-    return PolyQ((1,) + (0,) * (i - 1) + (1,))
+    """1 + q^i, which is 2 for i = 0."""
+    return ONE + ONE.scale_by_monomial(1, i)
 
 
 @cache
@@ -203,22 +208,27 @@ class PlaneTree:
 
 
 def build_tree(w: PathWord) -> PlaneTree:
-    """The decorated plane tree of a word, one edge per extended arc."""
+    """The decorated plane tree of a word, one edge per extended arc.
+
+    The arcs come in open order.  Before an arc's edge is placed below
+    the top vertex, every vertex whose arc closed with a D to its left
+    is popped; an arc that closes with a U is never popped.
+    """
     lp = link_pattern(w)
-    p = lp.prepended_u_count
-    by_open = {a.open: a for a in lp.arcs}
-    edge_of = {}
+    steps = w.steps
+    never = w.length + 1
     root = TreeNode()
-    stack = [root]
-    for pos, s in zip(range(1 - p, w.length + 1), "U" * p + w.steps):
-        arc = by_open.get(pos)
-        if arc is not None:
-            edge = TreeEdge(TreeNode(), dotted=arc.dashed)
-            edge_of[pos] = edge
-            stack[-1].children.append(edge)
-            stack.append(edge.child)
-        elif s == "D":
-            stack.pop()
+    nodes = [root]
+    closes = [never]
+    edge_of = {}
+    for a in lp.arcs:
+        while closes[-1] < a.open:
+            closes.pop()
+            nodes.pop()
+        edge = edge_of[a.open] = TreeEdge(TreeNode(), a.dashed)
+        nodes[-1].children.append(edge)
+        nodes.append(edge.child)
+        closes.append(a.close if steps[a.close - 1] == "D" else never)
     for chain in lp.arrow_chains():
         for a, b in zip(chain, chain[1:]):
             edge_of[a.open].outgoing = edge_of[b.open]
@@ -354,14 +364,29 @@ def omega(tree: PlaneTree) -> PolyQ:
     every order does, is what the merge-confluence check tests against
     evaluations; it holds for every word through length 12.  The rule
     numerators and the terminal weight are multiplied once and the rule
-    3 denominators divided out once, at the end; InexactDivisionError
-    signals one that fails to divide out.
+    3 denominators divided out once, at the end, by _quotient, which
+    does so once per distinct sorted tuple of factors;
+    InexactDivisionError signals one that fails to divide out.
     """
     nums: list[PolyQ] = []
     dens: list[PolyQ] = []
     end = _terminal(_fold(tree.root, True, nums, dens))
     if end != ONE:
         nums.append(end)
+    nums.sort(key=_coeffs)
+    dens.sort(key=_coeffs)
+    return _quotient(tuple(nums), tuple(dens))
+
+
+_coeffs = attrgetter("coeffs")
+
+
+@cache
+def _quotient(nums: tuple[PolyQ, ...], dens: tuple[PolyQ, ...]) -> PolyQ:
+    """prod(nums) / prod(dens), formed once per distinct pair of sorted
+    factor tuples.  The key is the factors themselves, so a different
+    _merge_factor never reads a stale product, and an
+    InexactDivisionError, like every exception, is not cached."""
     num = prod(nums)
     return exact_div(num, prod(dens)) if dens else num
 

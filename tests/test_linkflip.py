@@ -52,6 +52,18 @@ def test_flip_examples():
         flip(PathWord("UUDD"), [(1, 2)])
 
 
+def test_flip_refuses_a_repeated_arc():
+    # S is a subset of the arcs; flipping (1, 2) twice is not a flip
+    with pytest.raises(ValueError, match=r"\(1, 2\) is listed twice"):
+        flip(PathWord("UDUD"), [(1, 2), (1, 2)])
+
+
+@pytest.mark.parametrize("weight", [weight_I, weight_II])
+def test_weights_refuse_a_repeated_arc(weight):
+    with pytest.raises(ValueError, match=r"\(1, 2\) is listed twice"):
+        weight(PathWord("UDUD"), [(1, 2), (1, 2)])
+
+
 def test_weight_examples():
     mq = ONE.scale_by_monomial(-1, 1)
     assert weight_I(PathWord("UUUU"), [(3, 4)]) == mq
@@ -213,3 +225,43 @@ def test_outer_arcs_are_the_arcs_nested_in_no_other(w):
         if not any(b.open < a.open and a.close < b.close for b in lp.arcs)
     )
     assert lp.outer_arcs() == want
+
+
+def _link_pattern_by_definition(w):
+    """(p, arcs) from the definition: p from the heights, U^p w paired
+    from scratch (bracket matching, then the leftover U's in pairs from
+    the right), and the arc of a final D re-flagged dashed."""
+    d = -min(w.heights)
+    p = d + (w.end_height + d) % 2
+    stack, arcs = [], []
+    for pos, s in zip(range(1 - p, w.length + 1), "U" * p + w.steps):
+        if s == "U":
+            stack.append(pos)
+        else:
+            arcs.append((stack.pop(), pos, False))
+    while stack:
+        close = stack.pop()
+        arcs.append((stack.pop(), close, True))
+    if w.steps.endswith("D"):
+        arcs = [(i, j, dashed or j == w.length) for i, j, dashed in arcs]
+    return p, sorted(arcs)
+
+
+def _as_tuples(lp):
+    return lp.prepended_u_count, [(a.open, a.close, a.dashed) for a in lp.arcs]
+
+
+def test_link_pattern_matches_its_definition_up_to_length_12():
+    for w in _exhaustive_words(12):
+        assert _as_tuples(link_pattern(w)) == _link_pattern_by_definition(w), w
+
+
+@given(st.text(alphabet="UD", min_size=13, max_size=60).map(PathWord))
+def test_link_pattern_matches_its_definition_on_long_words(w):
+    assert _as_tuples(link_pattern(w)) == _link_pattern_by_definition(w)
+
+
+def test_ext_arc_is_a_named_tuple():
+    a = ExtArc(-1, 2, True)
+    assert (a.open, a.close, a.dashed) == (-1, 2, True)
+    assert a == (-1, 2, True) and hash(a) == hash((-1, 2, True))

@@ -9,6 +9,7 @@ from dycktile.linkflip import link_pattern
 from dycktile.pathword import PathWord, all_words, dyck_words
 from dycktile.qpoly import (
     ONE,
+    InexactDivisionError,
     PolyQ,
     exact_div,
     prod,
@@ -114,6 +115,19 @@ def test_link_patterns_and_trees_match_the_recorded_digest():
             blob = [link_pattern(w).to_json(), build_tree(w).to_json()]
             h.update((json.dumps(blob, sort_keys=True) + "\n").encode())
     assert h.hexdigest() == TREE_DIGEST_0_10
+
+
+# sha256 of the tree JSON of every word of length 0-11, one sort_keys
+# dump per line, recorded from the build that paired U^p w from scratch
+TREE_DIGEST_0_11 = "008804e9c2d658c134708a4388403734dd703dd7452af741ec8179862b05c3a7"
+
+
+def test_trees_match_the_recorded_digest_through_length_11():
+    h = hashlib.sha256()
+    for n in range(12):
+        for w in all_words(n):
+            h.update((json.dumps(build_tree(w).to_json(), sort_keys=True) + "\n").encode())
+    assert h.hexdigest() == TREE_DIGEST_0_11
 
 
 # sha256 over every word of length 0-11 of omega's coefficients, or the
@@ -261,6 +275,31 @@ def test_evaluations_explore_orders_omega_does_not_take(monkeypatch):
         pairs = evaluations(tree)
         assert len(pairs) == orders
         assert (omega(tree), ONE) in pairs
+
+
+def test_omega_reads_the_merge_factor_in_force(monkeypatch):
+    # the product cache is keyed by the factors, not by the rule and
+    # chain lengths, so a patched _merge_factor is never read stale
+    fan = PlaneTree(TreeNode(_plain_leaves(3)))
+    terminal = _one_plus_powers(1, 3)
+    assert omega(fan) == q_binomial(2, 1) * q_binomial(3, 1) * terminal
+    monkeypatch.setattr(
+        treeform, "_merge_factor", lambda rule, n, m: (PolyQ((0,) * n + (1,)), ONE)
+    )
+    assert omega(fan) == terminal.scale_by_monomial(1, 3)
+
+
+def test_inexact_division_is_raised_on_every_call(monkeypatch):
+    # [3]^2 does not divide the terminal weight (1+q)(1+q^2)(1+q^3)
+    monkeypatch.setattr(
+        treeform, "_merge_factor", lambda rule, n, m: (ONE, q_int(3))
+    )
+    fan = PlaneTree(TreeNode(_plain_leaves(3)))
+    misses = treeform._quotient.cache_info().misses
+    for _ in range(3):
+        with pytest.raises(InexactDivisionError):
+            omega(fan)
+    assert treeform._quotient.cache_info().misses == misses + 3
 
 
 def _entries(node):
@@ -461,3 +500,10 @@ def test_merge_factor_matches_the_rule_formulas():
             assert _merge_factor(1, n, m) == (q_binomial(m + n, m), ONE)
             assert _merge_factor(2, n, m) == (rule2, ONE)
             assert _merge_factor(3, n, m) == (rule2 * q_int(2 * m + n), q_int(2 * m + 2 * n))
+
+
+def test_one_plus_powers_from_zero():
+    # 1 + q^0 is 2, so the product from 0 doubles the product from 1
+    assert _one_plus_powers(0, 0) == PolyQ((2,))
+    assert _one_plus_powers(0, 2) == PolyQ((2, 2, 2, 2))
+    assert _one_plus_powers(0, 2) == PolyQ((2,)) * _one_plus_powers(1, 2)
