@@ -28,7 +28,8 @@ import time
 from .golden import BASIS_4_0, M_4_0, M_INV_4_0, N_4_0, N_INV_4_0
 from .incidence import build, invert
 from .pathword import PathWord, all_words, dyck_words, truncate_last
-from .qpoly import InexactDivisionError, PolyQ, exact_div, q_int
+from .linkflip import arc_exponents
+from .qpoly import ONE, InexactDivisionError, PolyQ, exact_div, prod, q_int
 from .tiling import (
     EXCLUSIVE,
     INCLUSIVE,
@@ -41,6 +42,7 @@ from .tiling import (
     genfun_lower,
     genfun_pair,
     genfun_upper,
+    lower_words,
     render_svg,
     sum_pool,
     tally,
@@ -306,20 +308,21 @@ def _check_matrix_bridge(k: int):
     """Minv holds the cover-inclusive sums and M the signed cover-exclusive
     tilings, entry by entry.  Row lam of both inverses is read from the
     search of lam's lower sum, column mu of both matrices from that of
-    mu's upper sum; the sum's words, in basis order, are the pairs.  An
-    exclusive region has at most one tiling, signed by its tile count."""
+    mu's upper sum; the words above lam or below mu, in basis order
+    (upper_words, lower_words), are the pairs.  An exclusive region has
+    at most one tiling, signed by its tile count."""
     for n in range(1, k + 1):
         for eps in (0, 1):
             mat_art = build(n, eps, "I")
             mat_tiles = build(n, eps, "II")
             plan = (
-                (INCLUSIVE, invert(mat_art), invert(mat_tiles)),
-                (EXCLUSIVE, mat_art, mat_tiles),
+                (INCLUSIVE, upper_words, invert(mat_art), invert(mat_tiles)),
+                (EXCLUSIVE, lower_words, mat_art, mat_tiles),
             )
-            for cls, by_art, by_tiles in plan:
+            for cls, comparable, by_art, by_tiles in plan:
                 for w in mat_art.basis:
                     pool = sum_pool(w, TYPE_D, cls)
-                    for v in pool.words:
+                    for v in comparable(w, TYPE_D):
                         lam, mu = (w, v) if cls == INCLUSIVE else (v, w)
                         found = enumerate_tilings(build_region(lam, mu, TYPE_D), cls, pool)
                         where = "n=%d eps=%d lam=%s mu=%s" % (n, eps, lam.steps, mu.steps)
@@ -367,6 +370,24 @@ def _check_upper_tiles(k: int):
         left = genfun_upper(w, TYPE_D, "tiles")
         right = genfun_upper(truncate_last(w), TYPE_B, "tiles")
         yield None if left == right else "mu=%s: D %s, B %s" % (w.steps, left, right)
+
+
+def _check_upper_product(k: int):
+    """The D upper sum of mu is a product over the arcs of mu: by tiles
+    (1 + q)^a, a the number of arcs, and by art the product of 1 + q^e
+    with e from arc_exponents(mu, "I").  So it is prod (1 + q^e) over
+    the arcs with the flip weights' exponents, kind II giving e = 1.
+    The identity was found by computation, through length 9 in both
+    signs; the paper states none, and the matrix bridge proves it only
+    at the lengths it runs, where an upper sum adds up a column of M or
+    N with the signs dropped."""
+    for w in _words_through(k):
+        for weight, kind in (("tiles", "II"), ("art", "I")):
+            left = genfun_upper(w, TYPE_D, weight)
+            right = prod(ONE + ONE.scale_by_monomial(1, e) for _, e in arc_exponents(w, kind))
+            yield None if left == right else (
+                "mu=%s %s: enumerated %s, product %s" % (w.steps, weight, left, right)
+            )
 
 
 def _check_tail_product(k: int):
@@ -478,6 +499,7 @@ CHECKS = {
     "matrix-positivity": _check_matrix_positivity,
     "lower-sum-projection": _check_lower_projection,
     "upper-sum-tiles": _check_upper_tiles,
+    "upper-sum-product": _check_upper_product,
     "tail-product": _check_tail_product,
     "ballot-tail-product": _check_ballot_tail,
     "hook-product": _check_hook_product,

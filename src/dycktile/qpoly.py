@@ -324,22 +324,34 @@ def q_double_factorial_even(m: int) -> PolyQ:
 
 
 def q_binomial(n: int, m: int) -> PolyQ:
-    """Gaussian binomial [n choose m]_q, zero when m > n."""
+    """Gaussian binomial [n choose m]_q, zero when m > n.
+
+    Built by the q-Pascal rule [r choose j] = [r-1 choose j-1]
+    + q^j [r-1 choose j], row by row up to n, with j up to
+    min(m, n - m) (the two give the same polynomial); no q-factorial is
+    formed or divided.
+    """
     if n < 0 or m < 0:
         raise ValueError("q_binomial needs n, m >= 0")
     if m > n:
         return ZERO
-    return exact_div(q_factorial(n), q_factorial(m) * q_factorial(n - m))
+    k = min(m, n - m)
+    row = [[1]]  # row[j]: the coefficients of [r choose j], of degree j(r - j)
+    for r in range(1, n + 1):
+        nxt = [[1]]
+        for j in range(1, min(r, k) + 1):
+            c = row[j - 1] + [0] * (j * (r - j) + 1 - len(row[j - 1]))
+            if j < r:
+                for i, a in enumerate(row[j], start=j):
+                    c[i] += a
+            nxt.append(c)
+        row = nxt
+    return PolyQ(row[k])
 
 
 def q2_binomial(n: int, m: int) -> PolyQ:
-    """Even-double-factorial binomial [2n]!! / ([2(n-m)]!! [2m]!!).
-
-    Equals q_binomial(n, m) with q replaced by q^2.
-    """
+    """Even-double-factorial binomial [2n]!! / ([2(n-m)]!! [2m]!!):
+    q_binomial(n, m) with q replaced by q^2."""
     if n < 0 or m < 0:
         raise ValueError("q2_binomial needs n, m >= 0")
-    if m > n:
-        return ZERO
-    den = q_double_factorial_even(m) * q_double_factorial_even(n - m)
-    return exact_div(q_double_factorial_even(n), den)
+    return q_binomial(n, m).subs_q_power(2)

@@ -84,10 +84,13 @@ over the universe's cells in (x, y) order, those outside the
 enclosing region covered from the start, always covering the first
 uncovered cell, and one search finds the tilings of every region of a
 sum.  When it first reaches a column it chooses the
-varying word's height there, one step from the column before, and a
-cut covers the column's cells beyond it; a finished cover belongs to
-the region whose varying word has the chosen heights, if that word is
-one of the sum's.  The sum then visits only the regions with a
+varying word's height there, one step from the column before and
+between the fixed word's height and the enclosing word's, and a cut
+covers the column's cells beyond it.  A finished cover belongs to the
+region whose varying word has the chosen heights, looked up among the
+family's words in the universe; a word found there lies between the
+two words, since every height chosen does, so a sum never lists or
+compares its words.  The sum then visits only the regions with a
 tiling.  When a tile is placed, each of its requirements is checked
 against the tile that already covers the first cell of the set, or
 parked on that cell; the tile that later covers it must then contain
@@ -113,7 +116,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from operator import or_
+from operator import ge, or_
 from typing import Iterable, Iterator, Optional
 
 from .pathword import (
@@ -519,8 +522,11 @@ def _neighbors(cells: Iterable[Coord]) -> set[Coord]:
 
 class _Universe:
     """The region between the family's pointwise-lowest and highest words
-    of one length (and sign, in family D), with its candidates indexed
-    once; empty for family D at length 0 and family A at odd lengths.
+    of one length (and sign, in family D), low and high, with its
+    candidates indexed once; empty for family D at length 0, and with no
+    words for family A at odd lengths.  words maps the heights a word
+    takes in columns 1 to `columns` to the family's word; they determine
+    it, the sign in family D fixing its last step.
 
     Cells are bits in (x, y) order: index maps a cell to its bit, full
     marks them all and column[s] is the column whose height is chosen at
@@ -533,11 +539,11 @@ class _Universe:
     pieces[k] lists tile k's inclusive requirements as (tops, need)
     pairs (_inclusive_pieces); only the comparison of tops with lam's
     heights waits for a pool.
-    cuts[sign][x] maps each height h the words take in column x to
-    (mask, spots, shadow): the cells of column x beyond h, away from the
-    fixed word (sign 1 above, -1 below, a west cell with its whole
-    two-by-two), and the cells beyond h + sign * d in each column
-    x + d, d >= 1.
+    cuts[sign][x] lists, for each height h the words take in column x,
+    from low's to high's, (mask, spots, h, shadow): the cells of column
+    x beyond h, away from the fixed word (sign 1 above, -1 below, a west
+    cell with its whole two-by-two), and the cells beyond h + sign * d
+    in each column x + d, d >= 1.
 
     A region's candidates are the universe's candidates whose cells it
     holds.  A candidate is defined by which cells are present: runs of
@@ -548,15 +554,18 @@ class _Universe:
     """
 
     def __init__(self, type_tag: str, length: int, epsilon: int):
-        words = () if type_tag == TYPE_D and not length else _word_pool(type_tag, length, epsilon)
-        region = None
+        words = _word_pool(type_tag, length, epsilon)
+        self.columns = columns = max(length if type_tag == TYPE_B else length - 1, 0)
+        self.words = {w.heights[1 : columns + 1]: w for w in words}
+        if len(self.words) != len(words):
+            raise ValueError("two words of the family have the same heights")
+        self.low = self.high = region = None
         if words:
-            low, high = min(words, key=_height_sum), max(words, key=_height_sum)
-            region = Region(type_tag, low, high)
+            self.low, self.high = min(words, key=_height_sum), max(words, key=_height_sum)
+            region = Region(type_tag, self.low, self.high)
         order = sorted(region.all_cells) if region else []
         self.index = index = {c: s for s, c in enumerate(order)}
         self.full = (1 << len(order)) - 1
-        self.columns = columns = max(length if type_tag == TYPE_B else length - 1, 0)
         self.column = [min(x, columns) for x, _ in order]
         tiles = sorted(_candidates(region), key=lambda t: (t.cells, t.kind)) if region else []
         self.tiles = tiles
@@ -583,11 +592,11 @@ class _Universe:
             self.near.append(near)
             self.far.append(far)
         self.cuts = {
-            sign: self._cuts(region, sign) if region else [{} for _ in range(columns + 1)]
+            sign: self._cuts(region, sign) if region else [[] for _ in range(columns + 1)]
             for sign in (1, -1)
         }
 
-    def _cuts(self, region: Region, sign: int) -> list[dict[int, tuple[int, list[int], int]]]:
+    def _cuts(self, region: Region, sign: int) -> list[list[tuple[int, list[int], int, int]]]:
         columns, index = self.columns, self.index
         # per column, (y, the cell's bits with the rest of its two-by-two)
         by_column: list[list[tuple[int, list[int]]]] = [[] for _ in range(columns + 1)]
@@ -612,12 +621,12 @@ class _Universe:
                 shadows[x, h] = found
             return found
 
-        out: list[dict[int, tuple[int, list[int], int]]] = [{} for _ in by_column]
+        out: list[list[tuple[int, list[int], int, int]]] = [[] for _ in by_column]
         low, high = region.lam.heights, region.mu.heights
         for x in range(1, columns + 1):
             for h in range(low[x], high[x] + 1, 2):
                 cut = beyond(x, h)
-                out[x][h] = (sum(1 << s for s in cut), cut, shadow(x + 1, h + sign))
+                out[x].append((sum(1 << s for s in cut), cut, h, shadow(x + 1, h + sign)))
         return out
 
 
@@ -639,10 +648,11 @@ class CandidatePool:
     the class's requirements do not depend on.  Inclusive requirements
     depend on lam alone, so mu varies, as in a lower sum.  A tile's
     exclusive neighborhood lies above it, so inside every region between
-    a lower word and mu, and lam varies, as in an upper sum.  words are
-    the varying words in the order given, each between the region's two
-    words, with its length and, in family D, its sign; by default the
-    region's own.
+    a lower word and mu, and lam varies, as in an upper sum.  With varies
+    the varying word is any word of the family between the region's two,
+    and the region must reach from the fixed word to the universe's top
+    (inclusive) or bottom (exclusive), as sum_pool builds it; otherwise
+    the pool has the region alone.
 
     Cells and tiles are those of the family's universe (_Universe):
     tiles, masks and spots are the universe's, and kept lists, in order,
@@ -651,12 +661,17 @@ class CandidatePool:
     counts as covered from the start; a region with a cell outside its
     universe is refused.
 
-    choices[x] lists, for each height h the words take in column x
-    (1 to L - 1, to L in family B), (mask, spots, h, shadow): the
-    universe's cut and shadow at (x, h) inside the region.  default
-    holds the enclosing varying-side word's heights and column[s] the
-    column whose height is chosen at cell s; a lone region's pool
-    chooses none, so every column[s] is 0.
+    choices[x] lists, for each height h between the two words in column
+    x (1 to L - 1, to L in family B), (mask, spots, h, shadow): the
+    universe's cut and shadow at (x, h).  They lie inside the region,
+    whose varying-side word is the universe's own, so the pool takes the
+    universe's list for the column from the fixed word's height on.
+    default holds the enclosing varying-side word's heights and
+    column[s] the column whose height is chosen at cell s; a lone
+    region's pool chooses none, so every column[s] is 0.  word_at maps
+    the chosen heights to the varying word: the universe's words, or
+    the region's own word for a lone region.  A word found there lies
+    between the region's two, because every height chosen does.
 
     first[s] lists the kept tiles whose first cell is s and whose
     requirements can hold.  reqs[k] lists tile k's requirements as
@@ -679,7 +694,7 @@ class CandidatePool:
     carries a two-by-two, as family D asks.
     """
 
-    def __init__(self, region: Region, cls: str, words: Optional[Iterable[PathWord]] = None):
+    def __init__(self, region: Region, cls: str, varies: bool = False):
         if cls not in (INCLUSIVE, EXCLUSIVE):
             raise ValueError("class must be inclusive or exclusive, got %r" % (cls,))
         self.region, self.cls = region, cls
@@ -695,9 +710,8 @@ class CandidatePool:
         self.index, self.full = universe.index, universe.full
         self.start = universe.full & ~inside
         self.fixed, bound = (lam, mu) if cls == INCLUSIVE else (mu, lam)
-        self.words = (bound,) if words is None else tuple(words)
         self._add_tiles(universe)
-        self._add_choices(universe, bound, words is not None)
+        self._add_choices(universe, bound, varies)
 
     @cached_property
     def found(self) -> dict[PathWord, list[tuple[int, ...]]]:
@@ -747,35 +761,31 @@ class CandidatePool:
                 self.first[self.spots[k][0]].append(k)
             self.reqs[k] = compiled
 
-    def _add_choices(self, universe: _Universe, bound: PathWord, chooses: bool) -> None:
-        columns = universe.columns if chooses else 0
+    def _add_choices(self, universe: _Universe, bound: PathWord, varies: bool) -> None:
+        sign = 1 if self.cls == INCLUSIVE else -1
+        if varies and bound != (universe.high if sign == 1 else universe.low):
+            raise ValueError("a sum's region must reach its universe's top or bottom word")
+        columns = universe.columns if varies else 0
         self.default = bound.heights[: columns + 1]
-        self.boundaries = {w.heights[1 : columns + 1]: w for w in self.words}
-        if len(self.boundaries) != len(self.words):
-            raise ValueError("two words of the pool have the same heights")
-        self.column = universe.column if chooses else [0] * len(universe.column)
-        inside = self.full & ~self.start
-        self.choices: list[list[tuple[int, list[int], int, int]]] = [[] for _ in range(columns + 1)]
-        cuts = universe.cuts[1 if self.cls == INCLUSIVE else -1]
-        for x, heights in enumerate(zip(*self.boundaries), start=1):
-            low, high = sorted((self.fixed.heights[x], self.default[x]))
-            for h in sorted(set(heights)):
-                if not low <= h <= high or h not in cuts[x]:
-                    raise ValueError("word does not lie inside the candidate pool's region")
-                mask, spots, shadow = cuts[x][h]
-                self.choices[x].append(
-                    (mask & inside, [s for s in spots if inside >> s & 1], h, shadow & inside)
-                )
+        self.word_at = universe.words if varies else {(): bound}
+        self.column = universe.column if varies else [0] * len(universe.column)
+        self.choices: list[list[tuple[int, list[int], int, int]]] = [[]]
+        for x in range(1, columns + 1):
+            cuts = universe.cuts[sign][x]
+            i = (self.fixed.heights[x] - universe.low.heights[x]) // 2
+            self.choices.append(cuts[i:] if sign == 1 else cuts[: i + 1])
 
     def covers(self, region: Region) -> list[tuple[int, ...]]:
-        """The covers of `region`, which must be one of the pool's regions."""
+        """The covers of `region`, which must be one of the pool's regions:
+        its fixed word the pool's, its varying word one the pool's
+        choices can reach, and mu weakly above lam."""
         lam, mu = region.lam, region.mu
         fixed, varying = (lam, mu) if self.cls == INCLUSIVE else (mu, lam)
-        key = varying.heights[1 : len(self.default)]
         if not (
             region.type_tag == self.region.type_tag
             and fixed == self.fixed
-            and self.boundaries.get(key) == varying
+            and self.word_at.get(varying.heights[1 : len(self.default)]) == varying
+            and all(map(ge, mu.heights, lam.heights))
         ):
             raise ValueError("region is not one of the candidate pool's regions")
         return self.found.get(varying, [])
@@ -811,7 +821,7 @@ def _class_covers(pool: CandidatePool) -> dict[PathWord, list[tuple[int, ...]]]:
     """
     first, choices, column, reqs = pool.first, pool.choices, pool.column, pool.reqs
     spots, masks, full = pool.spots, pool.masks, pool.full
-    boundaries, default = pool.boundaries, pool.default
+    word_at, default = pool.word_at, pool.default
     height = list(default)
     owner = [0] * len(first)  # read only where the cell is covered
     parked: list[list[frozenset]] = [[] for _ in first]
@@ -820,7 +830,7 @@ def _class_covers(pool: CandidatePool) -> dict[PathWord, list[tuple[int, ...]]]:
 
     def walk(covered: int, waiting: int, blocked: int, at: int) -> None:
         if covered == full:
-            w = boundaries.get(tuple(height[1:]))
+            w = word_at.get(tuple(height[1:]))
             if w is not None:
                 found.setdefault(w, []).append(tuple(chosen))
             return
@@ -968,6 +978,8 @@ def tally(counts: list[int], tilings: Iterable[Tiling], weight: str) -> None:
 def _word_pool(type_tag: str, length: int, epsilon: int) -> tuple[PathWord, ...]:
     """Every word of the family with this length (and sign, for D)."""
     if type_tag == TYPE_D:
+        if not length:  # no basis at length 0; the empty word has sign 0
+            return () if epsilon else (PathWord(),)
         return tuple(enumerate_type_d(length, epsilon))
     if type_tag == TYPE_B:
         return tuple(all_words(length))
@@ -977,10 +989,7 @@ def _word_pool(type_tag: str, length: int, epsilon: int) -> tuple[PathWord, ...]
 
 
 def _comparable_words(w: PathWord, type_tag: str, above: bool) -> list[PathWord]:
-    if type_tag == TYPE_D and not w.length:
-        return [w]
-    if type_tag == TYPE_A and not classify(w).is_dyck:
-        raise ValueError("family A needs a Dyck word")
+    _check_family_word(w, type_tag)
     pool = _word_pool(type_tag, w.length, w.epsilon if type_tag == TYPE_D else 0)
     if above:
         return [v for v in pool if is_above(v, w)]
@@ -997,22 +1006,29 @@ def lower_words(mu: PathWord, type_tag: str) -> list[PathWord]:
     return _comparable_words(mu, type_tag, above=False)
 
 
+def _check_family_word(w: PathWord, type_tag: str) -> None:
+    if type_tag == TYPE_A and not classify(w).is_dyck:
+        raise ValueError("family A needs a Dyck word")
+
+
 def _height_sum(w: PathWord) -> int:
     return sum(w.heights)
 
 
 def sum_pool(w: PathWord, type_tag: str, cls: str) -> CandidatePool:
-    """The pool of a sum with its covers found: inclusive, of every
-    region between lam = w and a word above it (a lower sum); exclusive,
-    of every region between a word below w and mu = w (an upper sum).
+    """The pool of a sum, whose covers it finds on first use: inclusive,
+    of every region between lam = w and a word above it (a lower sum);
+    exclusive, of every region between a word below w and mu = w (an
+    upper sum).
 
-    The enclosing region is bounded by the varying word with the
-    largest (inclusive) or smallest (exclusive) height sum."""
-    if cls == EXCLUSIVE:
-        lowers = lower_words(w, type_tag)
-        return CandidatePool(Region(type_tag, min(lowers, key=_height_sum), w), cls, lowers)
-    uppers = upper_words(w, type_tag)
-    return CandidatePool(Region(type_tag, w, max(uppers, key=_height_sum)), cls, uppers)
+    The enclosing region reaches from w to the top (inclusive) or the
+    bottom (exclusive) of the family's universe, whose pointwise-highest
+    and lowest words lie above and below every word of the family; so
+    the sum's words are the family's words between the region's two."""
+    _check_family_word(w, type_tag)
+    universe = _universe(type_tag, w.length, w.epsilon if type_tag == TYPE_D else 0)
+    lam, mu = (universe.low, w) if cls == EXCLUSIVE else (w, universe.high)
+    return CandidatePool(Region(type_tag, lam, mu), cls, varies=True)
 
 
 def _sum_over(pool: CandidatePool, type_tag: str, weight: str) -> PolyQ:

@@ -254,6 +254,12 @@ def test_matrix_bridge_runs_at_the_length_asked():
     assert report["cases"] == 18824  # four per comparable pair, n = 1..7
 
 
+def test_upper_sum_product_runs_at_the_length_asked():
+    report = run_check("upper-sum-product", 7)
+    assert report["passed"]
+    assert report["cases"] == 510  # both weights of every word of length 0..7
+
+
 def test_matrix_bridge_reports_a_second_exclusive_tiling(monkeypatch):
     def twice(region, cls, pool=None):
         found = enumerate_tilings(region, cls, pool)
@@ -277,6 +283,7 @@ BREAKS = (
     ("matrix-positivity", "invert", lambda m: m),
     ("lower-sum-projection", "truncate_last", lambda w: w),
     ("upper-sum-tiles", "truncate_last", lambda w: w),
+    ("upper-sum-product", "arc_exponents", lambda w, kind: ()),
     ("tail-product", "q_b", lambda m, n: ONE),
     ("ballot-tail-product", "q_b", lambda m, n: ONE),
     ("hook-product", "kw_type_a", lambda w: ZERO),

@@ -232,6 +232,18 @@ def test_q2_binomial_is_binomial_in_q_squared(n, m):
     assert q2_binomial(n, m) == q_binomial(n, m).subs_q_power(2)
 
 
+def test_binomials_equal_their_factorial_quotients():
+    # Both binomials are built by the q-Pascal rule; their definitions
+    # are quotients of q-factorials and of even double factorials.
+    evens = q_double_factorial_even
+    for n in range(13):
+        assert q_binomial(n, n + 1) == q2_binomial(n, n + 1) == ZERO
+        for m in range(n + 1):
+            want = exact_div(q_factorial(n), q_factorial(m) * q_factorial(n - m))
+            assert q_binomial(n, m) == want, (n, m)
+            assert q2_binomial(n, m) == exact_div(evens(n), evens(m) * evens(n - m)), (n, m)
+
+
 def _left_fold(fs):
     acc = ONE
     for f in fs:

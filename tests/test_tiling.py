@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -809,6 +810,59 @@ def test_pool_refuses_a_region_outside_its_own():
         enumerate_tilings(build_region(W("DDUU"), W("UUUU"), "D"), EXCLUSIVE, upper)
 
 
+def test_pool_refuses_a_varying_word_not_between_its_words():
+    # DDUU dips below DUDU, so no region of DUDU's lower sum has it as
+    # mu, and no region of DUDU's upper sum has it as lam the other way.
+    crossing = Region("D", W("DUDU"), W("DDUU"))
+    for pool in (sum_pool(W("DUDU"), "D", INCLUSIVE), sum_pool(W("DDUU"), "D", EXCLUSIVE)):
+        with pytest.raises(ValueError, match="not one of the candidate pool's regions"):
+            pool.covers(crossing)
+    # A sum's region reaches the top or bottom of its universe.
+    with pytest.raises(ValueError, match="universe's top or bottom"):
+        CandidatePool(build_region(W("DUDU"), W("UUDD"), "D"), INCLUSIVE, varies=True)
+
+
+# sha256 over every word of family A, B (from length 1) and D through
+# length 7 of the coefficients of its lower sum by art and its upper sum
+# by tiles, one json dump per line, recorded from the sums that chose
+# their words by comparing every word of the family with the fixed one
+SUMS_DIGEST_0_7 = "ca513b58005036080caf59e74efba47c0d24e46eaf218655769fffebeb66da1d"
+
+
+def test_sums_match_the_recorded_digest():
+    h = hashlib.sha256()
+    for family, lo in (("A", 0), ("B", 1), ("D", 0)):
+        for n in range(lo, 8):
+            for w in dyck_words(n) if family == "A" else all_words(n):
+                blob = [
+                    list(genfun_lower(w, family, "art").coeffs),
+                    list(genfun_upper(w, family, "tiles").coeffs),
+                ]
+                h.update((json.dumps(blob) + "\n").encode())
+    assert h.hexdigest() == SUMS_DIGEST_0_7
+
+
+def test_sum_choices_are_the_heights_of_the_sums_words():
+    # A sum's pool offers every height between the fixed word and the
+    # top or bottom of its universe, without listing the sum's words;
+    # each must be a height that one of the words above or below the
+    # fixed word takes in that column, and each such height offered.
+    # The pool takes the universe's cuts as they are, so none may reach
+    # a cell outside its region.
+    for family in "ABD":
+        for n in range(9):
+            for w in dyck_words(n) if family == "A" else all_words(n):
+                for cls, words in ((INCLUSIVE, upper_words), (EXCLUSIVE, lower_words)):
+                    pool = sum_pool(w, family, cls)
+                    vs = words(w, family)
+                    for x in range(1, len(pool.choices)):
+                        offered = [h for _, _, h, _ in pool.choices[x]]
+                        want = sorted({v.heights[x] for v in vs})
+                        assert offered == want, (family, w.steps, cls, x)
+                        for mask, _, _, shadow in pool.choices[x]:
+                            assert not (mask | shadow) & pool.start, (family, w.steps, cls, x)
+
+
 # -- the tile universe ---------------------------------------------------------
 
 
@@ -929,7 +983,10 @@ def test_a_sum_tallies_what_its_pairs_give():
         for w in all_words(n):
             for cls in (INCLUSIVE, EXCLUSIVE):
                 pool = sum_pool(w, "D", cls)
-                pairs = [(w, v) if cls == INCLUSIVE else (v, w) for v in pool.words]
+                if cls == INCLUSIVE:
+                    pairs = [(w, v) for v in upper_words(w, "D")]
+                else:
+                    pairs = [(v, w) for v in lower_words(w, "D")]
                 for weight in WEIGHTS:
                     want = sum((genfun_pair(lam, mu, "D", cls, weight, pool) for lam, mu in pairs), ZERO)
                     assert _sum_over(pool, "D", weight) == want, (w, cls, weight)
