@@ -811,12 +811,13 @@ def test_pool_refuses_a_region_outside_its_own():
 
 
 def test_pool_refuses_a_varying_word_not_between_its_words():
-    # DDUU dips below DUDU, so no region of DUDU's lower sum has it as
-    # mu, and no region of DUDU's upper sum has it as lam the other way.
-    crossing = Region("D", W("DUDU"), W("DDUU"))
+    # DDUU lies below DUDU, so the region with lam = DUDU and mu = DDUU
+    # is upside down: DUDU's lower sum has no region with mu = DDUU, and
+    # DDUU's upper sum none with lam = DUDU.
+    upside_down = Region("D", W("DUDU"), W("DDUU"))
     for pool in (sum_pool(W("DUDU"), "D", INCLUSIVE), sum_pool(W("DDUU"), "D", EXCLUSIVE)):
         with pytest.raises(ValueError, match="not one of the candidate pool's regions"):
-            pool.covers(crossing)
+            pool.covers(upside_down)
     # A sum's region reaches the top or bottom of its universe.
     with pytest.raises(ValueError, match="universe's top or bottom"):
         CandidatePool(build_region(W("DUDU"), W("UUDD"), "D"), INCLUSIVE, varies=True)
