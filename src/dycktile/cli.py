@@ -354,22 +354,27 @@ def _check_matrix_positivity(k: int):
                         )
 
 
-def _check_lower_projection(k: int):
+def _projections(k: int, genfun, weight: str, role: str):
+    """genfun of every D word w of length 1 to k against genfun of the
+    B word truncate_last(w).  _words_through yields vU just before vD,
+    so each B word v is summed once."""
+    v = right = None
     for w in _words_through(k):
         if not w.length:
             continue
-        left = genfun_lower(w, TYPE_D, "art")
-        right = genfun_lower(truncate_last(w), TYPE_B, "art")
-        yield None if left == right else "lam=%s: D %s, B %s" % (w.steps, left, right)
+        u = truncate_last(w)
+        if u != v:
+            v, right = u, genfun(u, TYPE_B, weight)
+        left = genfun(w, TYPE_D, weight)
+        yield None if left == right else "%s=%s: D %s, B %s" % (role, w.steps, left, right)
+
+
+def _check_lower_projection(k: int):
+    return _projections(k, genfun_lower, "art", "lam")
 
 
 def _check_upper_tiles(k: int):
-    for w in _words_through(k):
-        if not w.length:
-            continue
-        left = genfun_upper(w, TYPE_D, "tiles")
-        right = genfun_upper(truncate_last(w), TYPE_B, "tiles")
-        yield None if left == right else "mu=%s: D %s, B %s" % (w.steps, left, right)
+    return _projections(k, genfun_upper, "tiles", "mu")
 
 
 def _check_upper_product(k: int):

@@ -56,9 +56,6 @@ class PathWord:
         """Sign epsilon with end height = length + 2 epsilon (mod 4)."""
         return ((self.end_height - self.length) // 2) % 2
 
-    def concat(self, other: "PathWord") -> "PathWord":
-        return PathWord(self.steps + other.steps)
-
     def mirror(self) -> "PathWord":
         """Left-right reversal with U and D exchanged."""
         swap = {"U": "D", "D": "U"}

@@ -61,8 +61,8 @@ Candidates.  The candidate tiles of one family, length and sign are
 built once per process, from the region between the family's
 pointwise-lowest and pointwise-highest words, its universe, and
 indexed there: cells as bits, each tile's exclusive neighborhood, its
-dropped pieces as masks with the heights lam must reach for them to
-drop below it, and each column's cuts (_Universe).  A candidate is defined by which cells
+dropped pieces as masks, each column's cuts, and each word's span, the
+universe cells below it (_Universe).  A candidate is defined by which cells
 are present, and in family D a west cell lies in a region exactly when
 its two-by-two does, since an end height is never in the two-by-two
 residue class; so a region's candidates are the universe's candidates
@@ -103,11 +103,15 @@ a region with more than one.
 
 Readout.  A region stores only its family and its two words; its cells
 are computed on first use, column by column (_region_columns), and
-reading a sum never needs them.  A sum builds each region that has a
-cover (build_region, which checks its words) and reads its tilings
-through enumerate_tilings, which checks every cover by bit masks: the
-tiles' masks must be disjoint and together the region's mask, read
-from the two words' heights over the universe's cells.  Every tiling's
+reading a sum never needs them.  A cell lies in the region between lam
+and mu exactly when it is below mu and not below lam, so the region's
+mask is span[mu] & ~span[lam], the universe's spans being read once per
+word; a pool also reads "mu weakly above lam" as span[lam] & ~span[mu]
+being empty, and "a piece drops below lam" as its dropped cells lying
+in span[lam].  A sum builds each region that has a cover (build_region,
+which checks its words) and reads its tilings through
+enumerate_tilings, which checks every cover by bit masks: the tiles'
+masks must be disjoint and together the region's mask.  Every tiling's
 statistic goes into one count list, so a sum builds one PolyQ.
 """
 
@@ -116,7 +120,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
-from operator import ge, or_
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 from .pathword import (
@@ -472,19 +476,24 @@ def _pieces(tile: Tile) -> list[tuple[tuple[Coord, ...], int]]:
 
 
 def _inclusive_pieces(
-    tile: Tile, index: dict[Coord, int], length: int
-) -> list[tuple[tuple[tuple[int, int], ...], Optional[int]]]:
+    tile: Tile, index: dict[Coord, int]
+) -> list[tuple[int, Optional[int]]]:
     """The tile's inclusive requirements before lam is known: for each
     piece whose dropped cells do not all lie inside the tile itself,
-    (tops, need).
+    (drop, need).
 
-    A piece needs nothing when it drops weakly below lam: lam reaches
-    height t in column x for each (x, t) in tops, t being the top corner
-    of the piece's highest dropped cell there (columns past the terminal
-    line are ignored).  Otherwise its dropped cells must land inside one
-    tile: need is their mask over the universe's cells, or None when
-    they meet the tile without lying inside it, or leave the universe,
-    so that no tile of any region can hold them.
+    A piece needs nothing when it drops weakly below lam, that is when
+    every dropped cell has its top corner weakly below lam (columns past
+    the terminal line ignored).  drop marks the dropped cells inside the
+    universe, and the piece drops below lam exactly when they all lie in
+    lam's span (_Universe.span), the universe cells below lam: the
+    dropped cells outside the universe lie below its lowest word, so
+    below every lam, and an east cell of a two-by-two lies in a span
+    with the south and north cells the piece also drops.  Otherwise its
+    dropped cells must land inside one tile: need is their mask over the
+    universe's cells, or None when they meet the tile without lying
+    inside it, or leave the universe, so that no tile of any region can
+    hold them.
 
     The definition also asks that tile to be at least as large as the
     piece, which follows from containment.  A piece larger than one box
@@ -495,18 +504,15 @@ def _inclusive_pieces(
     """
     own = frozenset(tile.cells)
     out = []
-    for cells, drop in _pieces(tile):
-        moved = frozenset((x, y - drop) for x, y in cells)
+    for cells, shift in _pieces(tile):
+        moved = frozenset((x, y - shift) for x, y in cells)
         if moved <= own:
             continue
-        tops: dict[int, int] = {}
-        for x, y in moved:
-            if x <= length:
-                tops[x] = max(tops.get(x, y + 1), y + 1)
+        drop = sum(1 << index[c] for c in moved if c in index)
         need = None
         if not moved & own and all(c in index for c in moved):
-            need = sum(1 << index[c] for c in moved)
-        out.append((tuple(tops.items()), need))
+            need = drop
+        out.append((drop, need))
     return out
 
 
@@ -536,9 +542,9 @@ class _Universe:
     the tiles that hold cell s.  Tile k's exclusive neighbor positions
     inside the universe are around[k], near[k] those of them at x <= L,
     and far[k] says whether one lies outside the universe at x <= L.
-    pieces[k] lists tile k's inclusive requirements as (tops, need)
-    pairs (_inclusive_pieces); only the comparison of tops with lam's
-    heights waits for a pool.
+    pieces[k] lists tile k's inclusive requirements as (drop, need)
+    pairs (_inclusive_pieces); only the test of drop against lam's span
+    waits for a pool.
     cuts[sign][x] lists, for each height h the words take in column x,
     from low's to high's, (mask, spots, h, shadow): the cells of column
     x beyond h, away from the fixed word (sign 1 above, -1 below, a west
@@ -551,6 +557,15 @@ class _Universe:
     it lifts onto.  A family-D west cell lies in a region exactly when
     its two-by-two does, since an end height is never in the two-by-two
     residue class; so a region and the universe lift the same tiles.
+
+    span[w], for each of the family's words w, marks the universe cells
+    between low and w, read once from their heights (_region_mask).  A
+    cell lies between lam and mu exactly when it is below mu and not
+    below lam, so for mu weakly above lam the region's mask is
+    span[mu] & ~span[lam]; and mu is weakly above lam exactly when
+    span[lam] & ~span[mu] is empty, a column where lam passes mu
+    holding a cell below lam and not below mu.  The two-by-twos obey
+    both, since all of a sign's end heights share one residue mod 4.
     """
 
     def __init__(self, type_tag: str, length: int, epsilon: int):
@@ -575,7 +590,7 @@ class _Universe:
         for k, ss in enumerate(self.spots):
             for s in ss:
                 self.holders[s].append(k)
-        self.pieces = [_inclusive_pieces(t, index, length) for t in tiles]
+        self.pieces = [_inclusive_pieces(t, index) for t in tiles]
         self.around, self.near, self.far = [], [], []
         for t in tiles:
             around = near = 0
@@ -595,6 +610,7 @@ class _Universe:
             sign: self._cuts(region, sign) if region else [[] for _ in range(columns + 1)]
             for sign in (1, -1)
         }
+        self.span = {w: _region_mask(Region(type_tag, self.low, w), index) for w in words}
 
     def _cuts(self, region: Region, sign: int) -> list[list[tuple[int, list[int], int, int]]]:
         columns, index = self.columns, self.index
@@ -655,11 +671,16 @@ class CandidatePool:
     the pool has the region alone.
 
     Cells and tiles are those of the family's universe (_Universe):
-    tiles, masks and spots are the universe's, and kept lists, in order,
-    the tiles whose cells the enclosing region holds, its candidates.
-    start marks the universe cells outside the region, which the search
-    counts as covered from the start; a region with a cell outside its
-    universe is refused.
+    tiles, masks, spots and span are the universe's, and kept lists, in
+    order, the tiles whose cells the enclosing region holds, its
+    candidates.  start marks the universe cells outside the region,
+    span[mu] & ~span[lam] being those inside, which the search counts
+    as covered from the start; a region with a word that is not one of
+    the universe's words is refused.
+
+    fixed is the region's word on the fixed side and bound its other
+    word, the enclosing word of the varying side; varies is True for a
+    sum's pool.
 
     choices[x] lists, for each height h between the two words in column
     x (1 to L - 1, to L in family B), (mask, spots, h, shadow): the
@@ -677,13 +698,13 @@ class CandidatePool:
     requirements can hold.  reqs[k] lists tile k's requirements as
     (s, fits): the tile covering cell s, the first of the set, must be
     one of fits.  Inclusive, the requirements are the tile's dropped
-    pieces; exclusive, its neighbor positions inside the enclosing
-    region, around[k] outside start.  A tile is dropped when a requirement
-    leaves the enclosing region, when it has exclusive neighbors inside
-    and one outside at x <= L (far[k], or near[k] & start), or when no
-    tile fits a requirement.  found, searched on first use, maps each
-    varying word whose region has a cover to its covers, as tuples of
-    tile indices.
+    pieces whose cells do not all lie in lam's span; exclusive, its
+    neighbor positions inside the enclosing region, around[k] outside
+    start.  A tile is dropped when a requirement leaves the enclosing
+    region, when it has exclusive neighbors inside and one outside at
+    x <= L (far[k], or near[k] & start), or when no tile fits a
+    requirement.  found, searched on first use, maps each varying word
+    whose region has a cover to its covers, as tuples of tile indices.
 
     The exclusive rule: the region cells just above, northwest or
     northeast of the tile lie in one other tile; such a neighbor outside
@@ -701,17 +722,16 @@ class CandidatePool:
         lam, mu = region.lam, region.mu
         epsilon = lam.epsilon if region.type_tag == TYPE_D else 0
         universe = _universe(region.type_tag, region.length, epsilon)
-        inside = 0
-        for c in region.all_cells:
-            s = universe.index.get(c)
-            if s is None:
-                raise ValueError("region has cell %s outside its family's tile universe" % (c,))
-            inside |= 1 << s
-        self.index, self.full = universe.index, universe.full
-        self.start = universe.full & ~inside
-        self.fixed, bound = (lam, mu) if cls == INCLUSIVE else (mu, lam)
+        self.span = span = universe.span
+        for w in (lam, mu):
+            if w not in span:
+                raise ValueError("region word %s is outside its family's tile universe" % (w,))
+        self.full = universe.full
+        self.start = universe.full & ~(span[mu] & ~span[lam])
+        self.fixed, self.bound = (lam, mu) if cls == INCLUSIVE else (mu, lam)
+        self.varies = varies
         self._add_tiles(universe)
-        self._add_choices(universe, bound, varies)
+        self._add_choices(universe)
 
     @cached_property
     def found(self) -> dict[PathWord, list[tuple[int, ...]]]:
@@ -724,14 +744,10 @@ class CandidatePool:
         self.kept = [k for k, m in enumerate(self.masks) if not m & start]
         alive = bytearray(len(self.tiles))
         all_wants = []
-        lh = self.region.lam.heights
+        below = self.span[self.region.lam]
         for k in self.kept:
             if cls == INCLUSIVE:
-                wants = tuple(
-                    need
-                    for tops, need in universe.pieces[k]
-                    if any(lh[x] < t for x, t in tops)
-                )
+                wants = tuple(need for drop, need in universe.pieces[k] if drop & ~below)
                 if any(need is None or need & start for need in wants):
                     continue
             else:
@@ -761,8 +777,9 @@ class CandidatePool:
                 self.first[self.spots[k][0]].append(k)
             self.reqs[k] = compiled
 
-    def _add_choices(self, universe: _Universe, bound: PathWord, varies: bool) -> None:
+    def _add_choices(self, universe: _Universe) -> None:
         sign = 1 if self.cls == INCLUSIVE else -1
+        bound, varies = self.bound, self.varies
         if varies and bound != (universe.high if sign == 1 else universe.low):
             raise ValueError("a sum's region must reach its universe's top or bottom word")
         columns = universe.columns if varies else 0
@@ -777,15 +794,19 @@ class CandidatePool:
 
     def covers(self, region: Region) -> list[tuple[int, ...]]:
         """The covers of `region`, which must be one of the pool's regions:
-        its fixed word the pool's, its varying word one the pool's
-        choices can reach, and mu weakly above lam."""
+        its fixed word the pool's, its varying word one of the universe's
+        words for a sum or the region's own for a lone region, and mu
+        weakly above lam, read from the two words' spans."""
         lam, mu = region.lam, region.mu
         fixed, varying = (lam, mu) if self.cls == INCLUSIVE else (mu, lam)
+        below, above = self.span.get(lam), self.span.get(mu)
         if not (
             region.type_tag == self.region.type_tag
             and fixed == self.fixed
-            and self.word_at.get(varying.heights[1 : len(self.default)]) == varying
-            and all(map(ge, mu.heights, lam.heights))
+            and (self.varies or varying == self.bound)
+            and below is not None
+            and above is not None
+            and not below & ~above
         ):
             raise ValueError("region is not one of the candidate pool's regions")
         return self.found.get(varying, [])
@@ -886,11 +907,11 @@ def enumerate_tilings(
 
     pool is the pool of a sum with this region among its regions, whose
     search has found the covers; by default the region gets its own.
-    Every cover is checked against the region's mask, built from the
-    two words' heights over the universe's cells (_region_mask): its
-    tiles' masks must be disjoint, so that their sum is their union,
-    and their union must be that mask.  So reading a region's tilings
-    never computes its cells.
+    Every cover is checked against the region's mask, span[mu] &
+    ~span[lam] over the universe's cells (_Universe.span): its tiles'
+    masks must be disjoint, so that their sum is their union, and their
+    union must be that mask.  So reading a region's tilings never
+    computes its cells or walks its columns.
     """
     if pool is None:
         pool = CandidatePool(region, cls)
@@ -899,7 +920,7 @@ def enumerate_tilings(
     covers = pool.covers(region)
     if not covers:
         return ()
-    want = _region_mask(region, pool.index)
+    want = pool.span[region.mu] & ~pool.span[region.lam]
     masks, tiles = pool.masks, pool.tiles
     out = []
     for cover in sorted(tuple(sorted(c)) for c in covers):
@@ -915,7 +936,8 @@ def enumerate_tilings(
 
 def _region_mask(region: Region, index: dict[Coord, int]) -> int:
     """The region's cells as bits of a universe that holds them, read
-    from its words' heights (_region_columns).
+    from its words' heights (_region_columns); the universe reads each
+    word's span with it, once per word.
 
     The universe numbers its cells in (x, y) order and holds every cell
     between its own words, so the cells of one column range are one run

@@ -882,15 +882,18 @@ def test_pool_tiles_are_the_enclosing_regions_candidates():
 
 
 def test_region_with_a_cell_outside_its_universe_is_refused():
-    # (1, 4) lies above every family-D word of length 2; a region
-    # computes its cells on first use, so seed them
-    region = Region("D", W("DD"), W("UU"))
-    region.__dict__["_cells"] = (frozenset({(1, 4)}), frozenset())
-    for cls in (INCLUSIVE, EXCLUSIVE):
-        with pytest.raises(ValueError, match="outside its family's tile universe"):
-            CandidatePool(region, cls)
-        with pytest.raises(ValueError, match="outside its family's tile universe"):
-            enumerate_tilings(region, cls)
+    # A pool reads a region's cells from its two words' spans in the
+    # universe of lam's sign, so a region built directly, past
+    # build_region's check, with a family-D word of the other sign is
+    # refused, whichever of its words that is.
+    for lam, mu in (("DD", "UD"), ("UD", "UU")):
+        region = Region("D", W(lam), W(mu))
+        assert W(lam).epsilon != W(mu).epsilon
+        for cls in (INCLUSIVE, EXCLUSIVE):
+            with pytest.raises(ValueError, match="outside its family's tile universe"):
+                CandidatePool(region, cls)
+            with pytest.raises(ValueError, match="outside its family's tile universe"):
+                enumerate_tilings(region, cls)
 
 
 def test_pool_over_its_whole_universe():
@@ -974,6 +977,58 @@ def test_region_cells_and_mask_follow_from_the_heights():
                     assert _region_mask(region, index) == cells, (family, lam, mu)
                     pairs += 1
     assert pairs == 13513
+
+
+def test_spans_give_the_order_and_every_region_mask():
+    # A region's mask is read as span[mu] & ~span[lam], and a pool takes
+    # mu weakly above lam when span[lam] & ~span[mu] is empty.  Both
+    # must hold for every pair of the family's words through length 7.
+    pairs = comparable = 0
+    for family in "ABD":
+        for n in range(1 if family == "B" else 0, 8):
+            for eps in (0, 1) if family == "D" else (0,):
+                universe = _universe(family, n, eps)
+                span, index = universe.span, universe.index
+                assert set(span) == set(universe.words.values())
+                for lam in span:
+                    for mu in span:
+                        above = is_above(mu, lam)
+                        assert (not span[lam] & ~span[mu]) == above, (family, lam, mu)
+                        if above:
+                            region = build_region(lam, mu, family)
+                            cells = sum(1 << index[c] for c in region.all_cells)
+                            assert span[mu] & ~span[lam] == cells, (family, lam, mu)
+                            comparable += 1
+                        pairs += 1
+    assert (pairs, comparable) == (32798, 13513)
+
+
+def test_a_piece_drops_below_lam_when_its_cells_lie_in_lams_span():
+    # A pool reads "the piece drops weakly below lam" as a mask test of
+    # its dropped cells inside the universe against lam's span.  By the
+    # definition, lam must reach the top corner of every dropped cell at
+    # x <= L, those outside the universe included.  Every piece of every
+    # universe tile through length 7 must agree for every word.
+    checked = 0
+    for family in "ABD":
+        for n in range(1 if family == "B" else 0, 8):
+            for eps in (0, 1) if family == "D" else (0,):
+                universe = _universe(family, n, eps)
+                for tile, pieces in zip(universe.tiles, universe.pieces):
+                    own = set(tile.cells)
+                    dropped = [
+                        (cells, drop)
+                        for cells, drop, _ in _oracle_pieces(tile)
+                        if not {(x, y - drop) for x, y in cells} <= own
+                    ]
+                    assert len(dropped) == len(pieces), (family, tile)
+                    for lam, below in universe.span.items():
+                        lh = lam.heights
+                        for (cells, drop), (mask, _) in zip(dropped, pieces):
+                            want = all(x > n or y - drop + 1 <= lh[x] for x, y in cells)
+                            assert (not mask & ~below) == want, (family, lam, tile)
+                            checked += 1
+    assert checked == 35008
 
 
 def test_a_sum_tallies_what_its_pairs_give():
