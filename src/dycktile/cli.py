@@ -44,7 +44,7 @@ from .tiling import (
     genfun_upper,
     lower_words,
     render_svg,
-    sum_pool,
+    sum_tilings,
     tally,
     tiling_record,
     upper_words,
@@ -107,14 +107,21 @@ def cmd_matrix(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
 # -- genfun ------------------------------------------------------------------
 
 
+# The sum over upper words is the cover-inclusive one; genfun and
+# tilings refuse the exclusive class without a pair.
+EXCLUSIVE_NEEDS_MU = "the exclusive class needs --mu: the sum over upper words is cover-inclusive"
+
+
 def cmd_genfun(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     lam = _parse_word(parser, args.lam, args.allow_long)
     try:
         if args.mu is not None:
             mu = _parse_word(parser, args.mu, args.allow_long)
             poly = genfun_pair(lam, mu, args.family, args.cls, args.weight)
+        elif args.cls == EXCLUSIVE:
+            raise ValueError(EXCLUSIVE_NEEDS_MU)
         else:
-            poly = genfun_lower(lam, args.family, args.weight, args.cls)
+            poly = genfun_lower(lam, args.family, args.weight)
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN
@@ -143,15 +150,13 @@ def cmd_tilings(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     lam = _parse_word(parser, args.lam, args.allow_long)
     try:
         if args.mu is not None:
-            uppers = [_parse_word(parser, args.mu, args.allow_long)]
+            mu = _parse_word(parser, args.mu, args.allow_long)
+            tilings = enumerate_tilings(build_region(lam, mu, args.family), args.cls)
+        elif args.cls == EXCLUSIVE:
+            raise ValueError(EXCLUSIVE_NEEDS_MU)
         else:
-            uppers = upper_words(lam, args.family)
-        found = []
-        for mu in uppers:
-            region = build_region(lam, mu, args.family)
-            for t in enumerate_tilings(region, args.cls):
-                if args.filter_art is None or t.art == args.filter_art:
-                    found.append(t)
+            tilings = [t for _, ts in sum_tilings(lam, args.family, INCLUSIVE) for t in ts]
+        found = [t for t in tilings if args.filter_art is None or t.art == args.filter_art]
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN
@@ -306,11 +311,12 @@ def _check_golden_matrices(k: int):
 
 def _check_matrix_bridge(k: int):
     """Minv holds the cover-inclusive sums and M the signed cover-exclusive
-    tilings, entry by entry.  Row lam of both inverses is read from the
-    search of lam's lower sum, column mu of both matrices from that of
-    mu's upper sum; the words above lam or below mu, in basis order
-    (upper_words, lower_words), are the pairs.  An exclusive region has
-    at most one tiling, signed by its tile count."""
+    tilings, entry by entry.  Row lam of both inverses is read from lam's
+    lower sum, column mu of both matrices from mu's upper sum, each one
+    sum_tilings search; the words above lam or below mu, in basis order
+    (upper_words, lower_words), are the pairs, and a pair the sum has no
+    tiling for is compared with zero.  An exclusive region has at most
+    one tiling, signed by its tile count."""
     for n in range(1, k + 1):
         for eps in (0, 1):
             mat_art = build(n, eps, "I")
@@ -321,10 +327,10 @@ def _check_matrix_bridge(k: int):
             )
             for cls, comparable, by_art, by_tiles in plan:
                 for w in mat_art.basis:
-                    pool = sum_pool(w, TYPE_D, cls)
+                    tilings = dict(sum_tilings(w, TYPE_D, cls))
                     for v in comparable(w, TYPE_D):
                         lam, mu = (w, v) if cls == INCLUSIVE else (v, w)
-                        found = enumerate_tilings(build_region(lam, mu, TYPE_D), cls, pool)
+                        found = tilings.get(v, ())
                         where = "n=%d eps=%d lam=%s mu=%s" % (n, eps, lam.steps, mu.steps)
                         for matrix, weight in ((by_art, "art"), (by_tiles, "tiles")):
                             if cls == EXCLUSIVE and len(found) > 1:
@@ -348,7 +354,7 @@ def _check_matrix_positivity(k: int):
                 inv = invert(build(n, eps, kind))
                 for row, lam in zip(inv.rows, inv.basis):
                     for j, p in row:
-                        yield None if all(c >= 0 for c in p.coeffs) else (
+                        yield None if p.is_nonnegative() else (
                             "n=%d eps=%d kind=%s lam=%s mu=%s: %s"
                             % (n, eps, kind, lam.steps, inv.basis[j].steps, p)
                         )
@@ -600,7 +606,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("genfun", parents=[common], help="print a generating function")
     p.add_argument("--lambda", dest="lam", required=True, metavar="WORD")
-    p.add_argument("--mu", metavar="WORD", help="upper word; sums over all when absent")
+    p.add_argument(
+        "--mu",
+        metavar="WORD",
+        help="upper word; when absent, the cover-inclusive sum over all upper words",
+    )
     p.add_argument("--type", dest="family", choices=(TYPE_A, TYPE_B, TYPE_D), default=TYPE_D)
     p.add_argument("--weight", choices=WEIGHTS, default="art")
     p.add_argument("--class", dest="cls", choices=(INCLUSIVE, EXCLUSIVE), default=INCLUSIVE)
@@ -609,7 +619,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tilings", parents=[common], help="list or render tilings")
     p.add_argument("--lambda", dest="lam", required=True, metavar="WORD")
-    p.add_argument("--mu", metavar="WORD")
+    p.add_argument(
+        "--mu",
+        metavar="WORD",
+        help="upper word; when absent, the cover-inclusive tilings over all upper words",
+    )
     p.add_argument("--type", dest="family", choices=(TYPE_A, TYPE_B, TYPE_D), default=TYPE_D)
     p.add_argument("--class", dest="cls", choices=(INCLUSIVE, EXCLUSIVE), default=INCLUSIVE)
     p.add_argument("--filter-art", type=int, help="keep tilings with this art value")

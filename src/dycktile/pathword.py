@@ -56,11 +56,6 @@ class PathWord:
         """Sign epsilon with end height = length + 2 epsilon (mod 4)."""
         return ((self.end_height - self.length) // 2) % 2
 
-    def mirror(self) -> "PathWord":
-        """Left-right reversal with U and D exchanged."""
-        swap = {"U": "D", "D": "U"}
-        return PathWord("".join(swap[s] for s in reversed(self.steps)))
-
     def __str__(self) -> str:
         return self.steps
 

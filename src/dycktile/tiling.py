@@ -75,9 +75,9 @@ and in family D their two-by-twos are those whose west cell they keep.
 Requirements do not change from region to region: the inclusive ones
 depend on lam, which a lower sum fixes, and a tile's exclusive
 neighborhood lies above it, so inside every region between a varying
-lam and the fixed mu.  The exclusive class over a varying mu
-(genfun_lower's exclusive class) has requirements that depend on mu,
-so it searches each region alone.
+lam and the fixed mu.  So the two sums are the paper's two generating
+functions: the cover-inclusive tilings over the words above lam, and
+the cover-exclusive tilings over the words below mu.
 
 The search is Algorithm X (Knuth's exact cover, here over bit masks)
 over the universe's cells in (x, y) order, those outside the
@@ -106,13 +106,14 @@ are computed on first use, column by column (_region_columns), and
 reading a sum never needs them.  A cell lies in the region between lam
 and mu exactly when it is below mu and not below lam, so the region's
 mask is span[mu] & ~span[lam], the universe's spans being read once per
-word; a pool also reads "mu weakly above lam" as span[lam] & ~span[mu]
-being empty, and "a piece drops below lam" as its dropped cells lying
-in span[lam].  A sum builds each region that has a cover (build_region,
-which checks its words) and reads its tilings through
+word from its column cuts; a pool also reads "mu weakly above lam" as
+span[lam] & ~span[mu] being empty, and "a piece drops below lam" as
+its dropped cells lying in span[lam].  Every reader of a sum goes
+through sum_tilings, which builds each region that has a cover
+(build_region, which checks its words) and reads its tilings through
 enumerate_tilings, which checks every cover by bit masks: the tiles'
-masks must be disjoint and together the region's mask.  Every tiling's
-statistic goes into one count list, so a sum builds one PolyQ.
+masks must be disjoint and together the region's mask.  A sum tallies
+every tiling's statistic into one count list, so it builds one PolyQ.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ from .pathword import (
     is_above,
     truncate_last,
 )
-from .qpoly import ZERO, PolyQ
+from .qpoly import PolyQ
 
 Coord = tuple[int, int]
 
@@ -193,10 +194,6 @@ class Region:
         for a in self.atoms:
             cells.update(_atom_cells(a))
         return frozenset(cells)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.unit_cells and not self.atoms
 
     def anchor_cells(self) -> frozenset[Coord]:
         """Cells centered on the terminal line (family B only)."""
@@ -559,11 +556,12 @@ class _Universe:
     residue class; so a region and the universe lift the same tiles.
 
     span[w], for each of the family's words w, marks the universe cells
-    between low and w, read once from their heights (_region_mask).  A
-    cell lies between lam and mu exactly when it is below mu and not
-    below lam, so for mu weakly above lam the region's mask is
-    span[mu] & ~span[lam]; and mu is weakly above lam exactly when
-    span[lam] & ~span[mu] is empty, a column where lam passes mu
+    between low and w: in each column x, the cells below w's height, the
+    mask of that height in cuts[-1][x] (a west cell with its whole
+    two-by-two).  A cell lies between lam and mu exactly when it is
+    below mu and not below lam, so for mu weakly above lam the region's
+    mask is span[mu] & ~span[lam]; and mu is weakly above lam exactly
+    when span[lam] & ~span[mu] is empty, a column where lam passes mu
     holding a cell below lam and not below mu.  The two-by-twos obey
     both, since all of a sign's end heights share one residue mod 4.
     """
@@ -610,7 +608,13 @@ class _Universe:
             sign: self._cuts(region, sign) if region else [[] for _ in range(columns + 1)]
             for sign in (1, -1)
         }
-        self.span = {w: _region_mask(Region(type_tag, self.low, w), index) for w in words}
+        below = self.cuts[-1]
+        self.span = {
+            w: reduce(
+                or_, (below[x][(h - self.low.heights[x]) // 2][0] for x, h in enumerate(hs, 1)), 0
+            )
+            for hs, w in self.words.items()
+        }
 
     def _cuts(self, region: Region, sign: int) -> list[list[tuple[int, list[int], int, int]]]:
         columns, index = self.columns, self.index
@@ -934,28 +938,6 @@ def enumerate_tilings(
     return tuple(out)
 
 
-def _region_mask(region: Region, index: dict[Coord, int]) -> int:
-    """The region's cells as bits of a universe that holds them, read
-    from its words' heights (_region_columns); the universe reads each
-    word's span with it, once per word.
-
-    The universe numbers its cells in (x, y) order and holds every cell
-    between its own words, so the cells of one column range are one run
-    of bits, and so are the cells of a run of two-by-twos in each of
-    columns L (south and north cells) and L + 1 (east cells).  Their
-    west cells are in the range of column L - 1.
-    """
-    columns, centers = _region_columns(region.lam, region.mu, region.type_tag)
-    mask = 0
-    for x, ys in columns:
-        if ys:
-            mask |= ((1 << len(ys)) - 1) << index[x, ys[0]]
-    if centers:
-        L, n, m = region.length, len(centers), centers[0]
-        mask |= ((1 << 2 * n) - 1) << index[L, m - 1] | ((1 << n) - 1) << index[L + 1, m]
-    return mask
-
-
 def check_exact_cover(region: Region, tiles: tuple[Tile, ...]) -> None:
     """Raise unless the tiles cover every cell of the region exactly once."""
     seen: list[Coord] = []
@@ -976,14 +958,13 @@ def genfun_pair(
     type_tag: str,
     cls: str = INCLUSIVE,
     weight: str = "art",
-    pool: Optional[CandidatePool] = None,
 ) -> PolyQ:
-    """Sum of q^weight over the tilings between lam and mu; pool is as
-    for enumerate_tilings."""
+    """Sum of q^weight over the tilings between lam and mu, the region
+    searched alone."""
     if weight not in WEIGHTS:
         raise ValueError("weight must be one of %s" % (WEIGHTS,))
     counts: list[int] = []
-    tally(counts, enumerate_tilings(build_region(lam, mu, type_tag), cls, pool), weight)
+    tally(counts, enumerate_tilings(build_region(lam, mu, type_tag), cls), weight)
     return PolyQ(counts)
 
 
@@ -1053,53 +1034,44 @@ def sum_pool(w: PathWord, type_tag: str, cls: str) -> CandidatePool:
     return CandidatePool(Region(type_tag, lam, mu), cls, varies=True)
 
 
-def _sum_over(pool: CandidatePool, type_tag: str, weight: str) -> PolyQ:
-    """Sum of genfun_pair over the pool's regions, as one tally.
+def sum_tilings(
+    w: PathWord, type_tag: str, cls: str
+) -> Iterator[tuple[PathWord, tuple[Tiling, ...]]]:
+    """(v, tilings) for each varying word v of the sum whose region has a
+    tiling, all from one search (sum_pool): inclusive, the regions
+    between lam = w and each v above it; exclusive, those between each v
+    below w and mu = w.
 
-    Each region that has a cover is built (build_region, which checks
-    its words) and read by enumerate_tilings, which checks every cover
-    against the region's mask; every tiling's statistic goes into one
-    count list, so the sum builds one PolyQ.  Regions without a tiling
-    add nothing and are not built.
+    Each such region is built (build_region, which checks its words) and
+    read by enumerate_tilings, which checks every cover against the
+    region's mask.  Regions without a tiling are not built.
     """
+    pool = sum_pool(w, type_tag, cls)
+    for v in pool.found:
+        lam, mu = (w, v) if cls == INCLUSIVE else (v, w)
+        yield v, enumerate_tilings(build_region(lam, mu, type_tag), cls, pool)
+
+
+def _tally_sum(w: PathWord, type_tag: str, cls: str, weight: str) -> PolyQ:
+    """The sum's tilings tallied into one count list."""
+    if weight not in WEIGHTS:
+        raise ValueError("weight must be one of %s" % (WEIGHTS,))
     counts: list[int] = []
-    for w in pool.found:
-        lam, mu = (pool.fixed, w) if pool.cls == INCLUSIVE else (w, pool.fixed)
-        tally(counts, enumerate_tilings(build_region(lam, mu, type_tag), pool.cls, pool), weight)
+    for _, tilings in sum_tilings(w, type_tag, cls):
+        tally(counts, tilings, weight)
     return PolyQ(counts)
 
 
-def genfun_lower(
-    lam: PathWord,
-    type_tag: str,
-    weight: str = "art",
-    cls: str = INCLUSIVE,
-) -> PolyQ:
-    """Sum of genfun_pair(lam, mu) over every upper word mu above lam.
-
-    Inclusive, one search finds every region's tilings (sum_pool).
-    Exclusive requirements depend on mu, so each region is searched
-    alone."""
-    if weight not in WEIGHTS:
-        raise ValueError("weight must be one of %s" % (WEIGHTS,))
-    if cls != EXCLUSIVE:
-        return _sum_over(sum_pool(lam, type_tag, cls), type_tag, weight)
-    acc = ZERO
-    for mu in upper_words(lam, type_tag):
-        acc = acc + genfun_pair(lam, mu, type_tag, cls, weight)
-    return acc
+def genfun_lower(lam: PathWord, type_tag: str, weight: str = "art") -> PolyQ:
+    """Sum of cover-inclusive q^weight over every upper word above lam,
+    from one search over every region (sum_tilings)."""
+    return _tally_sum(lam, type_tag, INCLUSIVE, weight)
 
 
-def genfun_upper(
-    mu: PathWord,
-    type_tag: str,
-    weight: str = "tiles",
-) -> PolyQ:
+def genfun_upper(mu: PathWord, type_tag: str, weight: str = "tiles") -> PolyQ:
     """Sum of cover-exclusive q^weight over every lower word below mu,
-    from one search over every region (sum_pool)."""
-    if weight not in WEIGHTS:
-        raise ValueError("weight must be one of %s" % (WEIGHTS,))
-    return _sum_over(sum_pool(mu, type_tag, EXCLUSIVE), type_tag, weight)
+    from one search over every region (sum_tilings)."""
+    return _tally_sum(mu, type_tag, EXCLUSIVE, weight)
 
 
 # -- projection between families D and B ------------------------------------

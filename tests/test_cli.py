@@ -8,8 +8,9 @@ import pytest
 from dycktile import cli
 from dycktile.cli import main, run_check
 from dycktile.incidence import IncidenceMatrix, build
+from dycktile.pathword import all_words, dyck_words
 from dycktile.qpoly import ONE, ZERO
-from dycktile.tiling import EXCLUSIVE, enumerate_tilings
+from dycktile.tiling import EXCLUSIVE, sum_tilings
 from dycktile.treeform import StuckTreeError
 
 
@@ -139,6 +140,39 @@ def test_tilings_trivial_region(capsys):
     assert lines[1] == "total: 1 tiling"
 
 
+# sha256 of the stdout of `dycktile tilings --lambda W --type F` over
+# every word W of family D of length 0..6, then B of length 1..5, then
+# A (Dyck words) of length 0..6, in that loop order; recorded from the
+# command that searched each upper word's region alone
+TILINGS_DIGEST = "76c1a01f22024e1df2a79dd0ee074baf0e12cb4f5c8ec1a43ec6acd87e4702b7"
+
+
+def test_tilings_output_matches_the_recorded_digest(capsys):
+    h = hashlib.sha256()
+    words = 0
+    for family, lo, top in (("D", 0, 6), ("B", 1, 5), ("A", 0, 6)):
+        for n in range(lo, top + 1):
+            for w in dyck_words(n) if family == "A" else all_words(n):
+                code, out, _ = run(capsys, "tilings", "--lambda", w.steps, "--type", family)
+                assert code == 0
+                h.update(out.encode())
+                words += 1
+    assert words == 198
+    assert h.hexdigest() == TILINGS_DIGEST
+
+
+@pytest.mark.parametrize("command", ["genfun", "tilings"])
+def test_exclusive_class_without_mu_is_a_domain_error(capsys, command):
+    # The sum over upper words is cover-inclusive; the exclusive class
+    # is read one pair at a time.
+    code, out, err = run(capsys, command, "--lambda", "DUDU", "--class", "exclusive")
+    assert code == 3
+    assert out == ""
+    assert "--mu" in err
+    code, out, _ = run(capsys, command, "--lambda", "DUDU", "--mu", "UUDD", "--class", "exclusive")
+    assert code == 0
+
+
 def test_tilings_filter_and_render(capsys, tmp_path):
     out_dir = tmp_path / "out"
     code, out, _ = run(
@@ -261,11 +295,11 @@ def test_upper_sum_product_runs_at_the_length_asked():
 
 
 def test_matrix_bridge_reports_a_second_exclusive_tiling(monkeypatch):
-    def twice(region, cls, pool=None):
-        found = enumerate_tilings(region, cls, pool)
-        return found * 2 if cls == EXCLUSIVE else found
+    def twice(w, type_tag, cls):
+        for v, found in sum_tilings(w, type_tag, cls):
+            yield v, found * 2 if cls == EXCLUSIVE else found
 
-    monkeypatch.setattr(cli, "enumerate_tilings", twice)
+    monkeypatch.setattr(cli, "sum_tilings", twice)
     report = run_check("matrix-bridge", 1)
     assert report["cases"] == 8
     assert report["failures"] == [
@@ -279,7 +313,7 @@ def test_matrix_bridge_reports_a_second_exclusive_tiling(monkeypatch):
 # One broken collaborator per registry check; each must make it fail.
 BREAKS = (
     ("golden-matrices", "invert", lambda m: m),
-    ("matrix-bridge", "enumerate_tilings", lambda region, cls, pool: ()),
+    ("matrix-bridge", "sum_tilings", lambda w, type_tag, cls: ()),
     ("matrix-positivity", "invert", lambda m: m),
     ("lower-sum-projection", "truncate_last", lambda w: w),
     ("upper-sum-tiles", "truncate_last", lambda w: w),

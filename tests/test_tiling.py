@@ -36,12 +36,11 @@ from dycktile.tiling import (
     project_to_type_b,
     render_svg,
     sum_pool,
+    sum_tilings,
     tiling_record,
     upper_words,
     _atom_residue,
     _candidates,
-    _region_mask,
-    _sum_over,
     _universe,
 )
 
@@ -110,7 +109,7 @@ def test_region_validation():
 
 def test_empty_region_has_one_empty_tiling():
     r = build_region(W("UDUD"), W("UDUD"), "A")
-    assert r.is_empty
+    assert r.unit_cells == frozenset() and r.atoms == frozenset()
     (t,) = enumerate_tilings(r)
     assert t.tiles == ()
     assert (t.area, t.tile_count, t.art) == (0, 0, 0)
@@ -761,9 +760,8 @@ def test_sums_match_lone_region_enumeration():
         for n in range(lo, top + 1):
             for w in dyck_words(n) if family == "A" else all_words(n):
                 above = [(w, mu) for mu in upper_words(w, family)]
-                for cls, weight in ((INCLUSIVE, "art"), (EXCLUSIVE, "tiles")):
-                    got = genfun_lower(w, family, weight, cls)
-                    assert got == _lone_region_sum(above, family, cls, weight), (family, w, cls)
+                got = genfun_lower(w, family, "art")
+                assert got == _lone_region_sum(above, family, INCLUSIVE, "art"), (family, w)
                 below = [(lam, w) for lam in lower_words(w, family)]
                 got = genfun_upper(w, family, "tiles")
                 assert got == _lone_region_sum(below, family, EXCLUSIVE, "tiles"), (family, w)
@@ -771,9 +769,10 @@ def test_sums_match_lone_region_enumeration():
 
 def test_sum_pool_finds_each_regions_tilings():
     # One search over the enclosing region finds every region's covers.
-    # Each region's tilings must be those it has alone, record for
-    # record and in order, and the sum skips exactly the regions that
-    # have none.
+    # Each region's tilings, read through the pool or from sum_tilings,
+    # must be those it has alone, record for record and in order, and
+    # the sum yields each region that has a tiling once and skips
+    # exactly the regions that have none.
     for family, lo, top in (("D", 0, 6), ("B", 1, 5), ("A", 0, 6)):
         for n in range(lo, top + 1):
             for w in dyck_words(n) if family == "A" else all_words(n):
@@ -783,13 +782,18 @@ def test_sum_pool_finds_each_regions_tilings():
                 )
                 for cls, pairs in sums:
                     pool = sum_pool(w, family, cls)
+                    yielded = list(sum_tilings(w, family, cls))
+                    summed = dict(yielded)
+                    assert len(summed) == len(yielded), (family, w.steps, cls)
                     for lam, mu in pairs:
                         region = build_region(lam, mu, family)
                         lone = [tiling_record(t) for t in enumerate_tilings(region, cls)]
                         got = [tiling_record(t) for t in enumerate_tilings(region, cls, pool)]
                         assert got == lone, (family, lam.steps, mu.steps, cls)
-                        visited = (mu if cls == INCLUSIVE else lam) in pool.found
-                        assert visited == bool(lone), (family, lam.steps, mu.steps, cls)
+                        varying = mu if cls == INCLUSIVE else lam
+                        got = [tiling_record(t) for t in summed.pop(varying, ())]
+                        assert got == lone, (family, lam.steps, mu.steps, cls)
+                    assert not summed, (family, w.steps, cls)
 
 
 def test_pool_refuses_a_region_outside_its_own():
@@ -961,20 +965,18 @@ def _defined_cells(lam, mu, family):
 
 
 def test_region_cells_and_mask_follow_from_the_heights():
-    # A region's cells come from its column ranges, and enumerate_tilings
-    # checks covers against a mask read from the same ranges; both must
-    # match the definition for every comparable pair through length 7.
+    # A region's cells come from its column ranges; they must match the
+    # definition for every comparable pair through length 7.  The mask
+    # enumerate_tilings checks covers against is tied to these cells by
+    # test_spans_give_the_order_and_every_region_mask.
     pairs = 0
     for family in "ABD":
         for n in range(1 if family == "B" else 0, 8):
             for lam in dyck_words(n) if family == "A" else all_words(n):
-                index = _universe(family, n, lam.epsilon if family == "D" else 0).index
                 for mu in upper_words(lam, family):
                     region = build_region(lam, mu, family)
                     units, atoms = _defined_cells(lam, mu, family)
                     assert (region.unit_cells, region.atoms) == (units, atoms), (family, lam, mu)
-                    cells = sum(1 << index[c] for c in region.all_cells)
-                    assert _region_mask(region, index) == cells, (family, lam, mu)
                     pairs += 1
     assert pairs == 13513
 
@@ -1032,20 +1034,18 @@ def test_a_piece_drops_below_lam_when_its_cells_lie_in_lams_span():
 
 
 def test_a_sum_tallies_what_its_pairs_give():
-    # A sum reads every region of its pool into one count list; it must
-    # equal the pairwise generating functions over the same regions, the
-    # regions without a tiling included.
+    # A sum reads every region of its one search into one count list; it
+    # must equal the pairwise generating functions, each region searched
+    # alone, the regions without a tiling included.
     for n in range(8):
         for w in all_words(n):
-            for cls in (INCLUSIVE, EXCLUSIVE):
-                pool = sum_pool(w, "D", cls)
-                if cls == INCLUSIVE:
-                    pairs = [(w, v) for v in upper_words(w, "D")]
-                else:
-                    pairs = [(v, w) for v in lower_words(w, "D")]
-                for weight in WEIGHTS:
-                    want = sum((genfun_pair(lam, mu, "D", cls, weight, pool) for lam, mu in pairs), ZERO)
-                    assert _sum_over(pool, "D", weight) == want, (w, cls, weight)
+            above = [(w, v) for v in upper_words(w, "D")]
+            below = [(v, w) for v in lower_words(w, "D")]
+            for weight in WEIGHTS:
+                want = sum((genfun_pair(lam, mu, "D", INCLUSIVE, weight) for lam, mu in above), ZERO)
+                assert genfun_lower(w, "D", weight) == want, (w, weight)
+                want = sum((genfun_pair(lam, mu, "D", EXCLUSIVE, weight) for lam, mu in below), ZERO)
+                assert genfun_upper(w, "D", weight) == want, (w, weight)
 
 
 def test_a_cover_that_is_not_exact_is_refused():

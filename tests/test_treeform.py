@@ -424,8 +424,10 @@ def test_kw_type_a_hooks_count_nested_arcs():
 
 @given(st.integers(0, 5))
 def test_kw_type_a_mirror_invariance(size):
+    # the mirror image: steps reversed, with U and D exchanged
+    swap = str.maketrans("UD", "DU")
     for w in dyck_words(2 * size):
-        assert kw_type_a(w) == kw_type_a(w.mirror()), w
+        assert kw_type_a(w) == kw_type_a(PathWord(w.steps[::-1].translate(swap))), w
 
 
 def test_kw_type_a_rejects_non_dyck():
