@@ -21,9 +21,13 @@ from functools import cached_property
 from typing import Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathWord:
-    """An immutable step word; the empty word is a valid Dyck path."""
+    """An immutable step word; the empty word is a valid Dyck path.
+
+    Equality and hash are those of steps, so a word hashes as fast as
+    its string; a word is never equal to a string.
+    """
 
     steps: str = ""
 
@@ -51,10 +55,18 @@ class PathWord:
     def end_height(self) -> int:
         return self.heights[-1]
 
-    @property
+    @cached_property
     def epsilon(self) -> int:
         """Sign epsilon with end height = length + 2 epsilon (mod 4)."""
         return ((self.end_height - self.length) // 2) % 2
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.steps == other.steps
+
+    def __hash__(self) -> int:
+        return hash(self.steps)
 
     def __str__(self) -> str:
         return self.steps

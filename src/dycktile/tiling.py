@@ -106,14 +106,19 @@ are computed on first use, column by column (_region_columns), and
 reading a sum never needs them.  A cell lies in the region between lam
 and mu exactly when it is below mu and not below lam, so the region's
 mask is span[mu] & ~span[lam], the universe's spans being read once per
-word from its column cuts; a pool also reads "mu weakly above lam" as
-span[lam] & ~span[mu] being empty, and "a piece drops below lam" as
-its dropped cells lying in span[lam].  Every reader of a sum goes
-through sum_tilings, which builds each region that has a cover
-(build_region, which checks its words) and reads its tilings through
-enumerate_tilings, which checks every cover by bit masks: the tiles'
-masks must be disjoint and together the region's mask.  A sum tallies
-every tiling's statistic into one count list, so it builds one PolyQ.
+word from its column cuts and keyed by the word's steps; a pool also
+reads "mu weakly above lam" as span[lam] & ~span[mu] being empty, and
+"a piece drops below lam" as its dropped cells lying in span[lam].
+Every reader of a sum goes through sum_tilings, which builds each
+region that has a cover (build_region, which checks its words) and
+reads its tilings through enumerate_tilings, which checks every cover
+by two sums: its tiles' masks must add up to the region's mask and
+their cell counts to the region's, which holds exactly when the masks
+are disjoint and together the region's mask, since an overlap carries
+and loses a bit.  The search places a cover's tiles in ascending index
+order, (cells, kind) order, so a cover is read as it was found.  A sum
+tallies every tiling's statistic into one count list, so it builds one
+PolyQ.
 """
 
 from __future__ import annotations
@@ -535,11 +540,11 @@ class _Universe:
     marks them all and column[s] is the column whose height is chosen at
     cell s (the x of s, at most `columns`: L - 1, or L in family B).
     tiles are the candidates in (cells, kind) order; masks[k] marks the
-    cells of tile k, spots[k] lists them in order and holders[s] lists
-    the tiles that hold cell s.  Tile k's exclusive neighbor positions
-    inside the universe are around[k], near[k] those of them at x <= L,
-    and far[k] says whether one lies outside the universe at x <= L.
-    pieces[k] lists tile k's inclusive requirements as (drop, need)
+    cells of tile k, spots[k] lists them in order, sizes[k] counts them
+    and holders[s] lists the tiles that hold cell s.  Tile k's exclusive
+    neighbor positions inside the universe are around[k], near[k] those
+    of them at x <= L, and far[k] says whether one lies outside the
+    universe at x <= L.  pieces[k] lists tile k's inclusive requirements as (drop, need)
     pairs (_inclusive_pieces); only the test of drop against lam's span
     waits for a pool.
     cuts[sign][x] lists, for each height h the words take in column x,
@@ -555,14 +560,15 @@ class _Universe:
     its two-by-two does, since an end height is never in the two-by-two
     residue class; so a region and the universe lift the same tiles.
 
-    span[w], for each of the family's words w, marks the universe cells
-    between low and w: in each column x, the cells below w's height, the
-    mask of that height in cuts[-1][x] (a west cell with its whole
-    two-by-two).  A cell lies between lam and mu exactly when it is
-    below mu and not below lam, so for mu weakly above lam the region's
-    mask is span[mu] & ~span[lam]; and mu is weakly above lam exactly
-    when span[lam] & ~span[mu] is empty, a column where lam passes mu
-    holding a cell below lam and not below mu.  The two-by-twos obey
+    span[w.steps], for each of the family's words w, marks the universe
+    cells between low and w: in each column x, the cells below w's
+    height, the mask of that height in cuts[-1][x] (a west cell with its
+    whole two-by-two).  It is keyed by steps, so a lookup hashes a
+    string.  A cell lies between lam and mu exactly when it is below mu
+    and not below lam, so for mu weakly above lam the region's mask is
+    span[mu] & ~span[lam]; and mu is weakly above lam exactly when
+    span[lam] & ~span[mu] is empty, a column where lam passes mu holding
+    a cell below lam and not below mu.  The two-by-twos obey
     both, since all of a sign's end heights share one residue mod 4.
     """
 
@@ -584,6 +590,7 @@ class _Universe:
         self.tiles = tiles
         self.spots = [[index[c] for c in t.cells] for t in tiles]  # t.cells is sorted
         self.masks = [sum(1 << s for s in ss) for ss in self.spots]
+        self.sizes = [len(ss) for ss in self.spots]
         self.holders: list[list[int]] = [[] for _ in order]
         for k, ss in enumerate(self.spots):
             for s in ss:
@@ -610,7 +617,7 @@ class _Universe:
         }
         below = self.cuts[-1]
         self.span = {
-            w: reduce(
+            w.steps: reduce(
                 or_, (below[x][(h - self.low.heights[x]) // 2][0] for x, h in enumerate(hs, 1)), 0
             )
             for hs, w in self.words.items()
@@ -675,9 +682,9 @@ class CandidatePool:
     the pool has the region alone.
 
     Cells and tiles are those of the family's universe (_Universe):
-    tiles, masks, spots and span are the universe's, and kept lists, in
-    order, the tiles whose cells the enclosing region holds, its
-    candidates.  start marks the universe cells outside the region,
+    tiles, masks, spots, sizes and span are the universe's, and kept
+    lists, in order, the tiles whose cells the enclosing region holds,
+    its candidates.  start marks the universe cells outside the region,
     span[mu] & ~span[lam] being those inside, which the search counts
     as covered from the start; a region with a word that is not one of
     the universe's words is refused.
@@ -686,11 +693,12 @@ class CandidatePool:
     word, the enclosing word of the varying side; varies is True for a
     sum's pool.
 
-    choices[x] lists, for each height h between the two words in column
-    x (1 to L - 1, to L in family B), (mask, spots, h, shadow): the
+    choices[x] maps each height p of column x - 1 to the heights h one
+    step from p between the two words in column x (1 to L - 1, to L in
+    family B), lowest first, each as (mask, spots, h, shadow): the
     universe's cut and shadow at (x, h).  They lie inside the region,
     whose varying-side word is the universe's own, so the pool takes the
-    universe's list for the column from the fixed word's height on.
+    universe's cuts for the column from the fixed word's height on.
     default holds the enclosing varying-side word's heights and
     column[s] the column whose height is chosen at cell s; a lone
     region's pool chooses none, so every column[s] is 0.  word_at maps
@@ -728,10 +736,10 @@ class CandidatePool:
         universe = _universe(region.type_tag, region.length, epsilon)
         self.span = span = universe.span
         for w in (lam, mu):
-            if w not in span:
+            if w.steps not in span:
                 raise ValueError("region word %s is outside its family's tile universe" % (w,))
         self.full = universe.full
-        self.start = universe.full & ~(span[mu] & ~span[lam])
+        self.start = universe.full & ~(span[mu.steps] & ~span[lam.steps])
         self.fixed, self.bound = (lam, mu) if cls == INCLUSIVE else (mu, lam)
         self.varies = varies
         self._add_tiles(universe)
@@ -745,10 +753,11 @@ class CandidatePool:
         cls, start, index = self.cls, self.start, universe.index
         inside = self.full & ~start
         self.tiles, self.masks, self.spots = universe.tiles, universe.masks, universe.spots
+        self.sizes = universe.sizes
         self.kept = [k for k, m in enumerate(self.masks) if not m & start]
         alive = bytearray(len(self.tiles))
         all_wants = []
-        below = self.span[self.region.lam]
+        below = self.span[self.region.lam.steps]
         for k in self.kept:
             if cls == INCLUSIVE:
                 wants = tuple(need for drop, need in universe.pieces[k] if drop & ~below)
@@ -790,11 +799,16 @@ class CandidatePool:
         self.default = bound.heights[: columns + 1]
         self.word_at = universe.words if varies else {(): bound}
         self.column = universe.column if varies else [0] * len(universe.column)
-        self.choices: list[list[tuple[int, list[int], int, int]]] = [[]]
+        self.choices: list[dict[int, list[tuple[int, list[int], int, int]]]] = [{}]
         for x in range(1, columns + 1):
             cuts = universe.cuts[sign][x]
             i = (self.fixed.heights[x] - universe.low.heights[x]) // 2
-            self.choices.append(cuts[i:] if sign == 1 else cuts[: i + 1])
+            steps: dict[int, list[tuple[int, list[int], int, int]]] = {}
+            for cut in cuts[i:] if sign == 1 else cuts[: i + 1]:
+                h = cut[2]
+                steps.setdefault(h - 1, []).append(cut)
+                steps.setdefault(h + 1, []).append(cut)
+            self.choices.append(steps)
 
     def covers(self, region: Region) -> list[tuple[int, ...]]:
         """The covers of `region`, which must be one of the pool's regions:
@@ -803,7 +817,7 @@ class CandidatePool:
         weakly above lam, read from the two words' spans."""
         lam, mu = region.lam, region.mu
         fixed, varying = (lam, mu) if self.cls == INCLUSIVE else (mu, lam)
-        below, above = self.span.get(lam), self.span.get(mu)
+        below, above = self.span.get(lam.steps), self.span.get(mu.steps)
         if not (
             region.type_tag == self.region.type_tag
             and fixed == self.fixed
@@ -832,17 +846,21 @@ def _class_covers(pool: CandidatePool) -> dict[PathWord, list[tuple[int, ...]]]:
     be covered, and the waiting mask marks those cells.
 
     The first node in a column x chooses the varying word's height
-    there, height[x], one step from the finished column before, and a
-    cut covers the cells beyond it.  A cut may take no covered or
-    waiting cell, since it leaves its cells outside the region.  A
-    column that tiles filled before the search reached it keeps the
-    enclosing word's height.  A height also bounds the word in every
-    later column: the cells of its shadow are blocked for tiles, and a
-    shadow that meets a placed tile rules the height out; so a filled
-    column is one step from the column before it too.  A finished cover
+    there, height[x], among the choices one step from the finished
+    column before, choices[x][height[x - 1]], and a cut covers the cells
+    beyond it.  A cut may take no covered or waiting cell, since it
+    leaves its cells outside the region.  A column that tiles filled
+    before the search reached it keeps the enclosing word's height.  A
+    height also bounds the word in every later column: the cells of its
+    shadow are blocked for tiles, and a shadow that meets a placed tile
+    rules the height out; so a filled column is one step from the
+    column before it too.  A finished cover
     counts only when its heights are a varying word's; the lookup also
     holds the family's end conditions, the sign in family D and the
-    return to zero in family A.
+    return to zero in family A.  A cover lists its tiles in the order
+    they were placed, ascending: each node's pivot lies past the last's,
+    a tile's first cell is the pivot, and tiles are in (cells, kind)
+    order.
     """
     first, choices, column, reqs = pool.first, pool.choices, pool.column, pool.reqs
     spots, masks, full = pool.spots, pool.masks, pool.full
@@ -862,8 +880,8 @@ def _class_covers(pool: CandidatePool) -> dict[PathWord, list[tuple[int, ...]]]:
         pivot = (~covered & (covered + 1)).bit_length() - 1
         x = column[pivot]
         if x != at:
-            for mask, cells, h, cone in choices[x]:
-                if mask & (covered | waiting) or cone & covered or abs(h - height[x - 1]) != 1:
+            for mask, cells, h, cone in choices[x].get(height[x - 1], ()):
+                if mask & (covered | waiting) or cone & covered:
                     continue
                 for s in cells:
                     owner[s] = -1
@@ -913,9 +931,12 @@ def enumerate_tilings(
     search has found the covers; by default the region gets its own.
     Every cover is checked against the region's mask, span[mu] &
     ~span[lam] over the universe's cells (_Universe.span): its tiles'
-    masks must be disjoint, so that their sum is their union, and their
-    union must be that mask.  So reading a region's tilings never
-    computes its cells or walks its columns.
+    masks must add up to that mask and their sizes to its cell count.
+    Both hold exactly when the masks are disjoint and their union is the
+    mask, since masks that overlap add up to fewer bits than they hold.
+    So reading a region's tilings never computes its cells or walks its
+    columns.  The covers are sorted, and each lists its tiles in
+    ascending order as the search placed them (_class_covers).
     """
     if pool is None:
         pool = CandidatePool(region, cls)
@@ -924,15 +945,18 @@ def enumerate_tilings(
     covers = pool.covers(region)
     if not covers:
         return ()
-    want = pool.span[region.mu] & ~pool.span[region.lam]
-    masks, tiles = pool.masks, pool.tiles
+    want = pool.span[region.mu.steps] & ~pool.span[region.lam.steps]
+    count = want.bit_count()
+    masks, sizes, tiles = pool.masks, pool.sizes, pool.tiles
     out = []
-    for cover in sorted(tuple(sorted(c)) for c in covers):
-        bits = [masks[i] for i in cover]
-        union = reduce(or_, bits, 0)
-        if union != sum(bits):
-            raise AssertionError("tiles overlap")
-        if union != want:
+    for cover in sorted(covers):
+        total = cells = 0
+        for i in cover:
+            total += masks[i]
+            cells += sizes[i]
+        if total != want or cells != count:
+            if cells != total.bit_count():
+                raise AssertionError("tiles overlap")
             raise AssertionError("tiles do not cover the region")
         out.append(Tiling(region, tuple([tiles[i] for i in cover]), cls))
     return tuple(out)

@@ -282,23 +282,32 @@ def _merge_factor(rule: int, n: int, m: int) -> tuple[PolyQ, PolyQ]:
     return num, ONE
 
 
+# The edges below the top of a merged chain.  Only a chain's top can
+# carry an arrow that _rule reads, so every such edge is one of these
+# two, by its dot; they are never changed.
+_MERGED_EDGES = {
+    flag: TreeEdge(TreeNode(), dotted=flag, merged=True) for flag in (False, True)
+}
+
+
 def _merged_chain(
     rule: int, left: list[TreeEdge], right: list[TreeEdge]
 ) -> list[TreeEdge]:
-    """New edges for the chain a merge makes of left and right.
+    """The chain a merge makes of left and right.
 
     The left chain is grafted above the right one: the right chain keeps
     its dots and under rules 2 and 3 the top gets one.  Every edge is
-    flagged merged, and the top takes over the outgoing arrow of the
-    left top unless the merge consumes it.  The edges are not linked
-    below each other and nothing else is changed.
+    flagged merged.  The top is a new edge, which takes over the
+    outgoing arrow of the left top unless the merge consumes it; the
+    edges below it are the shared _MERGED_EDGES.  Nothing else is
+    changed.
     """
-    profile = (rule != 1,) + (False,) * (len(left) - 1) + tuple(e.dotted for e in right)
-    chain = [TreeEdge(TreeNode(), dotted=flag, merged=True) for flag in profile]
+    top = TreeEdge(TreeNode(), dotted=rule != 1, merged=True)
     target = left[0].outgoing
     if target is not None and target not in (left[0], right[0]):
-        chain[0].outgoing = target
-    return chain
+        top.outgoing = target
+    below = _MERGED_EDGES
+    return [top] + [below[False]] * (len(left) - 1) + [below[e.dotted] for e in right]
 
 
 def _terminal(chain: list[TreeEdge]) -> PolyQ:

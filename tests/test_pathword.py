@@ -94,3 +94,30 @@ def test_epsilon_parity_relation(w):
 def test_all_words_count():
     assert len(list(all_words(6))) == 64
     assert len(dyck_words(6)) == 5
+
+
+def test_hash_and_equality_follow_the_steps():
+    # Words are dict keys throughout the sums, so a word equals and
+    # hashes as any other word with its steps, and never as a string.
+    for n in range(7):
+        for w in all_words(n):
+            twin = PathWord(w.steps)
+            assert twin is not w and twin == w and hash(twin) == hash(w)
+            assert not twin != w
+            assert w != w.steps and w.steps != w
+            assert {w: 1}[twin] == 1
+    assert PathWord("UD") != "UD"
+    assert PathWord("UD") != PathWord("DU")
+    assert len({PathWord("UD"), PathWord("UD"), PathWord("DU")}) == 2
+
+
+def test_cached_epsilon_is_the_sign_formula():
+    # epsilon is computed once per word; it must be the sign with
+    # end height = length + 2 epsilon (mod 4), for every word through
+    # length 10.
+    for n in range(11):
+        for w in all_words(n):
+            h = w.steps.count("U") - w.steps.count("D")
+            (want,) = [e for e in (0, 1) if (n + 2 * e - h) % 4 == 0]
+            assert w.epsilon == want, w.steps
+            assert vars(w)["epsilon"] == want and w.epsilon == want, w.steps

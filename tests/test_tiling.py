@@ -852,8 +852,10 @@ def test_sum_choices_are_the_heights_of_the_sums_words():
     # top or bottom of its universe, without listing the sum's words;
     # each must be a height that one of the words above or below the
     # fixed word takes in that column, and each such height offered.
-    # The pool takes the universe's cuts as they are, so none may reach
-    # a cell outside its region.
+    # The offers are indexed by the height in the column before, each
+    # listing, lowest first, the heights one step from it.  The pool
+    # takes the universe's cuts as they are, so none may reach a cell
+    # outside its region.
     for family in "ABD":
         for n in range(9):
             for w in dyck_words(n) if family == "A" else all_words(n):
@@ -861,11 +863,18 @@ def test_sum_choices_are_the_heights_of_the_sums_words():
                     pool = sum_pool(w, family, cls)
                     vs = words(w, family)
                     for x in range(1, len(pool.choices)):
-                        offered = [h for _, _, h, _ in pool.choices[x]]
+                        steps = pool.choices[x]
+                        offered = sorted({h for cuts in steps.values() for _, _, h, _ in cuts})
                         want = sorted({v.heights[x] for v in vs})
                         assert offered == want, (family, w.steps, cls, x)
-                        for mask, _, _, shadow in pool.choices[x]:
-                            assert not (mask | shadow) & pool.start, (family, w.steps, cls, x)
+                        for prev in {v.heights[x - 1] for v in vs} | set(steps):
+                            near = [h for _, _, h, _ in steps.get(prev, ())]
+                            assert near == [h for h in want if abs(h - prev) == 1], (
+                                family, w.steps, cls, x, prev,
+                            )
+                        for cuts in steps.values():
+                            for mask, _, _, shadow in cuts:
+                                assert not (mask | shadow) & pool.start, (family, w.steps, cls, x)
 
 
 # -- the tile universe ---------------------------------------------------------
@@ -983,23 +992,26 @@ def test_region_cells_and_mask_follow_from_the_heights():
 
 def test_spans_give_the_order_and_every_region_mask():
     # A region's mask is read as span[mu] & ~span[lam], and a pool takes
-    # mu weakly above lam when span[lam] & ~span[mu] is empty.  Both
-    # must hold for every pair of the family's words through length 7.
+    # mu weakly above lam when span[lam] & ~span[mu] is empty, the spans
+    # keyed by the words' steps.  Both must hold for every pair of the
+    # family's words through length 7.
     pairs = comparable = 0
     for family in "ABD":
         for n in range(1 if family == "B" else 0, 8):
             for eps in (0, 1) if family == "D" else (0,):
                 universe = _universe(family, n, eps)
                 span, index = universe.span, universe.index
-                assert set(span) == set(universe.words.values())
-                for lam in span:
-                    for mu in span:
+                words = list(universe.words.values())
+                assert set(span) == {w.steps for w in words}
+                for lam in words:
+                    for mu in words:
+                        below, upto = span[lam.steps], span[mu.steps]
                         above = is_above(mu, lam)
-                        assert (not span[lam] & ~span[mu]) == above, (family, lam, mu)
+                        assert (not below & ~upto) == above, (family, lam, mu)
                         if above:
                             region = build_region(lam, mu, family)
                             cells = sum(1 << index[c] for c in region.all_cells)
-                            assert span[mu] & ~span[lam] == cells, (family, lam, mu)
+                            assert upto & ~below == cells, (family, lam, mu)
                             comparable += 1
                         pairs += 1
     assert (pairs, comparable) == (32798, 13513)
@@ -1024,8 +1036,8 @@ def test_a_piece_drops_below_lam_when_its_cells_lie_in_lams_span():
                         if not {(x, y - drop) for x, y in cells} <= own
                     ]
                     assert len(dropped) == len(pieces), (family, tile)
-                    for lam, below in universe.span.items():
-                        lh = lam.heights
+                    for lam in universe.words.values():
+                        below, lh = universe.span[lam.steps], lam.heights
                         for (cells, drop), (mask, _) in zip(dropped, pieces):
                             want = all(x > n or y - drop + 1 <= lh[x] for x, y in cells)
                             assert (not mask & ~below) == want, (family, lam, tile)
@@ -1061,6 +1073,56 @@ def test_a_cover_that_is_not_exact_is_refused():
             pool.found[word] = [bad]
             with pytest.raises(AssertionError, match=message):
                 enumerate_tilings(region, cls, pool)
+
+
+def test_the_cover_check_catches_a_carry_and_a_missing_cell():
+    # A cover is checked by sums: its masks must add up to the region's
+    # mask and its tiles' sizes to the region's cell count.  A cover
+    # whose masks overlap can still add up to the region's mask, as a
+    # carry from one cell's bit into the next; the sizes then count a
+    # cell too many.  A cover with one cell missing adds up to neither.
+    region = build_region(W("DDDD"), W("UUUU"), "D")
+    pool = CandidatePool(region, INCLUSIVE)
+    masks = pool.masks
+    want = pool.span[region.mu.steps] & ~pool.span[region.lam.steps]
+    halves = {2 * m: k for k, m in enumerate(masks) if m.bit_count() == 1}
+    crafted = []
+    for word, covers in pool.found.items():
+        for cover in covers:
+            for c in cover:
+                if masks[c] in halves:
+                    rest = tuple(k for k in cover if k != c)
+                    carry = tuple(sorted(rest + (halves[masks[c]],) * 2))
+                    crafted.append((word, carry, rest))
+    assert crafted
+    for word, carry, missing in crafted:
+        assert sum(masks[k] for k in carry) == want
+        assert sum(masks[k].bit_count() for k in carry) == want.bit_count() + 1
+        assert sum(masks[k] for k in missing).bit_count() == want.bit_count() - 1
+        for bad, message in ((carry, "tiles overlap"), (missing, "tiles do not cover the region")):
+            pool.found[word] = [bad]
+            with pytest.raises(AssertionError, match=message):
+                enumerate_tilings(region, INCLUSIVE, pool)
+
+
+def test_every_cover_lists_its_tiles_in_order():
+    # A cover's tiles are read out in the order the search placed them,
+    # with no sort per cover, so Tiling.tiles is in (cells, kind) order
+    # only if every cover lists strictly ascending tile indices; and the
+    # covers of each word must already be in order.
+    counted = 0
+    for family in "ABD":
+        for n in range(9):
+            for w in dyck_words(n) if family == "A" else all_words(n):
+                for cls in (INCLUSIVE, EXCLUSIVE):
+                    for v, covers in sum_pool(w, family, cls).found.items():
+                        assert covers == sorted(covers), (family, w.steps, cls, v.steps)
+                        for cover in covers:
+                            assert all(a < b for a, b in zip(cover, cover[1:])), (
+                                family, w.steps, cls, v.steps, cover,
+                            )
+                        counted += len(covers)
+    assert counted == 153871
 
 
 # -- regions where one path of the search decides --------------------------
