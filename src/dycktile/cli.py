@@ -43,10 +43,10 @@ from .tiling import (
     genfun_pair,
     genfun_upper,
     lower_words,
+    record_order,
     render_svg,
     sum_tilings,
     tally,
-    tiling_record,
     upper_words,
 )
 from .treeform import (
@@ -160,7 +160,7 @@ def cmd_tilings(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_DOMAIN
-    found.sort(key=lambda t: (t.region.mu.steps, tiling_record(t)))
+    found.sort(key=lambda t: (t.region.mu.steps, record_order(t)))
     for t in found:
         print(
             "upper=%s class=%s tiles=%d area=%d art=%d"

@@ -111,14 +111,21 @@ reads "mu weakly above lam" as span[lam] & ~span[mu] being empty, and
 "a piece drops below lam" as its dropped cells lying in span[lam].
 Every reader of a sum goes through sum_tilings, which builds each
 region that has a cover (build_region, which checks its words) and
-reads its tilings through enumerate_tilings, which checks every cover
-by two sums: its tiles' masks must add up to the region's mask and
-their cell counts to the region's, which holds exactly when the masks
-are disjoint and together the region's mask, since an overlap carries
-and loses a bit.  The search places a cover's tiles in ascending index
-order, (cells, kind) order, so a cover is read as it was found.  A sum
-tallies every tiling's statistic into one count list, so it builds one
-PolyQ.
+reads its tilings through enumerate_tilings.  The pool returns a
+region's covers with its mask, from the two spans it looks up to
+check the region, and enumerate_tilings checks every cover by two
+sums: its tiles' masks must add up to the region's mask and their cell
+counts to the region's, which holds exactly when the masks are
+disjoint and together the region's mask, since an overlap carries and
+loses a bit.  The same loop sums the tiles' areas, which the tiling
+carries.  The search stores each word's covers in order and places a
+cover's tiles in ascending index order, (cells, kind) order, so covers
+are read as they were found.  A sum tallies every tiling's statistic
+into one count list, read from the tiling's area and tile count, so it
+builds one PolyQ.  A sum's choices of height are indexed once per
+column and fixed height in the universe (_Universe.choices), and the
+words above or below a word are read from the spans (upper_words,
+lower_words).
 """
 
 from __future__ import annotations
@@ -127,7 +134,7 @@ import json
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 from operator import or_
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .pathword import (
     PathWord,
@@ -141,6 +148,8 @@ from .pathword import (
 from .qpoly import PolyQ
 
 Coord = tuple[int, int]
+# a column's cut at one height: (mask, spots, height, shadow), see _Universe
+Cut = tuple[int, list[int], int, int]
 
 TYPE_A, TYPE_B, TYPE_D = "A", "B", "D"
 INCLUSIVE, EXCLUSIVE = "inclusive", "exclusive"
@@ -296,15 +305,20 @@ class Tile:
         return out
 
 
-@dataclass(frozen=True)
-class Tiling:
+class Tiling(NamedTuple):
+    """One tiling of a region in a class: its tiles in (cells, kind) order
+    and their area, the sum of the tiles' areas.
+
+    A light immutable record.  Whoever builds a tiling sums its area
+    once: enumerate_tilings in the loop that checks the cover, the
+    projection from the tiles it returns.  art checks that the area and
+    the tile count have one parity, with an explicit raise.
+    """
+
     region: Region
     tiles: tuple[Tile, ...]
     cls: str
-
-    @property
-    def area(self) -> int:
-        return sum(t.area for t in self.tiles)
+    area: int
 
     @property
     def tile_count(self) -> int:
@@ -312,7 +326,7 @@ class Tiling:
 
     @property
     def art(self) -> int:
-        total = self.area + self.tile_count
+        total = self.area + len(self.tiles)
         if total % 2:
             raise AssertionError("area and tile count differ in parity")
         return total // 2
@@ -540,18 +554,21 @@ class _Universe:
     marks them all and column[s] is the column whose height is chosen at
     cell s (the x of s, at most `columns`: L - 1, or L in family B).
     tiles are the candidates in (cells, kind) order; masks[k] marks the
-    cells of tile k, spots[k] lists them in order, sizes[k] counts them
-    and holders[s] lists the tiles that hold cell s.  Tile k's exclusive
-    neighbor positions inside the universe are around[k], near[k] those
-    of them at x <= L, and far[k] says whether one lies outside the
-    universe at x <= L.  pieces[k] lists tile k's inclusive requirements as (drop, need)
+    cells of tile k, spots[k] lists them in order, sizes[k] counts them,
+    areas[k] is its area (Tile.area) and holders[s] lists the tiles that
+    hold cell s.  Tile k's exclusive neighbor positions inside the
+    universe are around[k], near[k] those of them at x <= L, and far[k]
+    says whether one lies outside the universe at x <= L.  pieces[k] lists tile k's inclusive requirements as (drop, need)
     pairs (_inclusive_pieces); only the test of drop against lam's span
     waits for a pool.
     cuts[sign][x] lists, for each height h the words take in column x,
     from low's to high's, (mask, spots, h, shadow): the cells of column
     x beyond h, away from the fixed word (sign 1 above, -1 below, a west
     cell with its whole two-by-two), and the cells beyond h + sign * d
-    in each column x + d, d >= 1.
+    in each column x + d, d >= 1.  choices(sign, x, h) indexes the cuts
+    a sum's search may take in column x, those from the fixed word's
+    height h on, by the height in column x - 1; it is built once per
+    (sign, x, h), since nothing else changes it.
 
     A region's candidates are the universe's candidates whose cells it
     holds.  A candidate is defined by which cells are present: runs of
@@ -591,6 +608,7 @@ class _Universe:
         self.spots = [[index[c] for c in t.cells] for t in tiles]  # t.cells is sorted
         self.masks = [sum(1 << s for s in ss) for ss in self.spots]
         self.sizes = [len(ss) for ss in self.spots]
+        self.areas = [t.area for t in tiles]
         self.holders: list[list[int]] = [[] for _ in order]
         for k, ss in enumerate(self.spots):
             for s in ss:
@@ -622,8 +640,25 @@ class _Universe:
             )
             for hs, w in self.words.items()
         }
+        self._choices: dict[tuple[int, int, int], dict[int, list[Cut]]] = {}
 
-    def _cuts(self, region: Region, sign: int) -> list[list[tuple[int, list[int], int, int]]]:
+    def choices(self, sign: int, x: int, h: int) -> dict[int, list[Cut]]:
+        """The cuts of column x from height h on, away from the fixed word
+        (sign 1 up, -1 down), indexed by each height one step from theirs
+        in column x - 1, lowest first.  The dict is shared; do not change it."""
+        key = (sign, x, h)
+        steps = self._choices.get(key)
+        if steps is None:
+            cuts = self.cuts[sign][x]
+            i = (h - self.low.heights[x]) // 2
+            steps = {}
+            for cut in cuts[i:] if sign == 1 else cuts[: i + 1]:
+                steps.setdefault(cut[2] - 1, []).append(cut)
+                steps.setdefault(cut[2] + 1, []).append(cut)
+            self._choices[key] = steps
+        return steps
+
+    def _cuts(self, region: Region, sign: int) -> list[list[Cut]]:
         columns, index = self.columns, self.index
         # per column, (y, the cell's bits with the rest of its two-by-two)
         by_column: list[list[tuple[int, list[int]]]] = [[] for _ in range(columns + 1)]
@@ -648,7 +683,7 @@ class _Universe:
                 shadows[x, h] = found
             return found
 
-        out: list[list[tuple[int, list[int], int, int]]] = [[] for _ in by_column]
+        out: list[list[Cut]] = [[] for _ in by_column]
         low, high = region.lam.heights, region.mu.heights
         for x in range(1, columns + 1):
             for h in range(low[x], high[x] + 1, 2):
@@ -682,12 +717,12 @@ class CandidatePool:
     the pool has the region alone.
 
     Cells and tiles are those of the family's universe (_Universe):
-    tiles, masks, spots, sizes and span are the universe's, and kept
-    lists, in order, the tiles whose cells the enclosing region holds,
-    its candidates.  start marks the universe cells outside the region,
-    span[mu] & ~span[lam] being those inside, which the search counts
-    as covered from the start; a region with a word that is not one of
-    the universe's words is refused.
+    tiles, masks, spots, sizes, areas and span are the universe's, and
+    kept lists, in order, the tiles whose cells the enclosing region
+    holds, its candidates.  start marks the universe cells outside the
+    region, span[mu] & ~span[lam] being those inside, which the search
+    counts as covered from the start; a region with a word that is not
+    one of the universe's words is refused.
 
     fixed is the region's word on the fixed side and bound its other
     word, the enclosing word of the varying side; varies is True for a
@@ -698,7 +733,8 @@ class CandidatePool:
     family B), lowest first, each as (mask, spots, h, shadow): the
     universe's cut and shadow at (x, h).  They lie inside the region,
     whose varying-side word is the universe's own, so the pool takes the
-    universe's cuts for the column from the fixed word's height on.
+    universe's choices for the column from the fixed word's height on
+    (_Universe.choices), built once for every pool with that height.
     default holds the enclosing varying-side word's heights and
     column[s] the column whose height is chosen at cell s; a lone
     region's pool chooses none, so every column[s] is 0.  word_at maps
@@ -753,7 +789,7 @@ class CandidatePool:
         cls, start, index = self.cls, self.start, universe.index
         inside = self.full & ~start
         self.tiles, self.masks, self.spots = universe.tiles, universe.masks, universe.spots
-        self.sizes = universe.sizes
+        self.sizes, self.areas = universe.sizes, universe.areas
         self.kept = [k for k, m in enumerate(self.masks) if not m & start]
         alive = bytearray(len(self.tiles))
         all_wants = []
@@ -799,22 +835,16 @@ class CandidatePool:
         self.default = bound.heights[: columns + 1]
         self.word_at = universe.words if varies else {(): bound}
         self.column = universe.column if varies else [0] * len(universe.column)
-        self.choices: list[dict[int, list[tuple[int, list[int], int, int]]]] = [{}]
-        for x in range(1, columns + 1):
-            cuts = universe.cuts[sign][x]
-            i = (self.fixed.heights[x] - universe.low.heights[x]) // 2
-            steps: dict[int, list[tuple[int, list[int], int, int]]] = {}
-            for cut in cuts[i:] if sign == 1 else cuts[: i + 1]:
-                h = cut[2]
-                steps.setdefault(h - 1, []).append(cut)
-                steps.setdefault(h + 1, []).append(cut)
-            self.choices.append(steps)
+        fixed = self.fixed.heights
+        self.choices: list[dict[int, list[Cut]]] = [{}]
+        self.choices += [universe.choices(sign, x, fixed[x]) for x in range(1, columns + 1)]
 
-    def covers(self, region: Region) -> list[tuple[int, ...]]:
-        """The covers of `region`, which must be one of the pool's regions:
-        its fixed word the pool's, its varying word one of the universe's
-        words for a sum or the region's own for a lone region, and mu
-        weakly above lam, read from the two words' spans."""
+    def covers(self, region: Region) -> tuple[int, list[tuple[int, ...]]]:
+        """The mask and the covers of `region`, which must be one of the
+        pool's regions: its fixed word the pool's, its varying word one of
+        the universe's words for a sum or the region's own for a lone
+        region, and mu weakly above lam, read from the two words' spans.
+        The mask, span[mu] & ~span[lam], comes from the same two spans."""
         lam, mu = region.lam, region.mu
         fixed, varying = (lam, mu) if self.cls == INCLUSIVE else (mu, lam)
         below, above = self.span.get(lam.steps), self.span.get(mu.steps)
@@ -827,7 +857,7 @@ class CandidatePool:
             and not below & ~above
         ):
             raise ValueError("region is not one of the candidate pool's regions")
-        return self.found.get(varying, [])
+        return above & ~below, self.found.get(varying, [])
 
 
 # -- the pruned exact-cover search ----------------------------------------
@@ -925,40 +955,44 @@ def enumerate_tilings(
     region: Region, cls: str = INCLUSIVE, pool: Optional[CandidatePool] = None
 ) -> tuple[Tiling, ...]:
     """All tilings of the region in the class, found by one pruned
-    exact-cover search, each with its tiles in (cells, kind) order.
+    exact-cover search, each with its tiles in (cells, kind) order and
+    its area.
 
     pool is the pool of a sum with this region among its regions, whose
     search has found the covers; by default the region gets its own.
     Every cover is checked against the region's mask, span[mu] &
-    ~span[lam] over the universe's cells (_Universe.span): its tiles'
-    masks must add up to that mask and their sizes to its cell count.
-    Both hold exactly when the masks are disjoint and their union is the
-    mask, since masks that overlap add up to fewer bits than they hold.
-    So reading a region's tilings never computes its cells or walks its
-    columns.  The covers are sorted, and each lists its tiles in
-    ascending order as the search placed them (_class_covers).
+    ~span[lam] over the universe's cells (_Universe.span), which the
+    pool returns with the covers: its tiles' masks must add up to that
+    mask and their sizes to its cell count.  Both hold exactly when the
+    masks are disjoint and their union is the mask, since masks that
+    overlap add up to fewer bits than they hold.  So reading a region's
+    tilings never computes its cells or walks its columns.  The loop
+    that sums a cover's masks and sizes also sums its tiles' areas, the
+    tiling's area.  Covers are read as the search stored them: in order,
+    each listing its tiles in ascending order as the search placed them
+    (_class_covers).
     """
     if pool is None:
         pool = CandidatePool(region, cls)
     elif pool.cls != cls:
         raise ValueError("candidate pool is for the %s class, not %s" % (pool.cls, cls))
-    covers = pool.covers(region)
+    want, covers = pool.covers(region)
     if not covers:
         return ()
-    want = pool.span[region.mu.steps] & ~pool.span[region.lam.steps]
     count = want.bit_count()
-    masks, sizes, tiles = pool.masks, pool.sizes, pool.tiles
+    masks, sizes, areas, tiles = pool.masks, pool.sizes, pool.areas, pool.tiles
     out = []
-    for cover in sorted(covers):
-        total = cells = 0
+    for cover in covers:
+        total = cells = area = 0
         for i in cover:
             total += masks[i]
             cells += sizes[i]
+            area += areas[i]
         if total != want or cells != count:
             if cells != total.bit_count():
                 raise AssertionError("tiles overlap")
             raise AssertionError("tiles do not cover the region")
-        out.append(Tiling(region, tuple([tiles[i] for i in cover]), cls))
+        out.append(Tiling(region, tuple([tiles[i] for i in cover]), cls, area))
     return tuple(out)
 
 
@@ -993,9 +1027,14 @@ def genfun_pair(
 
 
 def tally(counts: list[int], tilings: Iterable[Tiling], weight: str) -> None:
-    """Add one to counts[k] for each tiling whose statistic is k."""
+    """Add one to counts[k] for each tiling whose statistic is k, read
+    from the tiling's fields: its area, its tile count, or its art
+    (Tiling.art, which refuses an area and a tile count of different
+    parity)."""
+    if weight not in WEIGHTS:
+        raise ValueError("weight must be one of %s" % (WEIGHTS,))
     for t in tilings:
-        k = t.statistic(weight)
+        k = t.art if weight == "art" else len(t.tiles) if weight == "tiles" else t.area
         if k >= len(counts):
             counts.extend([0] * (k + 1 - len(counts)))
         counts[k] += 1
@@ -1016,11 +1055,17 @@ def _word_pool(type_tag: str, length: int, epsilon: int) -> tuple[PathWord, ...]
 
 
 def _comparable_words(w: PathWord, type_tag: str, above: bool) -> list[PathWord]:
+    """The family's words weakly above or below w, in the pool's order.
+    v lies weakly above w exactly when span[w] & ~span[v] is empty
+    (_Universe.span)."""
     _check_family_word(w, type_tag)
-    pool = _word_pool(type_tag, w.length, w.epsilon if type_tag == TYPE_D else 0)
+    epsilon = w.epsilon if type_tag == TYPE_D else 0
+    span = _universe(type_tag, w.length, epsilon).span
+    mine = span[w.steps]
+    pool = _word_pool(type_tag, w.length, epsilon)
     if above:
-        return [v for v in pool if is_above(v, w)]
-    return [v for v in pool if is_above(w, v)]
+        return [v for v in pool if not mine & ~span[v.steps]]
+    return [v for v in pool if not span[v.steps] & ~mine]
 
 
 def upper_words(lam: PathWord, type_tag: str) -> list[PathWord]:
@@ -1128,7 +1173,7 @@ def project_to_type_b(tiling: Tiling) -> Tiling:
         out.append(preimage[t])
     tiles = tuple(sorted(out, key=lambda t: (t.cells, t.kind)))
     check_exact_cover(target, tiles)
-    return Tiling(target, tiles, tiling.cls)
+    return Tiling(target, tiles, tiling.cls, sum(t.area for t in tiles))
 
 
 def lift_from_type_b(tiling: Tiling, lam_d: PathWord) -> Tiling:
@@ -1147,7 +1192,7 @@ def lift_from_type_b(tiling: Tiling, lam_d: PathWord) -> Tiling:
     out = [_lift_tile(t, L, residue, target.atoms) for t in tiling.tiles]
     tiles = tuple(sorted(out, key=lambda t: (t.cells, t.kind)))
     check_exact_cover(target, tiles)
-    return Tiling(target, tiles, tiling.cls)
+    return Tiling(target, tiles, tiling.cls, sum(t.area for t in tiles))
 
 
 # -- rendering ---------------------------------------------------------------
@@ -1235,3 +1280,35 @@ def render_svg(tiling: Tiling, scale: int = 24) -> str:
 def tiling_record(tiling: Tiling) -> str:
     """Canonical JSON text for one tiling."""
     return json.dumps(tiling.to_json(), indent=2, sort_keys=True)
+
+
+def record_order(tiling: Tiling) -> tuple:
+    """A sort key that orders tilings as their tiling_record texts do,
+    without writing the text.
+
+    The text lists each object's keys sorted and compares character by
+    character, so the key lists the values that can differ in the same
+    order: every number as its decimal string, since a number ends in a
+    comma or a newline, both below every digit and the minus sign, and
+    a word ends in a quote, below every letter.  A list that ends first
+    sorts first, as a tuple does; the one exception, an empty tile list,
+    which sorts after a full one, comes with area 0, which no other
+    tiling has.  A tile's cells determine the rest of its record: its
+    kind, its two-by-two, and for a ballot tile the first column with
+    two cells, which splits its glue from its ribbons; so two tiles
+    whose area, art and cells agree have the same text.
+    """
+    region = tiling.region
+    return (
+        str(tiling.area),
+        str(tiling.art),
+        tiling.cls,
+        region.type_tag,
+        region.lam.steps,
+        tuple([(str(t.area), str(t.art), _cells_order(t.cells)) for t in tiling.tiles]),
+        region.mu.steps,
+    )
+
+
+def _cells_order(cells: tuple[Coord, ...]) -> tuple[tuple[str, str], ...]:
+    return tuple([(str(x), str(y)) for x, y in cells])

@@ -34,9 +34,11 @@ from dycktile.tiling import (
     lift_from_type_b,
     lower_words,
     project_to_type_b,
+    record_order,
     render_svg,
     sum_pool,
     sum_tilings,
+    tally,
     tiling_record,
     upper_words,
     _atom_residue,
@@ -326,7 +328,7 @@ def test_projection_refuses_a_tile_that_is_no_lift():
     r = build_region(W("DD"), W("UU"), "D")
     west = Tile(kind="dyck", cells=((1, 0),), ribbon=((1, 0),))
     with pytest.raises(ValueError, match="no lift"):
-        project_to_type_b(Tiling(r, (west,), INCLUSIVE))
+        project_to_type_b(Tiling(r, (west,), INCLUSIVE, west.area))
 
 
 # -- structural properties ----------------------------------------------------
@@ -365,7 +367,7 @@ OPTIMIZED_SCRIPT = """
 import sys
 from dycktile.incidence import build, check_inverse
 from dycktile.pathword import PathWord
-from dycktile.tiling import CandidatePool, build_region, check_exact_cover, enumerate_tilings
+from dycktile.tiling import CandidatePool, build_region, check_exact_cover, enumerate_tilings, tally
 
 
 def refusal(check, *args):
@@ -387,6 +389,8 @@ pool = CandidatePool(region, "inclusive")
 for bad in (cover + cover[:1], cover[1:]):
     pool.found[word] = [bad]
     print(refusal(enumerate_tilings, region, "inclusive", pool))
+tiling = enumerate_tilings(region)[0]
+print(refusal(tally, [], [tiling._replace(area=tiling.area + 1)], "art"))
 print(refusal(check_inverse, m, m))
 """
 
@@ -406,6 +410,7 @@ def test_invariants_raise_under_optimize():
         "tiles do not cover the region",
         "tiles overlap",
         "tiles do not cover the region",
+        "area and tile count differ in parity",
         "product check failed at (1, 0)",
     ]
 
@@ -458,6 +463,28 @@ def test_tiling_record_round_trip():
     for t in rec["tile_list"]:
         if t["kind"] in ("ballot_d", "ballot_b"):
             assert "lower" in t and "upper" in t and "glue" in t
+
+
+def test_record_order_sorts_as_the_records_do():
+    # `dycktile tilings` sorts by (upper word, record_order), which must
+    # give the order of (upper word, tiling_record) without writing the
+    # JSON, over the lower sum of every word through length 8 and that of
+    # DDUUDDUUDD, a listing of 1,800 tilings.  The text sorts numbers as
+    # strings: a tiling of art 10 comes before one of art 9.
+    listed = 0
+    words = [
+        (family, w)
+        for family in "ABD"
+        for n in range(9)
+        for w in (dyck_words(n) if family == "A" else all_words(n))
+    ]
+    for family, w in words + [("D", W("DDUUDDUUDD"))]:
+        found = [t for _, ts in sum_tilings(w, family, INCLUSIVE) for t in ts]
+        by_key = sorted(found, key=lambda t: (t.region.mu.steps, record_order(t)))
+        by_text = sorted(found, key=lambda t: (t.region.mu.steps, tiling_record(t)))
+        assert by_key == by_text, (family, w.steps)
+        listed += len(found)
+    assert listed == 125 + 104852 + 40713 + 1800
 
 
 def test_tile_statistics_by_kind():
@@ -698,11 +725,11 @@ def _oracle_covers(region):
 
 def _oracle_tilings(region, cls):
     keep = _oracle_is_inclusive if cls == INCLUSIVE else _oracle_is_exclusive
-    out = [
-        Tiling(region, tuple(sorted(c, key=lambda t: (t.cells, t.kind))), cls)
-        for c in _oracle_covers(region)
-        if keep(region, c)
-    ]
+    out = []
+    for c in _oracle_covers(region):
+        if keep(region, c):
+            tiles = tuple(sorted(c, key=lambda t: (t.cells, t.kind)))
+            out.append(Tiling(region, tiles, cls, sum(t.area for t in tiles)))
     out.sort(key=lambda t: [(x.cells, x.kind) for x in t.tiles])
     return out
 
@@ -855,12 +882,27 @@ def test_sum_choices_are_the_heights_of_the_sums_words():
     # The offers are indexed by the height in the column before, each
     # listing, lowest first, the heights one step from it.  The pool
     # takes the universe's cuts as they are, so none may reach a cell
-    # outside its region.
+    # outside its region.  The universe builds each column's choices once
+    # per sign and fixed height; they must be those the pool would build
+    # from the universe's cuts itself.
     for family in "ABD":
         for n in range(9):
             for w in dyck_words(n) if family == "A" else all_words(n):
                 for cls, words in ((INCLUSIVE, upper_words), (EXCLUSIVE, lower_words)):
                     pool = sum_pool(w, family, cls)
+                    universe = _universe(family, n, w.epsilon if family == "D" else 0)
+                    sign = 1 if cls == INCLUSIVE else -1
+                    built = [{}]
+                    for x in range(1, universe.columns + 1):
+                        cuts = universe.cuts[sign][x]
+                        i = (w.heights[x] - universe.low.heights[x]) // 2
+                        steps = {}
+                        for cut in cuts[i:] if sign == 1 else cuts[: i + 1]:
+                            h = cut[2]
+                            steps.setdefault(h - 1, []).append(cut)
+                            steps.setdefault(h + 1, []).append(cut)
+                        built.append(steps)
+                    assert pool.choices == built, (family, w.steps, cls)
                     vs = words(w, family)
                     for x in range(1, len(pool.choices)):
                         steps = pool.choices[x]
@@ -875,6 +917,33 @@ def test_sum_choices_are_the_heights_of_the_sums_words():
                         for cuts in steps.values():
                             for mask, _, _, shadow in cuts:
                                 assert not (mask | shadow) & pool.start, (family, w.steps, cls, x)
+
+
+def test_comparable_words_follow_from_the_spans():
+    # upper_words and lower_words read "v weakly above w" from the
+    # universe's spans; they must list the words an is_above scan of the
+    # family's words lists, in the same order, through length 8.  The
+    # empty universes count too: family D at length 0 has the empty word
+    # alone, and family A at odd lengths has no word, so every word there
+    # is refused.
+    scanned = 0
+    for family in "ABD":
+        for n in range(9):
+            if family == "A" and n % 2:
+                assert not _universe("A", n, 0).words
+                for w in all_words(n):
+                    for comparable in (upper_words, lower_words):
+                        with pytest.raises(ValueError, match="Dyck"):
+                            comparable(w, family)
+                continue
+            words = dyck_words(n) if family == "A" else list(all_words(n))
+            for w in words:
+                pool = [v for v in words if family != "D" or v.epsilon == w.epsilon]
+                assert upper_words(w, family) == [v for v in pool if is_above(v, w)], (family, w)
+                assert lower_words(w, family) == [v for v in pool if is_above(w, v)], (family, w)
+                scanned += 2 * len(pool)
+    assert upper_words(W(""), "D") == lower_words(W(""), "D") == [W("")]
+    assert scanned == 262598
 
 
 # -- the tile universe ---------------------------------------------------------
@@ -1058,6 +1127,45 @@ def test_a_sum_tallies_what_its_pairs_give():
                 assert genfun_lower(w, "D", weight) == want, (w, weight)
                 want = sum((genfun_pair(lam, mu, "D", EXCLUSIVE, weight) for lam, mu in below), ZERO)
                 assert genfun_upper(w, "D", weight) == want, (w, weight)
+
+
+def _tiles_area(t):
+    return sum(x.area for x in t.tiles)
+
+
+def test_every_tiling_carries_its_tiles_area():
+    # A tiling's area is summed once, where it is built: in the loop that
+    # checks each cover, or from the tiles the projection returns.  Every
+    # route must carry the sum of its tiles' areas, and tally, which reads
+    # the tiling's fields, must count as statistic does for each weight.
+    tilings = 0
+    for family in "ABD":
+        for n in range(8):
+            for w in dyck_words(n) if family == "A" else all_words(n):
+                for cls in (INCLUSIVE, EXCLUSIVE):
+                    pool = sum_pool(w, family, cls)
+                    for v, summed in sum_tilings(w, family, cls):
+                        region = build_region(*((w, v) if cls == INCLUSIVE else (v, w)), family)
+                        pooled = enumerate_tilings(region, cls, pool)
+                        lone = enumerate_tilings(region, cls)
+                        for t in summed + pooled + lone:
+                            assert t.area == _tiles_area(t), (family, region, cls)
+                        for weight in WEIGHTS:
+                            counts, want = [], []
+                            tally(counts, summed, weight)
+                            for t in summed:
+                                k = t.statistic(weight)
+                                want.extend([0] * (k + 1 - len(want)))
+                                want[k] += 1
+                            assert counts == want, (family, region, cls, weight)
+                        if family == "D" and n:
+                            for t in summed:
+                                image = project_to_type_b(t)
+                                back = lift_from_type_b(image, region.lam)
+                                assert image.area == _tiles_area(image), (region, cls)
+                                assert back.area == _tiles_area(back), (region, cls)
+                        tilings += len(summed)
+    assert tilings == 20 + 17 + 20356 + 1752 + 8313 + 1231
 
 
 def test_a_cover_that_is_not_exact_is_refused():
