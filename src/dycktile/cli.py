@@ -26,7 +26,7 @@ import sys
 import time
 
 from .golden import BASIS_4_0, M_4_0, M_INV_4_0, N_4_0, N_INV_4_0
-from .incidence import build, invert
+from .incidence import build, invert, row_sums
 from .pathword import PathWord, all_words, dyck_words, truncate_last
 from .linkflip import arc_exponents
 from .qpoly import ONE, InexactDivisionError, PolyQ, exact_div, prod, q_int
@@ -433,17 +433,31 @@ def _check_hook_product(k: int):
             )
 
 
+def _minv_row_sums(n: int) -> dict[str, PolyQ]:
+    """Row w of the kind-I Minv, summed, for every word w of length n:
+    its D lower sum (art).  build refuses n = 0; the empty word's is 1."""
+    if n == 0:
+        return {"": ONE}
+    sums = {}
+    for eps in (0, 1):
+        m = build(n, eps, "I")
+        sums.update(zip((w.steps for w in m.basis), row_sums(m)))
+    return sums
+
+
 def _check_tree_evaluation(k: int):
-    for w in _words_through(k):
-        try:
-            left = omega(build_tree(w))
-        except StuckTreeError:
-            yield _stuck(w)
-            continue
-        right = genfun_lower(w, TYPE_D, "art")
-        yield None if left == right else (
-            "lam=%s: tree %s, tilings %s" % (w.steps, left, right)
-        )
+    for n in range(k + 1):
+        sums = _minv_row_sums(n)
+        for w in all_words(n):
+            try:
+                left = omega(build_tree(w))
+            except StuckTreeError:
+                yield _stuck(w)
+                continue
+            right = sums[w.steps]
+            yield None if left == right else (
+                "lam=%s: tree %s, Minv row sum %s" % (w.steps, left, right)
+            )
 
 
 def _check_merge_confluence(k: int):

@@ -27,43 +27,59 @@ definition leans on; build() checks it exhaustively (arc sets are
 small, at most L/2 arcs): no two subsets of one column may land in
 the same row.
 
-Both the inversion and its check compute with each polynomial p
-stored as the int p(2^W) (qpoly.pack), so every term of a sum of
-products is one big-int multiply-add, exact for any W.  Only reading
-a result back (qpoly.unpack) needs W large enough: every coefficient
-must be smaller in magnitude than 2^(W-1).  Packing and unpacking are
-functions of the value and the width alone, so each distinct entry is
-packed once and each distinct packed int is decoded once per call;
-the inverse's rows share the decoded objects.
+invert, row_sums and check_inverse share one kernel on packed rows
+(two-level Kronecker substitution).  A polynomial p is stored as the
+int p(2^W) (qpoly.pack), and a whole row as one int: entry j sits in
+a slot at bit S * j, and a slot holds D + 1 digits of W bits, rounded
+up to whole bytes.  So p(2^W) times a packed row is one shift-add per
+term of p, and it multiplies every entry of the row at once.  The
+arithmetic is exact for any W and S; only reading a row back needs
+every entry of degree at most D with every coefficient in
+[-2^(W-1), 2^(W-1)).
 
-Column j of the inverse is exact forward substitution, done by
-scatter: M's strictly lower nonzeros are stored by column, and once
-entry k of the column is final, M[i][k] * inv[k][j] is subtracted
-from each entry i below it.  That is one multiply-add per nonzero
-product actually formed (33,215 for kind I, sign 0 at n = 8), with no
-visit to an entry that is still zero.
+m x = e, for a lower-unitriangular m and e with a single 1 in each
+row, is forward substitution down the rows: row i of x is
+2^(S * col) - sum over k < i of m[i][k](2^W) * (row k of x), where
+col is the column of row i's 1.  invert solves m x = I, one slot per
+column; row_sums solves m x = (1, ..., 1), one slot and no column
+stride.  Each term of each strictly lower nonzero of m is one
+shift-add: 1,009 of them for kind I, sign 0 at n = 8 (128 rows), and
+20,603 at n = 11.  D is proven by induction down the rows: deg x[i][j]
+<= d[i], the largest over k < i of deg m[i][k] + d[k].  It is also
+attained, 28 at n = 8 and 55 at n = 11.  Decoding adds half a digit,
+2^(W-1), to every digit of every slot, so that a slot in range holds
+an unsigned int below 2^(W(D + 1)).  One to_bytes call then splits a
+row into its slots, and each distinct slot is unpacked once (354 of
+8,256 slots at n = 8, of which 6,435 are not zero).  A row out of
+range (negative, or a slot past D + 1 digits once biased) fails the
+decode.
 
-invert decodes first at a trial width, packing_width(a_max), where
-a_max is the largest row 1-norm sum of M, and returns if
-check_inverse's comparison passes.  The trial needs no proof: the check forms every
-row of a * b from the nonzeros of both factors, at a width taken from
-the decoded b itself, and compares the full product with the
-identity, so a * b = I certifies b = a^-1 whatever width decoded it.
-The trial width suffices for every matrix build makes through n = 11
-(7 to 9 bits at n = 8 to 11, where the largest inverse coefficient
-needs 4 to 7).
-When it does not, invert substitutes again at a proven width:
-r_i = 1 + sum over k < i of |M[i][k]|_1 * r_k bounds, by induction
-down the rows, the 1-norm of every entry of row i of the inverse, so
-W = bit_length(max r) + 1 decodes it (38 bits at n = 8, 95 at
-n = 11); the check then runs again and raises if it fails.  The
-check picks its own width: the largest row 1-norm sum of a times the
-largest entry 1-norm of b bounds every coefficient of the product,
-and one more covers its difference from the identity.  A width taken
-from invert's bound would let a wrong entry that vanishes at q = 2^W,
-such as q - 2^W, pass unseen.  Inverse entries only hold nonnegative
-coefficients; that positivity is re-proved downstream by the tiling
-bridge and asserted in the tests, not here.
+Each solve decodes first at a trial width, packing_width(a_max), where
+a_max is the largest row 1-norm sum of m (7 bits at n = 8, 9 at
+n = 11).  The trial needs no proof, because the product check
+certifies it.  The check packs the decoded x again at its own layout,
+computes each row of m x at once and compares it with e, so m x = e
+certifies x = m^-1 e whatever width decoded it.  Its width holds
+a_max * max|coef(x)| + 1, which bounds every coefficient of m x - e,
+and its slots hold deg m + deg x + 1 digits, which bounds the degree
+of every entry.  Then a row of m x - e is zero exactly when its packed
+int is, and the lowest set bit of a nonzero one falls in its first
+nonzero slot, which names the column of the first mismatch.  Neither
+bound comes from the solve, so a wrong entry cannot vanish at
+q = 2^W or carry into its neighbour unseen.  At n = 8 the check's
+slots hold 45 digits of 9 bits, and it makes 1,137 shift-adds, the
+diagonal's included.
+
+The trial width suffices for every inverse build makes through
+n = 11.  The row sums have larger coefficients, and need the fallback
+at n = 7 and from n = 9 on (at n = 8 for sign 1 only).  The fallback
+substitutes again at a proven width: r_i = 1 + sum over k < i of
+|m[i][k]|_1 * r_k bounds, by induction down the rows, the 1-norm of
+every entry of row i of x, so W = bit_length(max r) + 1 decodes it (38
+bits at n = 8, 95 at n = 11).  The check then runs again and raises if
+it fails.  Inverse entries only hold nonnegative coefficients; the
+tiling bridge re-proves that positivity downstream and the tests
+assert it, but nothing here relies on it.
 """
 
 from __future__ import annotations
@@ -73,8 +89,9 @@ import io
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 from operator import itemgetter
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .linkflip import arc_exponents, flip
 from .pathword import PathWord, enumerate_type_d
@@ -224,50 +241,148 @@ def _distinct(rows: Sequence[Row]) -> list[PolyQ]:
     return list({p.coeffs: p for row in rows for _, p in row}.values())
 
 
-def _pack_rows(rows: Sequence[Row], width: int) -> list[list[tuple[int, int]]]:
-    """rows with every entry packed at width, each distinct entry once."""
-    packed = {p.coeffs: pack(p, width) for p in _distinct(rows)}
-    return [[(k, packed[p.coeffs]) for k, p in row] for row in rows]
+class _Factor(NamedTuple):
+    """A matrix's rows as shift-add terms, with the bounds a product
+    with it needs."""
+
+    rows: list[tuple]  # rows[i]: (k, terms) per nonzero; terms: (e, c) per c q^e
+    norm: int  # the largest 1-norm sum of a row's entries
+    degree: int  # the largest degree of an entry, 0 when there is none
 
 
-def _max_row_norm(rows: Sequence[Row]) -> int:
-    """The largest 1-norm sum of a row's entries."""
-    return max((sum(norm1(p) for _, p in row) for row in rows), default=0)
+def _factor(rows: Sequence[Row]) -> _Factor:
+    """rows with each entry p as its terms (e, c), one per nonzero
+    coefficient c of q^e, so that p(2^W) * x is the sum of
+    c * (x << W * e); each distinct entry is split once."""
+    split, norms = {}, {}
+    for p in _distinct(rows):
+        split[p.coeffs] = tuple((e, c) for e, c in enumerate(p.coeffs) if c)
+        norms[p.coeffs] = norm1(p)
+    return _Factor(
+        [tuple((k, split[p.coeffs]) for k, p in row) for row in rows],
+        max((sum(norms[p.coeffs] for _, p in row) for row in rows), default=0),
+        max((len(key) - 1 for key in split), default=0),
+    )
 
 
-def _substitute(
-    cols: Sequence[Sequence[tuple[int, PolyQ]]], width: int
-) -> tuple[Row, ...]:
-    """Rows of the inverse, by scatter, decoded at width.
+def _slot(width: int, degree: int) -> int:
+    """The bits of a slot holding degree + 1 digits of width bits,
+    rounded up to whole bytes."""
+    return (width * (degree + 1) + 7) // 8 * 8
 
-    cols[k] holds the strictly lower nonzeros (i, M[i][k]) of column k.
+
+def _bias(width: int, degree: int, slot: int, slots: int) -> int:
+    """half = 2^(width-1) in each of the degree + 1 digits of each of
+    `slots` slots.  A slot holding p(2^W), every coefficient of p in
+    [-half, half) and its degree at most `degree`, holds an unsigned
+    int below 2^(W(degree + 1)) once biased."""
+    unit = sum(1 << (width * d + width - 1) for d in range(degree + 1))
+    return unit * ((1 << slot * slots) - 1) // ((1 << slot) - 1)
+
+
+def _subtract(x: int, row: tuple, packed: Sequence[int], width: int) -> int:
+    """x minus the sum over row's (k, terms) of p(2^W) * packed[k]: one
+    shift-add per term.  Every solve and check here is this kernel."""
+    for k, terms in row:
+        v = packed[k]
+        for e, c in terms:
+            if c == 1:
+                x -= v << width * e
+            elif c == -1:
+                x += v << width * e
+            else:
+                x -= c * (v << width * e)
+    return x
+
+
+def _solve(
+    lower: Sequence[tuple], cols: Sequence[int], width: int, degree: int
+) -> tuple[Row, ...] | None:
+    """The rows of x with m x = e, decoded at width, or None when a slot
+    is out of range.  lower[i] holds the strictly lower terms of m's
+    unitriangular row i, as _factor splits them; row i of e is 1 at
+    column cols[i]; degree bounds the degree of every entry of x.
+
+    Row i of x, packed with entry j at bit slot * j, is
+    2^(slot * cols[i]) - sum over k < i of m[i][k](2^W) * (row k), and
+    its slots reach no column past reach[i], the largest of cols[i] and
+    the reaches of the rows it reads.
     """
-    size = len(cols)
-    cols = _pack_rows(cols, width)
-    rows: list[list[tuple[int, PolyQ]]] = [[] for _ in range(size)]
-    decoded: dict[int, PolyQ] = {1: ONE}
-    for j in range(size):
-        # column j of the inverse, packed; entry k is final once the
-        # columns of M before k have scattered into it
-        x = [0] * size
-        x[j] = 1
-        for k in range(j, size):
-            xk = x[k]
-            if not xk:
-                continue
-            p = decoded.get(xk)
-            if p is None:
-                p = decoded[xk] = unpack(xk, width)
-            rows[k].append((j, p))
-            for i, mik in cols[k]:
-                x[i] -= mik * xk
-    return tuple(map(tuple, rows))
+    slot = _slot(width, degree)
+    packed: list[int] = []
+    reach: list[int] = []
+    for row, j in zip(lower, cols):
+        packed.append(_subtract(1 << slot * j, row, packed, width))
+        reach.append(max([j] + [reach[k] for k, _ in row]))
+    # decode: bias every slot, cut each row's bytes into slots, unpack
+    # each distinct slot once and keep the slots that are not zero
+    size = max(reach, default=0) + 1
+    bias = _bias(width, degree, slot, size)
+    step, top = slot // 8, width * (degree + 1)
+    unit = bias >> slot * (size - 1)
+    zero = unit.to_bytes(step, "little")
+    cuts = [slice(step * j, step * (j + 1)) for j in range(size)]
+    decoded: dict[bytes, PolyQ] = {zero: ZERO}
+    rows = []
+    for x, last in zip(packed, reach):
+        try:
+            buf = (x + (bias >> slot * (size - 1 - last))).to_bytes(step * (last + 1), "little")
+        except OverflowError:
+            return None
+        chunks = list(map(buf.__getitem__, cuts[: last + 1]))
+        for chunk in set(chunks).difference(decoded):
+            u = int.from_bytes(chunk, "little")
+            if u >> top:
+                return None
+            decoded[chunk] = unpack(u - unit, width)
+        entries = zip(count(), map(decoded.__getitem__, chunks))
+        rows.append(tuple(compress(entries, map(zero.__ne__, chunks))))
+    return tuple(rows)
 
 
-def invert(m: IncidenceMatrix) -> IncidenceMatrix:
-    """Exact inverse of a lower-unitriangular matrix."""
-    size = m.size
-    cols: list[list[tuple[int, PolyQ]]] = [[] for _ in range(size)]
+def _mismatch(a: _Factor, b: Sequence[Row], cols: Sequence[int]) -> tuple[int, int] | None:
+    """The first (i, j) in row-major order where a * b differs from e,
+    whose row i is 1 at column cols[i], or None.
+
+    b's rows are packed at their own layout: the width holds a_max *
+    max|coef(b)| + 1, which bounds every coefficient of a * b - e (a_max
+    is the largest row 1-norm sum of a, and at least 1 so that b's own
+    digits fit), and a slot holds deg a + deg b + 1 digits.  So row i of
+    a * b - e is zero exactly when its packed value is, and the lowest
+    set bit of a nonzero one lies in its first nonzero slot.
+    """
+    distinct = _distinct(b)
+    top = max((max(map(abs, p.coeffs), default=0) for p in distinct), default=0)
+    width = packing_width(max(a.norm, 1) * top + 1)
+    degree = a.degree + max((len(p.coeffs) - 1 for p in distinct), default=0)
+    slot = _slot(width, degree)
+    size = max((row[-1][0] for row in b if row), default=0) + 1
+    bias = _bias(width, degree, slot, size)
+    step = slot // 8
+    unit = bias >> slot * (size - 1)
+    chunks = {p.coeffs: (pack(p, width) + unit).to_bytes(step, "little") for p in distinct}
+    zero = unit.to_bytes(step, "little")
+    packed = []
+    for row in b:
+        if not row:
+            packed.append(0)
+            continue
+        slots = [zero] * (row[-1][0] + 1)
+        for j, p in row:
+            slots[j] = chunks[p.coeffs]
+        packed.append(
+            int.from_bytes(b"".join(slots), "little") - (bias >> slot * (size - len(slots)))
+        )
+    for i, (row, j) in enumerate(zip(a.rows, cols)):
+        x = _subtract(1 << slot * j, row, packed, width)
+        if x:
+            return i, ((x & -x).bit_length() - 1) // slot
+    return None
+
+
+def _triangular_solve(m: IncidenceMatrix, cols: Sequence[int]) -> tuple[Row, ...]:
+    """The rows of x with m x = e, whose row i is 1 at column cols[i],
+    for a lower-unitriangular m, certified by the product m x = e."""
     for i, row in enumerate(m.rows):
         # rows are sorted, so this also rules out nonzeros above the diagonal
         if not row or row[-1] != (i, ONE):
@@ -276,52 +391,52 @@ def invert(m: IncidenceMatrix) -> IncidenceMatrix:
                 "matrix is not unitriangular at row %s, column %s"
                 % (m.basis[i].steps, m.basis[j].steps)
             )
-        for k, p in row[:-1]:
-            cols[k].append((i, p))
+    a = _factor(m.rows)
+    lower = [row[:-1] for row in a.rows]
+    # deg x[i][j] <= d[i], by induction down the rows
+    d: list[int] = []
+    for row in lower:
+        d.append(max((terms[-1][0] + d[k] for k, terms in row), default=0))
+    degree = max(d, default=0)
     # a trial width, certified by the product check
-    a_max = _max_row_norm(m.rows)
-    out = IncidenceMatrix(m.basis, _substitute(cols, packing_width(a_max)))
-    if _product_mismatch(m, out, a_max) is None:
-        return out
-    # |inv[i][j]|_1 <= r[i] for every j, by induction down the rows
+    x = _solve(lower, cols, packing_width(a.norm), degree)
+    if x is not None and _mismatch(a, x, cols) is None:
+        return x
+    # |x[i][j]|_1 <= r[i] for every j, by induction down the rows
     r: list[int] = []
-    for row in m.rows:
-        r.append(1 + sum(norm1(p) * r[k] for k, p in row[:-1]))
-    out = IncidenceMatrix(m.basis, _substitute(cols, packing_width(max(r, default=1))))
-    check_inverse(m, out)
-    return out
+    for row in lower:
+        r.append(1 + sum(abs(c) * r[k] for k, terms in row for _, c in terms))
+    x = _solve(lower, cols, packing_width(max(r, default=1)), degree)
+    if x is None:
+        raise AssertionError("an entry is out of range at the proven width")
+    bad = _mismatch(a, x, cols)
+    if bad is not None:
+        raise AssertionError("product check failed at (%d, %d)" % bad)
+    return x
 
 
-def _product_mismatch(
-    a: IncidenceMatrix, b: IncidenceMatrix, a_max: int
-) -> tuple[int, int] | None:
-    """The first (i, j) in row-major order where a * b is not the
-    identity, or None; a_max is the largest row 1-norm sum of a."""
-    size = a.size
-    distinct = _distinct(b.rows)
-    width = packing_width(a_max * max(map(norm1, distinct), default=0) + 1)
-    packed = {p.coeffs: pack(p, width) for p in distinct}
-    b_rows = [[(k, packed[p.coeffs]) for k, p in row] for row in b.rows]
-    for i, a_row in enumerate(_pack_rows(a.rows, width)):
-        row = [0] * size
-        for k, aik in a_row:
-            for j, bkj in b_rows[k]:
-                row[j] += aik * bkj
-        row[i] -= 1
-        if any(row):
-            return i, next(j for j, x in enumerate(row) if x)
-    return None
+def invert(m: IncidenceMatrix) -> IncidenceMatrix:
+    """Exact inverse of a lower-unitriangular matrix."""
+    return IncidenceMatrix(m.basis, _triangular_solve(m, range(m.size)))
+
+
+def row_sums(m: IncidenceMatrix) -> tuple[PolyQ, ...]:
+    """The row sums of the inverse of a lower-unitriangular matrix, in
+    basis order: the solution of m x = (1, ..., 1), found without the
+    inverse."""
+    return tuple(row[0][1] if row else ZERO for row in _triangular_solve(m, [0] * m.size))
 
 
 def check_inverse(a: IncidenceMatrix, b: IncidenceMatrix) -> None:
     """Raise unless the product a * b is the identity matrix.
 
-    Row i of the product is accumulated, packed, from the nonzeros of
-    a's row i and of b's matching rows, then all of its entries are
-    compared with the identity; the first mismatch in row-major order
-    is reported.  The packing width comes from a and b themselves, so
-    a wrong entry of b cannot vanish at q = 2**W.
+    Each row of b is packed into one int, entry j at bit S * j, at a
+    width and slot size S taken from a and b themselves, so a wrong
+    entry of b cannot vanish at q = 2**W or spill into its neighbour.
+    Row i of a * b is then one shift-add per term of a's row i, and is
+    compared with 2**(S * i); the first mismatch in row-major order is
+    reported.
     """
-    bad = _product_mismatch(a, b, _max_row_norm(a.rows))
+    bad = _mismatch(_factor(a.rows), b.rows, range(a.size))
     if bad is not None:
         raise AssertionError("product check failed at (%d, %d)" % bad)

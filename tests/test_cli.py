@@ -10,7 +10,7 @@ from dycktile.cli import main, run_check
 from dycktile.incidence import IncidenceMatrix, build
 from dycktile.pathword import all_words, dyck_words
 from dycktile.qpoly import ONE, ZERO
-from dycktile.tiling import EXCLUSIVE, sum_tilings
+from dycktile.tiling import EXCLUSIVE, TYPE_D, genfun_lower, sum_tilings
 from dycktile.treeform import StuckTreeError
 
 
@@ -337,6 +337,25 @@ def test_registry_check_can_fail(monkeypatch, capsys, name, attr, broken):
     assert code == 1
     assert [name, "FAIL"] in [line.split()[:2] for line in out.splitlines()]
     assert out.splitlines()[-1] == "some checks FAILED"
+
+
+def test_tree_evaluation_compares_with_the_minv_row_sums(monkeypatch):
+    monkeypatch.setattr(cli, "omega", lambda tree: ZERO)
+    report = run_check("tree-evaluation", 2)
+    assert report["cases"] == 7
+    assert report["failures"][:3] == [
+        "lam=: tree 0, Minv row sum 1",
+        "lam=U: tree 0, Minv row sum 1",
+        "lam=D: tree 0, Minv row sum 1",
+    ]
+
+
+def test_minv_row_sums_are_the_d_lower_sums():
+    for n in range(7):
+        sums = cli._minv_row_sums(n)
+        assert sorted(sums) == sorted(w.steps for w in all_words(n))
+        for w in all_words(n):
+            assert sums[w.steps] == genfun_lower(w, TYPE_D, "art"), w
 
 
 def test_merge_confluence_checks_the_canonical_order(monkeypatch):

@@ -1,10 +1,11 @@
+import hashlib
 import itertools
 import json
 
 import pytest
 
 from dycktile import incidence
-from dycktile.incidence import IncidenceMatrix, build, check_inverse, invert
+from dycktile.incidence import IncidenceMatrix, build, check_inverse, invert, row_sums
 from dycktile import linkflip
 from dycktile.linkflip import flip, pair_arcs, weight_I, weight_II
 from dycktile.pathword import PathWord, enumerate_type_d, is_above
@@ -265,6 +266,163 @@ def test_invert_entries_that_are_not_monomials():
         inv = invert(m)
         assert inv.entries == dense_inverse(rows)
         check_inverse(m, inv)
+
+
+# sha256 of the inverse's nonzeros, row by row, as [column, coefficients]
+# pairs; the inverse does not depend on the sign
+INVERSE_DIGESTS = {
+    (7, "I"): "1361f52ddaabdee061cf1e385872d7a2f9b7afc4480655e749f087a2c4c11d2d",
+    (7, "II"): "309be02b6f2275ed15a793c24bca96b43970b4f7ee5f517ec15e584a40e5a2d1",
+    (8, "I"): "7273beb46100a99e3615a3340fed82fe664fb992d190f31ff0566230e2143e45",
+    (8, "II"): "d2e4f7f4c7baea032a2a307952b683716ee192db63f436bbff69f9ea05e25fce",
+    (9, "I"): "3d3a17cd4539f4c34547c472c3a07547515a3e489bd1029f83bdc85175acb8a2",
+    (9, "II"): "1be91e504b2ce013768a9bf9ceedd7b116f0ef2d798c3101a164a9f18b7688f5",
+}
+
+
+@pytest.mark.parametrize("n, kind", sorted(INVERSE_DIGESTS))
+@pytest.mark.parametrize("eps", [0, 1])
+def test_inverse_matches_the_recorded_digest(n, eps, kind):
+    rows = invert(build(n, eps, kind)).rows
+    blob = json.dumps(
+        [[[j, list(p.coeffs)] for j, p in row] for row in rows], separators=(",", ":")
+    )
+    assert hashlib.sha256(blob.encode()).hexdigest() == INVERSE_DIGESTS[n, kind]
+
+
+def count_solves(monkeypatch):
+    """The widths of every packed solve from now on."""
+    widths = []
+    solve = incidence._solve
+
+    def spy(lower, cols, width, degree):
+        widths.append(width)
+        return solve(lower, cols, width, degree)
+
+    monkeypatch.setattr(incidence, "_solve", spy)
+    return widths
+
+
+def chain(size, p):
+    """1 on the diagonal and p just below it."""
+    rows = [[ZERO] * size for _ in range(size)]
+    for i in range(size):
+        rows[i][i] = ONE
+        if i:
+            rows[i][i - 1] = p
+    basis = tuple(PathWord("U" * (size - k) + "D" * k) for k in range(size))
+    return IncidenceMatrix.from_dense(basis, tuple(map(tuple, rows)))
+
+
+def test_slots_hold_signed_entries_up_to_the_degree_bound(monkeypatch):
+    # inv[i][j] = (-q)^(i - j): every row alternates in sign, and the
+    # corner -q^7 sits at exactly the degree bound 7.  The trial width
+    # is 3 bits (row 1-norms 2), so a slot holds 8 digits in exactly 3
+    # bytes: the corner's top digit is the slot's last bit
+    widths = count_solves(monkeypatch)
+    m = chain(8, Q)
+    inv = invert(m)
+    assert widths == [3]
+    assert inv.entries == dense_inverse(m.entries)
+    assert inv.entries[7][0] == PolyQ((0,) * 7 + (-1,))
+    assert inv.entries[7][1] == PolyQ((0,) * 6 + (1,))
+    # -3q^2 next to +q within one row, at trial width 4 (row 1-norm 4)
+    rows = ((ONE, ZERO, ZERO), (Q, ONE, ZERO), (PolyQ((0, 0, 2)), -Q, ONE))
+    m = IncidenceMatrix.from_dense(chain(3, Q).basis, rows)
+    inv = invert(m)
+    assert widths == [3, 4]
+    assert inv.entries == dense_inverse(rows)
+    assert inv.entries[2] == (PolyQ((0, 0, -3)), Q, ONE)
+
+
+def test_a_slot_out_of_range_fails_the_trial(monkeypatch):
+    # the corner 25 needs more than one 4-bit digit: the trial decode
+    # refuses it, and the proven width decodes it
+    five = PolyQ((5,))
+    rows = ((ONE, ZERO, ZERO), (five, ONE, ZERO), (ZERO, five, ONE))
+    m = IncidenceMatrix.from_dense(chain(3, Q).basis, rows)
+    lower = [row[:-1] for row in incidence._factor(m.rows).rows]
+    assert incidence._solve(lower, range(3), 4, 0) is None
+    widths = count_solves(monkeypatch)
+    assert invert(m).entries[2][0] == PolyQ((25,))
+    assert widths == [4, 6]
+
+
+def test_check_inverse_reports_a_corruption_past_the_inverse_slot():
+    # q^40 is far past the inverse's own degree bound, so it would spill
+    # out of a slot laid out for the inverse; the check's slots are
+    # sized from b's degrees and still name the corrupted entry
+    m = build(5, 0, "I")
+    inv = invert(m)
+    high = PolyQ((0,) * 40 + (1,))
+    zero_at = next(
+        (i, j) for i in range(m.size) for j in range(i) if not inv.entries[i][j]
+    )
+    r, c = next((i, j) for i in range(m.size) for j in range(i) if inv.entries[i][j])
+    for (i, j), p in ((zero_at, high), ((r, c), inv.entries[r][c] - high)):
+        bad = with_entry(inv, i, j, p)
+        assert first_mismatch(m, bad) == (i, j)
+        with pytest.raises(AssertionError) as exc:
+            check_inverse(m, bad)
+        assert str(exc.value) == "product check failed at (%d, %d)" % (i, j)
+
+
+def test_check_inverse_slots_count_both_factors_degrees():
+    # (a * b)[2] - e_2 = (-q^8, 1, 0).  Widths are 3 bits and both
+    # factors have degree 7, so a slot of b's 8 digits alone would be
+    # exactly 3 bytes, and -q^8 would cancel the 1 in the next slot
+    h = PolyQ((0,) * 7 + (1,))
+    basis = chain(3, Q).basis
+    a = IncidenceMatrix.from_dense(basis, ((ONE, ZERO, ZERO), (h, ONE, ZERO), (ZERO, Q, ONE)))
+    b = IncidenceMatrix.from_dense(
+        basis, ((ONE, ZERO, ZERO), (-h, ONE, ZERO), (ZERO, PolyQ((1, -1)), ONE))
+    )
+    assert first_mismatch(a, b) == (2, 0)
+    with pytest.raises(AssertionError) as exc:
+        check_inverse(a, b)
+    assert str(exc.value) == "product check failed at (2, 0)"
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+@pytest.mark.parametrize("eps", [0, 1])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_row_sums_are_the_inverse_row_sums(n, eps, kind):
+    m = build(n, eps, kind)
+    want = tuple(sum((p for _, p in row), ZERO) for row in invert(m).rows)
+    assert row_sums(m) == want
+
+
+def test_row_sums_fall_back_when_the_residual_is_not_zero(monkeypatch):
+    # the trial width holds digits in [-8, 8); the last row sum is 21,
+    # so the residual M x - 1 is not zero and the proven width decodes
+    widths = count_solves(monkeypatch)
+    five = PolyQ((5,))
+    rows = ((ONE, ZERO, ZERO), (five, ONE, ZERO), (ZERO, five, ONE))
+    m = IncidenceMatrix.from_dense(chain(3, Q).basis, rows)
+    assert row_sums(m) == (ONE, PolyQ((-4,)), PolyQ((21,)))
+    assert widths == [4, 6]
+    # build's matrices need the proven width for their row sums at n = 9
+    widths.clear()
+    m = build(9, 0, "I")
+    sums = row_sums(m)
+    assert len(widths) == 2
+    assert sums == tuple(sum((p for _, p in row), ZERO) for row in invert(m).rows)
+
+
+def test_row_sums_raise_when_the_proven_width_fails_its_check(monkeypatch):
+    m = build(3, 0, "I")
+    monkeypatch.setattr(
+        incidence, "_solve", lambda lower, cols, width, degree: tuple(((0, Q),) for _ in lower)
+    )
+    with pytest.raises(AssertionError, match=r"^product check failed at \(0, 0\)$"):
+        row_sums(m)
+
+
+def test_row_sums_refuse_a_matrix_that_is_not_unitriangular():
+    basis = (PathWord("UU"), PathWord("DD"))
+    upper = IncidenceMatrix.from_dense(basis, ((ONE, Q), (ZERO, ONE)))
+    with pytest.raises(ValueError, match="at row UU, column DD$"):
+        row_sums(upper)
 
 
 @pytest.mark.parametrize("kind", ["I", "II"])
