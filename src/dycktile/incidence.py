@@ -44,53 +44,66 @@ col is the column of row i's 1.  invert solves m x = I, one slot per
 column; row_sums solves m x = (1, ..., 1), one slot and no column
 stride.  Each term of each strictly lower nonzero of m is one
 shift-add: 1,009 of them for kind I, sign 0 at n = 8 (128 rows), and
-20,603 at n = 11.  D is proven by induction down the rows: deg x[i][j]
-<= d[i], the largest over k < i of deg m[i][k] + d[k].  It is also
-attained, 28 at n = 8 and 55 at n = 11.  Decoding adds half a digit,
-2^(W-1), to every digit of every slot, so that a slot in range holds
-an unsigned int below 2^(W(D + 1)).  One to_bytes call then splits a
-row into its slots, and each distinct slot is unpacked once (354 of
-8,256 slots at n = 8, of which 6,435 are not zero).  A row out of
-range (negative, or a slot past D + 1 digits once biased) fails the
-decode.
+20,603 at n = 11.  d[i] bounds the degree of row i by induction down
+the rows: deg x[i][j] <= d[i], the largest over k < i of
+deg m[i][k] + d[k].  D, the largest d[i], is attained, 28 at n = 8 and
+55 at n = 11.  Decoding adds half a digit, 2^(W-1), to every digit of
+every slot, so that a slot in range holds an unsigned int below
+2^(W(D + 1)), and its digits past the entry's degree read half.  One
+masked compare per row, (biased row XOR bias) AND a mask of every bit
+past digit d[i] of every slot, checks that they do: a row that passes
+decodes to entries of degree at most d[i] with every coefficient in
+range.  One to_bytes and one struct unpack then split the row into its
+slots.  Each distinct slot is unpacked once into a table, 355 entries
+for 8,256 slots at n = 8, and each row keeps its slots as an array of
+indices into that table.  A row out of range (negative,
+longer than its last slot, or past its degree bound) fails the decode.
 
-Each solve decodes first at a trial width, packing_width(a_max), where
-a_max is the largest row 1-norm sum of m (7 bits at n = 8, 9 at
+Each solve decodes first at a trial width.  For invert that is
+packing_width(a_max), where a_max is the largest row 1-norm sum of m
+(7 bits at n = 8, 9 at n = 11); a row sum adds up to size entries, so
+row_sums takes packing_width(a_max * size) (14 bits at n = 8, 19 at
 n = 11).  The trial needs no proof, because the product check
 certifies it.  The check packs the decoded x again at its own layout,
 computes each row of m x at once and compares it with e, so m x = e
 certifies x = m^-1 e whatever width decoded it.  Its width holds
-a_max * max|coef(x)| + 1, which bounds every coefficient of m x - e,
-and its slots hold deg m + deg x + 1 digits, which bounds the degree
-of every entry.  Then a row of m x - e is zero exactly when its packed
-int is, and the lowest set bit of a nonzero one falls in its first
-nonzero slot, which names the column of the first mismatch.  Neither
-bound comes from the solve, so a wrong entry cannot vanish at
-q = 2^W or carry into its neighbour unseen.  At n = 8 the check's
-slots hold 45 digits of 9 bits, and it makes 1,137 shift-adds, the
-diagonal's included.
+a_max * max|coef(x)| + 1, which bounds every coefficient of m x - e.
+Its slots hold D + 1 digits, D the largest over the nonzeros m[i][k]
+of deg m[i][k] + d[k]: the decode has checked every entry of row k
+against d[k], so this bounds the degree of every entry of m x - e, and
+it is the solve's own D.  Then a row of m x - e is zero exactly when
+its packed int is, and the lowest set bit of a nonzero one falls in
+its first nonzero slot, which names the column of the first mismatch.
+The width is measured on the decoded entries and the degree bounds
+are checked on them, so a wrong entry cannot vanish at q = 2^W or
+carry into its neighbour unseen.  The check packs each entry of the
+table once and joins each row from those bytes.  At n = 8 its slots
+hold 29 digits of 9 bits, and it makes 1,137 shift-adds, the
+diagonal's included.  check_inverse(a, b) runs the same check, with
+the largest degree of each row of b as its bound.
 
 The trial width suffices for every inverse build makes through
-n = 11.  The row sums have larger coefficients, and need the fallback
-at n = 7 and from n = 9 on (at n = 8 for sign 1 only).  The fallback
-substitutes again at a proven width: r_i = 1 + sum over k < i of
-|m[i][k]|_1 * r_k bounds, by induction down the rows, the 1-norm of
-every entry of row i of x, so W = bit_length(max r) + 1 decodes it (38
-bits at n = 8, 95 at n = 11).  The check then runs again and raises if
-it fails.  Inverse entries only hold nonnegative coefficients; the
-tiling bridge re-proves that positivity downstream and the tests
-assert it, but nothing here relies on it.
+n = 12 and every row sum through n = 13.  The fallback substitutes again at a proven
+width: r_i = 1 + sum over k < i of |m[i][k]|_1 * r_k bounds, by
+induction down the rows, the 1-norm of every entry of row i of x, so
+W = bit_length(max r) + 1 decodes it (38 bits at n = 8, 95 at
+n = 11).  The check then runs again and raises if it fails.  Inverse
+entries only hold nonnegative coefficients; the tiling bridge
+re-proves that positivity downstream and the tests assert it, but
+nothing here relies on it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
 from operator import itemgetter
+from struct import Struct
 from typing import NamedTuple, Sequence
 
 from .linkflip import arc_exponents, flip
@@ -242,12 +255,11 @@ def _distinct(rows: Sequence[Row]) -> list[PolyQ]:
 
 
 class _Factor(NamedTuple):
-    """A matrix's rows as shift-add terms, with the bounds a product
-    with it needs."""
+    """A matrix's rows as shift-add terms, with the norm a product with
+    it needs."""
 
     rows: list[tuple]  # rows[i]: (k, terms) per nonzero; terms: (e, c) per c q^e
     norm: int  # the largest 1-norm sum of a row's entries
-    degree: int  # the largest degree of an entry, 0 when there is none
 
 
 def _factor(rows: Sequence[Row]) -> _Factor:
@@ -261,8 +273,35 @@ def _factor(rows: Sequence[Row]) -> _Factor:
     return _Factor(
         [tuple((k, split[p.coeffs]) for k, p in row) for row in rows],
         max((sum(norms[p.coeffs] for _, p in row) for row in rows), default=0),
-        max((len(key) - 1 for key in split), default=0),
     )
+
+
+class _Slots(NamedTuple):
+    """Rows of polynomials as indices into a table of their distinct
+    values, with a degree bound per row."""
+
+    values: list[PolyQ]  # the distinct entries, ZERO first
+    ids: list[array]  # ids[i][j]: the index in values of entry (i, j)
+    degrees: Sequence[int]  # degrees[i]: no entry of row i has a larger degree
+    rows: tuple[Row, ...]  # rows[i]: the (col, entry) nonzeros of row i
+
+
+def _slots(rows: Sequence[Row]) -> _Slots:
+    """rows as a _Slots, each row's degree bound its largest degree."""
+    index = {ZERO.coeffs: 0}
+    values = [ZERO]
+    ids = []
+    for row in rows:
+        line = array("I", [0]) * (row[-1][0] + 1 if row else 0)
+        for j, p in row:
+            k = index.get(p.coeffs)
+            if k is None:
+                k = index[p.coeffs] = len(values)
+                values.append(p)
+            line[j] = k
+        ids.append(line)
+    degrees = [max((len(p.coeffs) - 1 for _, p in row), default=0) for row in rows]
+    return _Slots(values, ids, degrees, tuple(rows))
 
 
 def _slot(width: int, degree: int) -> int:
@@ -271,13 +310,16 @@ def _slot(width: int, degree: int) -> int:
     return (width * (degree + 1) + 7) // 8 * 8
 
 
-def _bias(width: int, degree: int, slot: int, slots: int) -> int:
-    """half = 2^(width-1) in each of the degree + 1 digits of each of
-    `slots` slots.  A slot holding p(2^W), every coefficient of p in
-    [-half, half) and its degree at most `degree`, holds an unsigned
-    int below 2^(W(degree + 1)) once biased."""
-    unit = sum(1 << (width * d + width - 1) for d in range(degree + 1))
-    return unit * ((1 << slot * slots) - 1) // ((1 << slot) - 1)
+def _repeat(unit: int, step: int, slots: int) -> int:
+    """unit in each of `slots` slots of `step` bytes."""
+    return int.from_bytes(unit.to_bytes(step, "little") * slots, "little")
+
+
+def _unit(width: int, degree: int) -> int:
+    """half = 2^(width-1) in each of degree + 1 digits.  p(2^W), every
+    coefficient of p in [-half, half) and its degree at most `degree`,
+    is an unsigned int below 2^(W(degree + 1)) once biased by it."""
+    return sum(1 << (width * d + width - 1) for d in range(degree + 1))
 
 
 def _subtract(x: int, row: tuple, packed: Sequence[int], width: int) -> int:
@@ -296,83 +338,95 @@ def _subtract(x: int, row: tuple, packed: Sequence[int], width: int) -> int:
 
 
 def _solve(
-    lower: Sequence[tuple], cols: Sequence[int], width: int, degree: int
-) -> tuple[Row, ...] | None:
-    """The rows of x with m x = e, decoded at width, or None when a slot
-    is out of range.  lower[i] holds the strictly lower terms of m's
-    unitriangular row i, as _factor splits them; row i of e is 1 at
-    column cols[i]; degree bounds the degree of every entry of x.
+    lower: Sequence[tuple], cols: Sequence[int], width: int, degrees: Sequence[int]
+) -> _Slots | None:
+    """The rows of x with m x = e, decoded at width, or None when an
+    entry is out of range or past its row's degree bound.  lower[i]
+    holds the strictly lower terms of m's unitriangular row i, as
+    _factor splits them; row i of e is 1 at column cols[i]; degrees[i]
+    bounds the degree of every entry of row i of x.
 
     Row i of x, packed with entry j at bit slot * j, is
     2^(slot * cols[i]) - sum over k < i of m[i][k](2^W) * (row k), and
     its slots reach no column past reach[i], the largest of cols[i] and
     the reaches of the rows it reads.
     """
+    degree = max(degrees, default=0)
     slot = _slot(width, degree)
     packed: list[int] = []
     reach: list[int] = []
     for row, j in zip(lower, cols):
         packed.append(_subtract(1 << slot * j, row, packed, width))
         reach.append(max([j] + [reach[k] for k, _ in row]))
-    # decode: bias every slot, cut each row's bytes into slots, unpack
-    # each distinct slot once and keep the slots that are not zero
+    # decode: bias every slot, check each row's digits above its degree
+    # bound, cut each row's bytes into slots and unpack each distinct
+    # slot once
     size = max(reach, default=0) + 1
-    bias = _bias(width, degree, slot, size)
-    step, top = slot // 8, width * (degree + 1)
-    unit = bias >> slot * (size - 1)
-    zero = unit.to_bytes(step, "little")
-    cuts = [slice(step * j, step * (j + 1)) for j in range(size)]
-    decoded: dict[bytes, PolyQ] = {zero: ZERO}
+    step = slot // 8
+    unit = _unit(width, degree)
+    bias = _repeat(unit, step, size)
+    split = Struct("%ds" % step * size).unpack
+    # above[d] marks every bit of every slot past digit d.  There a
+    # biased row whose entries have degree at most d, every coefficient
+    # in range, reads what the bias holds: half in each digit up to D
+    # and zero in the bytes' padding
+    above: dict[int, int] = {}
+    index = {unit.to_bytes(step, "little"): 0}
+    values = [ZERO]
+    ids = []
     rows = []
-    for x, last in zip(packed, reach):
+    for x, last, d in zip(packed, reach, degrees):
+        b = bias >> slot * (size - 1 - last)
+        x += b
+        mask = above.get(d)
+        if mask is None:
+            mask = above[d] = _repeat((1 << slot) - (1 << width * (d + 1)), step, size)
+        if x.bit_length() > slot * (last + 1) or (x ^ b) & mask:
+            return None
         try:
-            buf = (x + (bias >> slot * (size - 1 - last))).to_bytes(step * (last + 1), "little")
+            chunks = split(x.to_bytes(step * size, "little"))[: last + 1]
         except OverflowError:
             return None
-        chunks = list(map(buf.__getitem__, cuts[: last + 1]))
-        for chunk in set(chunks).difference(decoded):
-            u = int.from_bytes(chunk, "little")
-            if u >> top:
-                return None
-            decoded[chunk] = unpack(u - unit, width)
-        entries = zip(count(), map(decoded.__getitem__, chunks))
-        rows.append(tuple(compress(entries, map(zero.__ne__, chunks))))
-    return tuple(rows)
+        for chunk in set(chunks).difference(index):
+            index[chunk] = len(values)
+            values.append(unpack(int.from_bytes(chunk, "little") - unit, width))
+        line = array("I", map(index.__getitem__, chunks))
+        ids.append(line)
+        rows.append(tuple(compress(zip(count(), map(values.__getitem__, line)), line)))
+    return _Slots(values, ids, degrees, tuple(rows))
 
 
-def _mismatch(a: _Factor, b: Sequence[Row], cols: Sequence[int]) -> tuple[int, int] | None:
+def _mismatch(a: _Factor, b: _Slots, cols: Sequence[int]) -> tuple[int, int] | None:
     """The first (i, j) in row-major order where a * b differs from e,
     whose row i is 1 at column cols[i], or None.
 
-    b's rows are packed at their own layout: the width holds a_max *
+    b's rows are packed at their own layout.  The width holds a_max *
     max|coef(b)| + 1, which bounds every coefficient of a * b - e (a_max
     is the largest row 1-norm sum of a, and at least 1 so that b's own
-    digits fit), and a slot holds deg a + deg b + 1 digits.  So row i of
-    a * b - e is zero exactly when its packed value is, and the lowest
-    set bit of a nonzero one lies in its first nonzero slot.
+    digits fit).  A slot holds D + 1 digits, D the largest over the
+    nonzeros a[i][k] of deg a[i][k] + b.degrees[k], which bounds the
+    degree of every entry of a * b - e.  So row i of a * b - e is zero
+    exactly when its packed value is, and the lowest set bit of a
+    nonzero one lies in its first nonzero slot.  Each distinct entry of
+    b is packed once, and each row is joined from their bytes.
     """
-    distinct = _distinct(b)
-    top = max((max(map(abs, p.coeffs), default=0) for p in distinct), default=0)
+    coeffs = [p.coeffs for p in b.values if p]
+    top = max(max(map(max, coeffs), default=0), -min(map(min, coeffs), default=0))
     width = packing_width(max(a.norm, 1) * top + 1)
-    degree = a.degree + max((len(p.coeffs) - 1 for p in distinct), default=0)
+    degree = max(
+        (terms[-1][0] + b.degrees[k] for row in a.rows for k, terms in row), default=0
+    )
     slot = _slot(width, degree)
-    size = max((row[-1][0] for row in b if row), default=0) + 1
-    bias = _bias(width, degree, slot, size)
+    size = max(map(len, b.ids), default=0)
     step = slot // 8
-    unit = bias >> slot * (size - 1)
-    chunks = {p.coeffs: (pack(p, width) + unit).to_bytes(step, "little") for p in distinct}
-    zero = unit.to_bytes(step, "little")
-    packed = []
-    for row in b:
-        if not row:
-            packed.append(0)
-            continue
-        slots = [zero] * (row[-1][0] + 1)
-        for j, p in row:
-            slots[j] = chunks[p.coeffs]
-        packed.append(
-            int.from_bytes(b"".join(slots), "little") - (bias >> slot * (size - len(slots)))
-        )
+    unit = _unit(width, degree)
+    bias = _repeat(unit, step, size)
+    table = [(pack(p, width) + unit).to_bytes(step, "little") for p in b.values]
+    packed = [
+        int.from_bytes(b"".join(map(table.__getitem__, line)), "little")
+        - (bias >> slot * (size - len(line)))
+        for line in b.ids
+    ]
     for i, (row, j) in enumerate(zip(a.rows, cols)):
         x = _subtract(1 << slot * j, row, packed, width)
         if x:
@@ -380,9 +434,11 @@ def _mismatch(a: _Factor, b: Sequence[Row], cols: Sequence[int]) -> tuple[int, i
     return None
 
 
-def _triangular_solve(m: IncidenceMatrix, cols: Sequence[int]) -> tuple[Row, ...]:
+def _triangular_solve(m: IncidenceMatrix, cols: Sequence[int], scale: int) -> tuple[Row, ...]:
     """The rows of x with m x = e, whose row i is 1 at column cols[i],
-    for a lower-unitriangular m, certified by the product m x = e."""
+    for a lower-unitriangular m, certified by the product m x = e.  The
+    trial width holds a_max * scale, a_max the largest row 1-norm sum
+    of m."""
     for i, row in enumerate(m.rows):
         # rows are sorted, so this also rules out nonzeros above the diagonal
         if not row or row[-1] != (i, ONE):
@@ -397,46 +453,46 @@ def _triangular_solve(m: IncidenceMatrix, cols: Sequence[int]) -> tuple[Row, ...
     d: list[int] = []
     for row in lower:
         d.append(max((terms[-1][0] + d[k] for k, terms in row), default=0))
-    degree = max(d, default=0)
     # a trial width, certified by the product check
-    x = _solve(lower, cols, packing_width(a.norm), degree)
+    x = _solve(lower, cols, packing_width(a.norm * scale), d)
     if x is not None and _mismatch(a, x, cols) is None:
-        return x
+        return x.rows
     # |x[i][j]|_1 <= r[i] for every j, by induction down the rows
     r: list[int] = []
     for row in lower:
         r.append(1 + sum(abs(c) * r[k] for k, terms in row for _, c in terms))
-    x = _solve(lower, cols, packing_width(max(r, default=1)), degree)
+    x = _solve(lower, cols, packing_width(max(r, default=1)), d)
     if x is None:
         raise AssertionError("an entry is out of range at the proven width")
     bad = _mismatch(a, x, cols)
     if bad is not None:
         raise AssertionError("product check failed at (%d, %d)" % bad)
-    return x
+    return x.rows
 
 
 def invert(m: IncidenceMatrix) -> IncidenceMatrix:
     """Exact inverse of a lower-unitriangular matrix."""
-    return IncidenceMatrix(m.basis, _triangular_solve(m, range(m.size)))
+    return IncidenceMatrix(m.basis, _triangular_solve(m, range(m.size), 1))
 
 
 def row_sums(m: IncidenceMatrix) -> tuple[PolyQ, ...]:
     """The row sums of the inverse of a lower-unitriangular matrix, in
     basis order: the solution of m x = (1, ..., 1), found without the
     inverse."""
-    return tuple(row[0][1] if row else ZERO for row in _triangular_solve(m, [0] * m.size))
+    return tuple(row[0][1] if row else ZERO for row in _triangular_solve(m, [0] * m.size, m.size))
 
 
 def check_inverse(a: IncidenceMatrix, b: IncidenceMatrix) -> None:
     """Raise unless the product a * b is the identity matrix.
 
     Each row of b is packed into one int, entry j at bit S * j, at a
-    width and slot size S taken from a and b themselves, so a wrong
-    entry of b cannot vanish at q = 2**W or spill into its neighbour.
+    width and slot size S taken from a and b themselves (the slots from
+    the degrees of a's entries and of b's rows), so a wrong entry of b
+    cannot vanish at q = 2**W or spill into its neighbour.
     Row i of a * b is then one shift-add per term of a's row i, and is
     compared with 2**(S * i); the first mismatch in row-major order is
     reported.
     """
-    bad = _mismatch(_factor(a.rows), b.rows, range(a.size))
+    bad = _mismatch(_factor(a.rows), _slots(b.rows), range(a.size))
     if bad is not None:
         raise AssertionError("product check failed at (%d, %d)" % bad)

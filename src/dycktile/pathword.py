@@ -117,13 +117,16 @@ def enumerate_type_d(n: int, epsilon: int) -> list[PathWord]:
     """The length-n sign-epsilon basis, highest path first.
 
     Lexicographic order with U before D starts at U...U (the highest
-    path of the sign-0 basis) and ends at the lowest path.
+    path of the sign-0 basis) and ends at the lowest path.  A word with
+    u U's ends at height 2u - n, so its sign is (u - n) mod 2, the
+    parity of its D's; no heights are needed.
     """
     if n < 1:
         raise ValueError("basis needs n >= 1, got %d" % n)
     if epsilon not in (0, 1):
         raise ValueError("epsilon must be 0 or 1, got %r" % (epsilon,))
-    return [w for w in all_words(n) if w.epsilon == epsilon]
+    words = map("".join, itertools.product("UD", repeat=n))
+    return [PathWord(s) for s in words if s.count("D") % 2 == epsilon]
 
 
 def dyck_words(n: int) -> list[PathWord]:

@@ -37,6 +37,7 @@ absolute values of p's coefficients, is where such bounds start.
 
 from __future__ import annotations
 
+from operator import lshift
 from typing import Iterable, Iterator
 
 
@@ -248,7 +249,7 @@ def pack(p: PolyQ, width: int) -> int:
     Packing is a ring homomorphism Z[q] -> Z for every width, so sums
     and products of packed values are the packed sums and products.
     """
-    return sum(c << (width * i) for i, c in enumerate(p.coeffs) if c)
+    return sum(map(lshift, p.coeffs, range(0, width * len(p.coeffs), width)))
 
 
 def unpack(x: int, width: int) -> PolyQ:

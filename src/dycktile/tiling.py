@@ -289,6 +289,12 @@ class Tile:
             raise AssertionError("tile area must be odd")
         return (self.area + 1) // 2
 
+    @cached_property
+    def record(self) -> str:
+        """json.dumps(self.to_json(), indent=2, sort_keys=True), written
+        once per tile."""
+        return _json_text(self.to_json())
+
     def to_json(self) -> dict:
         out = {
             "kind": self.kind,
@@ -341,6 +347,9 @@ class Tiling(NamedTuple):
         raise ValueError("weight must be one of %s" % (WEIGHTS,))
 
     def to_json(self) -> dict:
+        return self._record([t.to_json() for t in self.tiles])
+
+    def _record(self, tile_list: list) -> dict:
         return {
             "family": self.region.type_tag,
             "lower": self.region.lam.steps,
@@ -349,7 +358,7 @@ class Tiling(NamedTuple):
             "area": self.area,
             "tiles": self.tile_count,
             "art": self.art,
-            "tile_list": [t.to_json() for t in self.tiles],
+            "tile_list": tile_list,
         }
 
 
@@ -1278,8 +1287,36 @@ def render_svg(tiling: Tiling, scale: int = 24) -> str:
 
 
 def tiling_record(tiling: Tiling) -> str:
-    """Canonical JSON text for one tiling."""
-    return json.dumps(tiling.to_json(), indent=2, sort_keys=True)
+    """Canonical JSON text for one tiling: json.dumps(tiling.to_json(),
+    indent=2, sort_keys=True), with each tile's text written once per
+    tile."""
+    return _json_text(tiling._record(list(tiling.tiles)))
+
+
+def _json_text(value, pad: str = "") -> str:
+    """The text json.dumps(value, indent=2, sort_keys=True) writes at
+    indentation pad, for the dicts, lists, ints, strs and tiles of a
+    record, a tile as its record.  With an indent, json.dumps runs the
+    pure-Python encoder; this writes the same text in far fewer calls.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = (inner + _json_text(k) + ": " + _json_text(value[k], inner) for k in sorted(value))
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = (inner + _json_text(v, inner) for v in value)
+        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+    if isinstance(value, Tile):
+        # json.dumps escapes every newline inside a string
+        return value.record.replace("\n", "\n" + pad)
+    if type(value) is int:
+        return repr(value)
+    return json.dumps(value)
 
 
 def record_order(tiling: Tiling) -> tuple:

@@ -295,9 +295,9 @@ def count_solves(monkeypatch):
     widths = []
     solve = incidence._solve
 
-    def spy(lower, cols, width, degree):
+    def spy(lower, cols, width, degrees):
         widths.append(width)
-        return solve(lower, cols, width, degree)
+        return solve(lower, cols, width, degrees)
 
     monkeypatch.setattr(incidence, "_solve", spy)
     return widths
@@ -342,9 +342,40 @@ def test_a_slot_out_of_range_fails_the_trial(monkeypatch):
     rows = ((ONE, ZERO, ZERO), (five, ONE, ZERO), (ZERO, five, ONE))
     m = IncidenceMatrix.from_dense(chain(3, Q).basis, rows)
     lower = [row[:-1] for row in incidence._factor(m.rows).rows]
-    assert incidence._solve(lower, range(3), 4, 0) is None
+    assert incidence._solve(lower, range(3), 4, [0, 0, 0]) is None
     widths = count_solves(monkeypatch)
     assert invert(m).entries[2][0] == PolyQ((25,))
+    assert widths == [4, 6]
+    # two 4-bit digits fill a one-byte slot with no padding, and row 1,
+    # 8 + 7q in column 0, biased to 2^8, carries into column 1, past its
+    # own last slot
+    rows = ((ONE, ZERO, ZERO), (PolyQ((-7, -7)), ONE, ZERO), (ZERO, ZERO, ONE))
+    m = IncidenceMatrix.from_dense(chain(3, Q).basis, rows)
+    lower = [row[:-1] for row in incidence._factor(m.rows).rows]
+    assert incidence._solve(lower, [0, 0, 1], 4, [1, 1, 1]) is None
+
+
+def test_an_entry_past_its_rows_degree_bound_fails_the_trial(monkeypatch):
+    # rows 0 to 2 have degree bound 0 and row 3 has 1, so slots hold two
+    # 4-bit digits.  The corner 25 of row 2 still fits its slot once
+    # biased (25 + 8 + 8 * 16 < 2^8), but reads back as -7 + 2q, past
+    # its row's bound: the trial refuses it, and the proven width
+    # decodes it
+    five = PolyQ((5,))
+    rows = (
+        (ONE, ZERO, ZERO, ZERO),
+        (five, ONE, ZERO, ZERO),
+        (ZERO, five, ONE, ZERO),
+        (Q, ZERO, ZERO, ONE),
+    )
+    m = IncidenceMatrix.from_dense(chain(4, Q).basis, rows)
+    lower = [row[:-1] for row in incidence._factor(m.rows).rows]
+    assert incidence._solve(lower, range(4), 4, [1, 1, 1, 1]).rows[2][0] == (0, PolyQ((-7, 2)))
+    assert incidence._solve(lower, range(4), 4, [0, 0, 0, 1]) is None
+    widths = count_solves(monkeypatch)
+    inv = invert(m)
+    assert inv.entries == dense_inverse(rows)
+    assert inv.entries[2][0] == PolyQ((25,))
     assert widths == [4, 6]
 
 
@@ -383,6 +414,48 @@ def test_check_inverse_slots_count_both_factors_degrees():
     assert str(exc.value) == "product check failed at (2, 0)"
 
 
+def assert_check_fails_at(rows_a, rows_b, want):
+    a = IncidenceMatrix.from_dense(chain(len(rows_a), Q).basis, rows_a)
+    b = IncidenceMatrix.from_dense(a.basis, rows_b)
+    assert first_mismatch(a, b) == want
+    with pytest.raises(AssertionError) as exc:
+        check_inverse(a, b)
+    assert str(exc.value) == "product check failed at (%d, %d)" % want
+
+
+def test_check_inverse_slots_count_each_rows_degree():
+    # A slot needs deg a[i][k] + deg b[k] + 1 digits for every nonzero
+    # a[i][k].  In both cases below the largest of these, 7 + 7, is more
+    # than b's largest row degree and more than deg a[i][k] + deg b[i],
+    # and a slot of fewer digits would let the mismatch vanish.
+    h = PolyQ((0,) * 7 + (1,))
+    # b's deepest row is row 3 (degree 9), but (a * b)[2] - e_2 =
+    # (-q^14, q^4, 0, 0) needs deg a[2][1] + deg b[1].  Widths are 4 bits
+    # (a_max 3, max|coef(b)| 2), so 10-digit slots would be 40 bits, and
+    # q^4 in the next slot would cancel -q^14
+    deep = PolyQ((0,) * 9 + (2,))
+    a = ((ONE, ZERO, ZERO, ZERO), (h, ONE, ZERO, ZERO), (ZERO, h, ONE, ZERO), (deep, ZERO, ZERO, ONE))
+    b = (
+        (ONE, ZERO, ZERO, ZERO),
+        (-h, ONE, ZERO, ZERO),
+        (ZERO, PolyQ((0, 0, 0, 0, 1, 0, 0, -1)), ONE, ZERO),
+        (-deep, ZERO, ZERO, ONE),
+    )
+    assert dense_product(a, b)[2][:2] == [-(h * h), PolyQ((0, 0, 0, 0, 1))]
+    assert_check_fails_at(a, b, (2, 0))
+    # (a * b)[0] - e_0 = (-q^14, 1, 0, 0) needs deg a[0][1] + deg b[1],
+    # while deg a[0][k] + deg b[0] is at most 7 + 6 and b's deepest row
+    # is 13.  Widths are 4 bits (a_max 3, max|coef(b)| 1), so 14-digit
+    # slots would be 56 bits, and the 1 in the next slot would cancel
+    # -q^14.  a's other rows are zero, so they fail later
+    q6 = PolyQ((0,) * 6 + (1,))
+    q13 = PolyQ((0,) * 13 + (1,))
+    a = ((ONE, h, ONE, ZERO), (ZERO,) * 4, (ZERO,) * 4, (ZERO,) * 4)
+    b = ((ONE, ONE, q6, ZERO), (-h, ZERO, ZERO, ZERO), (ZERO, ZERO, -q6, ZERO), (ZERO, ZERO, ZERO, q13))
+    assert dense_product(a, b)[0] == [ONE - h * h, ONE, ZERO, ZERO]
+    assert_check_fails_at(a, b, (0, 0))
+
+
 @pytest.mark.parametrize("kind", ["I", "II"])
 @pytest.mark.parametrize("eps", [0, 1])
 @pytest.mark.parametrize("n", range(1, 9))
@@ -393,26 +466,34 @@ def test_row_sums_are_the_inverse_row_sums(n, eps, kind):
 
 
 def test_row_sums_fall_back_when_the_residual_is_not_zero(monkeypatch):
-    # the trial width holds digits in [-8, 8); the last row sum is 21,
-    # so the residual M x - 1 is not zero and the proven width decodes
+    # the trial width holds a_max * size = 24, so digits in [-32, 32);
+    # the last row sum is -104, so the trial decode fails and the proven
+    # width (row bounds 1, 6, 31, 156) decodes
     widths = count_solves(monkeypatch)
-    five = PolyQ((5,))
-    rows = ((ONE, ZERO, ZERO), (five, ONE, ZERO), (ZERO, five, ONE))
-    m = IncidenceMatrix.from_dense(chain(3, Q).basis, rows)
-    assert row_sums(m) == (ONE, PolyQ((-4,)), PolyQ((21,)))
-    assert widths == [4, 6]
-    # build's matrices need the proven width for their row sums at n = 9
-    widths.clear()
-    m = build(9, 0, "I")
-    sums = row_sums(m)
-    assert len(widths) == 2
-    assert sums == tuple(sum((p for _, p in row), ZERO) for row in invert(m).rows)
+    m = chain(4, PolyQ((5,)))
+    assert row_sums(m) == (ONE, PolyQ((-4,)), PolyQ((21,)), PolyQ((-104,)))
+    assert widths == [6, 9]
+
+
+@pytest.mark.parametrize("kind", ["I", "II"])
+@pytest.mark.parametrize("eps", [0, 1])
+def test_row_sums_solve_once_for_builds_matrices(monkeypatch, eps, kind):
+    # the trial width bounds a row sum, not a single entry, so it holds
+    # every row sum of build's matrices and the first solve is kept
+    widths = count_solves(monkeypatch)
+    for n in range(1, 12):
+        widths.clear()
+        m = build(n, eps, kind)
+        row_sums(m)
+        assert len(widths) == 1, n
 
 
 def test_row_sums_raise_when_the_proven_width_fails_its_check(monkeypatch):
     m = build(3, 0, "I")
     monkeypatch.setattr(
-        incidence, "_solve", lambda lower, cols, width, degree: tuple(((0, Q),) for _ in lower)
+        incidence,
+        "_solve",
+        lambda lower, cols, width, degrees: incidence._slots(tuple(((0, Q),) for _ in lower)),
     )
     with pytest.raises(AssertionError, match=r"^product check failed at \(0, 0\)$"):
         row_sums(m)

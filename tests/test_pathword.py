@@ -66,6 +66,13 @@ def test_signs_partition_all_words(n):
     assert set(w.steps for w in e0).isdisjoint(w.steps for w in e1)
 
 
+@pytest.mark.parametrize("eps", [0, 1])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_basis_is_the_sign_filter_of_all_words(n, eps):
+    # the sign read from the letter count is the one read from heights
+    assert enumerate_type_d(n, eps) == [w for w in all_words(n) if w.epsilon == eps]
+
+
 def test_truncate_last():
     assert truncate_last(PathWord("DDDD")) == PathWord("DDD")
     assert truncate_last(PathWord("DUUDUU")) == PathWord("DUUDU")

@@ -465,6 +465,22 @@ def test_tiling_record_round_trip():
             assert "lower" in t and "upper" in t and "glue" in t
 
 
+def test_tiling_record_is_the_indented_json_dumps():
+    # tiling_record writes the text of json.dumps(..., indent=2,
+    # sort_keys=True) without running its encoder: byte for byte the same
+    # for every tiling of these sums, the empty tilings (138) included
+    seen = empty = 0
+    for family, words in (("A", dyck_words(6)), ("B", all_words(5)), ("D", all_words(5))):
+        for w in words:
+            for cls in (INCLUSIVE, EXCLUSIVE):
+                for _, tilings in sum_tilings(w, family, cls):
+                    for t in tilings:
+                        assert tiling_record(t) == json.dumps(t.to_json(), indent=2, sort_keys=True)
+                        seen += 1
+                        empty += not t.tiles
+    assert (seen, empty) == (1286, 138)
+
+
 def test_record_order_sorts_as_the_records_do():
     # `dycktile tilings` sorts by (upper word, record_order), which must
     # give the order of (upper word, tiling_record) without writing the
