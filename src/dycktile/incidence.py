@@ -56,8 +56,8 @@ decodes to entries of degree at most d[i] with every coefficient in
 range.  One to_bytes and one struct unpack then split the row into its
 slots.  Each distinct slot is unpacked once into a table, 355 entries
 for 8,256 slots at n = 8, and each row keeps its slots as an array of
-indices into that table.  A row out of range (negative,
-longer than its last slot, or past its degree bound) fails the decode.
+indices into that table.  A row out of range (negative, longer than
+its last slot, or past its degree bound) fails the decode.
 
 Each solve decodes first at a trial width.  For invert that is
 packing_width(a_max), where a_max is the largest row 1-norm sum of m
@@ -83,10 +83,10 @@ diagonal's included.  check_inverse(a, b) runs the same check, with
 the largest degree of each row of b as its bound.
 
 The trial width suffices for every inverse build makes through
-n = 12 and every row sum through n = 13.  The fallback substitutes again at a proven
-width: r_i = 1 + sum over k < i of |m[i][k]|_1 * r_k bounds, by
-induction down the rows, the 1-norm of every entry of row i of x, so
-W = bit_length(max r) + 1 decodes it (38 bits at n = 8, 95 at
+n = 12 and every row sum through n = 13.  The fallback substitutes
+again at a proven width: r_i = 1 + sum over k < i of |m[i][k]|_1 * r_k
+bounds, by induction down the rows, the 1-norm of every entry of row i
+of x, so W = bit_length(max r) + 1 decodes it (38 bits at n = 8, 95 at
 n = 11).  The check then runs again and raises if it fails.  Inverse
 entries only hold nonnegative coefficients; the tiling bridge
 re-proves that positivity downstream and the tests assert it, but

@@ -425,9 +425,9 @@ def assert_check_fails_at(rows_a, rows_b, want):
 
 def test_check_inverse_slots_count_each_rows_degree():
     # A slot needs deg a[i][k] + deg b[k] + 1 digits for every nonzero
-    # a[i][k].  In both cases below the largest of these, 7 + 7, is more
-    # than b's largest row degree and more than deg a[i][k] + deg b[i],
-    # and a slot of fewer digits would let the mismatch vanish.
+    # a[i][k].  In both cases below the largest of these is 7 + 7, more
+    # than b's largest row degree, and a slot of fewer digits would let
+    # the first mismatch vanish.
     h = PolyQ((0,) * 7 + (1,))
     # b's deepest row is row 3 (degree 9), but (a * b)[2] - e_2 =
     # (-q^14, q^4, 0, 0) needs deg a[2][1] + deg b[1].  Widths are 4 bits
