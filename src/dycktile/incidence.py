@@ -53,10 +53,10 @@ every slot, so that a slot in range holds an unsigned int below
 masked compare per row, (biased row XOR bias) AND a mask of every bit
 past digit d[i] of every slot, checks that they do: a row that passes
 decodes to entries of degree at most d[i] with every coefficient in
-range.  One to_bytes and one struct unpack then split the row into its
-slots.  Each distinct slot is unpacked once into a table, 355 entries
-for 8,256 slots at n = 8, and each row keeps its slots as an array of
-indices into that table.  A row out of range (negative, longer than
+range.  One to_bytes, as long as the row's last slot, and one struct
+unpack then split the row into its slots.  Each distinct slot is
+unpacked once into a table, 355 entries for 8,256 slots at n = 8, and
+each row keeps its slots as an array of indices into that table.  A row out of range (negative, longer than
 its last slot, or past its degree bound) fails the decode.
 
 Each solve decodes first at a trial width.  For invert that is
@@ -80,7 +80,9 @@ carry into its neighbour unseen.  The check packs each entry of the
 table once and joins each row from those bytes.  At n = 8 its slots
 hold 29 digits of 9 bits, and it makes 1,137 shift-adds, the
 diagonal's included.  check_inverse(a, b) runs the same check, with
-the largest degree of each row of b as its bound.
+the largest degree of each row of b as its bound, and D at least the
+largest of these, so that a row of b that no nonzero of a reads still
+fits its slots.
 
 The trial width suffices for every inverse build makes through
 n = 12 and every row sum through n = 13.  The fallback substitutes
@@ -104,7 +106,7 @@ from functools import cached_property
 from itertools import compress, count
 from operator import itemgetter
 from struct import Struct
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .linkflip import arc_exponents, flip
 from .pathword import PathWord, enumerate_type_d
@@ -365,7 +367,7 @@ def _solve(
     step = slot // 8
     unit = _unit(width, degree)
     bias = _repeat(unit, step, size)
-    split = Struct("%ds" % step * size).unpack
+    splits: dict[int, Callable[[bytes], tuple[bytes, ...]]] = {}
     # above[d] marks every bit of every slot past digit d.  There a
     # biased row whose entries have degree at most d, every coefficient
     # in range, reads what the bias holds: half in each digit up to D
@@ -381,10 +383,13 @@ def _solve(
         mask = above.get(d)
         if mask is None:
             mask = above[d] = _repeat((1 << slot) - (1 << width * (d + 1)), step, size)
-        if x.bit_length() > slot * (last + 1) or (x ^ b) & mask:
+        if (x ^ b) & mask:
             return None
+        split = splits.get(last)
+        if split is None:
+            split = splits[last] = Struct("%ds" % step * (last + 1)).unpack
         try:
-            chunks = split(x.to_bytes(step * size, "little"))[: last + 1]
+            chunks = split(x.to_bytes(step * (last + 1), "little"))
         except OverflowError:
             return None
         for chunk in set(chunks).difference(index):
@@ -403,18 +408,22 @@ def _mismatch(a: _Factor, b: _Slots, cols: Sequence[int]) -> tuple[int, int] | N
     b's rows are packed at their own layout.  The width holds a_max *
     max|coef(b)| + 1, which bounds every coefficient of a * b - e (a_max
     is the largest row 1-norm sum of a, and at least 1 so that b's own
-    digits fit).  A slot holds D + 1 digits, D the largest over the
-    nonzeros a[i][k] of deg a[i][k] + b.degrees[k], which bounds the
-    degree of every entry of a * b - e.  So row i of a * b - e is zero
-    exactly when its packed value is, and the lowest set bit of a
-    nonzero one lies in its first nonzero slot.  Each distinct entry of
-    b is packed once, and each row is joined from their bytes.
+    digits fit).  A slot holds D + 1 digits, D the largest of the
+    b.degrees and, over the nonzeros a[i][k], of deg a[i][k] +
+    b.degrees[k], which bounds the degree of every entry of b and of
+    a * b - e (a row of b that no nonzero of a reads still has to fit
+    its slots; for a unitriangular a the diagonal already covers it).
+    So row i of a * b - e is zero exactly when its packed value is, and
+    the lowest set bit of a nonzero one lies in its first nonzero slot.
+    Each distinct entry of b is packed once, and each row is joined
+    from their bytes.
     """
     coeffs = [p.coeffs for p in b.values if p]
     top = max(max(map(max, coeffs), default=0), -min(map(min, coeffs), default=0))
     width = packing_width(max(a.norm, 1) * top + 1)
     degree = max(
-        (terms[-1][0] + b.degrees[k] for row in a.rows for k, terms in row), default=0
+        max(b.degrees, default=0),
+        max((terms[-1][0] + b.degrees[k] for row in a.rows for k, terms in row), default=0),
     )
     slot = _slot(width, degree)
     size = max(map(len, b.ids), default=0)

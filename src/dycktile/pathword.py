@@ -125,8 +125,7 @@ def enumerate_type_d(n: int, epsilon: int) -> list[PathWord]:
         raise ValueError("basis needs n >= 1, got %d" % n)
     if epsilon not in (0, 1):
         raise ValueError("epsilon must be 0 or 1, got %r" % (epsilon,))
-    words = map("".join, itertools.product("UD", repeat=n))
-    return [PathWord(s) for s in words if s.count("D") % 2 == epsilon]
+    return [w for w in all_words(n) if w.steps.count("D") % 2 == epsilon]
 
 
 def dyck_words(n: int) -> list[PathWord]:

@@ -456,6 +456,14 @@ def test_check_inverse_slots_count_each_rows_degree():
     assert_check_fails_at(a, b, (0, 0))
 
 
+def test_check_inverse_slots_hold_a_row_that_a_never_reads():
+    # a's column 1 is zero, so no deg a[i][k] + deg b[k] counts b's row 1
+    # (degree 5); its slots must still hold it, and the mismatch at
+    # (1, 1) is reported, not an overflow
+    q5 = PolyQ((0,) * 5 + (1,))
+    assert_check_fails_at(((ONE, ZERO), (ZERO, ZERO)), ((ONE, ZERO), (ZERO, q5)), (1, 1))
+
+
 @pytest.mark.parametrize("kind", ["I", "II"])
 @pytest.mark.parametrize("eps", [0, 1])
 @pytest.mark.parametrize("n", range(1, 9))
@@ -482,10 +490,15 @@ def test_row_sums_solve_once_for_builds_matrices(monkeypatch, eps, kind):
     # every row sum of build's matrices and the first solve is kept
     widths = count_solves(monkeypatch)
     for n in range(1, 12):
-        widths.clear()
         m = build(n, eps, kind)
-        row_sums(m)
+        widths.clear()
+        sums = row_sums(m)
         assert len(widths) == 1, n
+        # m is unitriangular, so m s = (1, ..., 1) holds only for the
+        # inverse's row sums s
+        assert all(sum((p * sums[k] for k, p in row), ZERO) == ONE for row in m.rows), n
+        if n in (9, 10):
+            assert sums == tuple(sum((p for _, p in row), ZERO) for row in invert(m).rows)
 
 
 def test_row_sums_raise_when_the_proven_width_fails_its_check(monkeypatch):
