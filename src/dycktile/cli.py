@@ -558,7 +558,8 @@ def cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int
             "--max-length %d exceeds the cap %d; pass --allow-long to lift it"
             % (args.max_length, LENGTH_CAP)
         )
-    report = [run_check(name, args.max_length) for name in CHECKS]
+    names = [name for name in CHECKS if not args.only or name in args.only]
+    report = [run_check(name, args.max_length) for name in names]
     all_pass = all(r["passed"] for r in report)
     if args.json:
         print(
@@ -652,6 +653,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", parents=[common], help="run the identity suite")
     p.add_argument("--max-length", type=int, default=5)
     p.add_argument("--json", action="store_true", help="machine-readable report")
+    p.add_argument(
+        "--only",
+        action="append",
+        choices=tuple(CHECKS),
+        metavar="NAME",
+        help="run only check NAME (repeatable); the checks run in registry order",
+    )
     p.set_defaults(fn=cmd_verify)
 
     return parser

@@ -8,8 +8,11 @@ arc is dashed.  An arc that closes with a D is popped before the next
 arc that opens right of it, so what follows it hangs beside it as
 right siblings.  A dashed arc that closes with a U is never popped:
 its edge swallows everything to its right, so such an edge is always a
-rightmost child.  Arrows between edges are copied from the arrow chains
-of the link pattern, one arrow between consecutive members.
+rightmost child.  Each edge gets its arrow in the same pass, as it is
+placed: the link pattern gives every arc the index of the earlier arc
+its arrow points at, so the arrows join consecutive members of each
+arrow chain.  The link pattern, and so the tree, of vU and of vD agree:
+the tree belongs to the ballot path v.
 
 The tree is then evaluated by repeatedly merging two adjacent sibling
 chains (a chain is a child edge whose subtree is a bare path).  With N
@@ -113,14 +116,14 @@ def _one_plus_powers(lo: int, hi: int) -> PolyQ:
     return prod(_one_plus_q(j) for j in range(lo, hi + 1))
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TreeNode:
     """A vertex; children are edges ordered left to right."""
 
     children: list["TreeEdge"] = field(default_factory=list)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TreeEdge:
     """An edge to a child vertex, optionally dotted, with arrows.
 
@@ -212,7 +215,9 @@ def build_tree(w: PathWord) -> PlaneTree:
 
     The arcs come in open order.  Before an arc's edge is placed below
     the top vertex, every vertex whose arc closed with a D to its left
-    is popped; an arc that closes with a U is never popped.
+    is popped; an arc that closes with a U is never popped.  The link
+    pattern gives each arc the earlier arc its arrow points at, so the
+    edge's arrow is set as the edge is placed.
     """
     lp = link_pattern(w)
     steps = w.steps
@@ -220,19 +225,19 @@ def build_tree(w: PathWord) -> PlaneTree:
     root = TreeNode()
     nodes = [root]
     closes = [never]
-    edge_of = {}
-    for a in lp.arcs:
-        while closes[-1] < a.open:
+    edges: list[TreeEdge] = []
+    for (start, end, dashed), target in zip(lp.arcs, lp.arrows):
+        while closes[-1] < start:
             closes.pop()
             nodes.pop()
-        edge = edge_of[a.open] = TreeEdge(TreeNode(), a.dashed)
+        edge = TreeEdge(TreeNode(), dashed)
+        if target is not None:
+            edge.outgoing = edges[target]
+            edges[target].incoming = edge
+        edges.append(edge)
         nodes[-1].children.append(edge)
         nodes.append(edge.child)
-        closes.append(a.close if steps[a.close - 1] == "D" else never)
-    for chain in lp.arrow_chains():
-        for a, b in zip(chain, chain[1:]):
-            edge_of[a.open].outgoing = edge_of[b.open]
-            edge_of[b.open].incoming = edge_of[a.open]
+        closes.append(end if steps[end - 1] == "D" else never)
     return PlaneTree(root)
 
 

@@ -281,6 +281,36 @@ def test_verify_json_report(capsys):
         assert c["passed"] and c["bound"] == 1 and c["seconds"] >= 0
 
 
+def test_verify_only_prints_the_full_run_line_of_one_check(capsys):
+    _, full, _ = run(capsys, "verify", "--max-length", "3")
+    code, out, _ = run(capsys, "verify", "--max-length", "3", "--only", "tree-evaluation")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 2 and lines[-1] == "all checks passed"
+    # the name column is as wide as the longest name printed
+    assert lines[0].split()[0] == "tree-evaluation"
+    assert lines[0].split() in [line.split() for line in full.splitlines()]
+
+
+def test_verify_only_twice_lists_both_checks_in_registry_order(capsys):
+    code, out, _ = run(
+        capsys,
+        "verify", "--max-length", "2", "--json",
+        "--only", "merge-confluence", "--only", "golden-matrices",
+    )
+    assert code == 0
+    blob = json.loads(out)
+    assert [c["name"] for c in blob["checks"]] == ["golden-matrices", "merge-confluence"]
+    assert blob["all_pass"] is True
+
+
+def test_verify_only_refuses_an_unknown_check(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--only", "tree-projection"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'tree-projection'" in capsys.readouterr().err
+
+
 def test_matrix_bridge_runs_at_the_length_asked():
     report = run_check("matrix-bridge", 7)
     assert report["passed"]

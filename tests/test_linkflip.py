@@ -85,10 +85,10 @@ def reference_exponent(w, arc, kind):
 
 @pytest.mark.parametrize("kind", ["I", "II"])
 def test_arc_exponents_match_the_arc_geometry(kind):
-    for n in range(11):
+    for n in range(13):
         for w in all_words(n):
             got = arc_exponents(w, kind)
-            assert [arc for arc, _ in got] == list(pair_arcs(w).all_arcs())
+            assert [arc for arc, _ in got] == sorted(pair_arcs(w).all_arcs())
             for arc, e in got:
                 assert e == reference_exponent(w, arc, kind), (w.steps, arc)
 
@@ -252,6 +252,7 @@ def _as_tuples(lp):
 
 
 def test_link_pattern_matches_its_definition_up_to_length_12():
+    # the definition sorts its arcs, so this also pins the scan's open order
     for w in _exhaustive_words(12):
         assert _as_tuples(link_pattern(w)) == _link_pattern_by_definition(w), w
 
@@ -265,3 +266,45 @@ def test_ext_arc_is_a_named_tuple():
     a = ExtArc(-1, 2, True)
     assert (a.open, a.close, a.dashed) == (-1, 2, True)
     assert a == (-1, 2, True) and hash(a) == hash((-1, 2, True))
+
+
+def test_link_pattern_depends_only_on_the_ballot_path():
+    # w = vU and w = vD pair alike: the last letter's arc is dashed either way
+    for v in _exhaustive_words(12):
+        up = link_pattern(PathWord(v.steps + "U"))
+        down = link_pattern(PathWord(v.steps + "D"))
+        assert up.arcs == down.arcs, v
+        assert up.prepended_u_count == down.prepended_u_count, v
+
+
+def _chains_by_definition(arcs):
+    """Outer arcs are nested in no other arc; each dashed outer arc
+    heads the non-dashed outer arcs strictly between it and the nearest
+    dashed outer arc on its left, listed right to left."""
+    outer = [
+        a
+        for a in arcs
+        if not any(b.open < a.open and a.close < b.close for b in arcs)
+    ]
+    chains, pending = [], []
+    for a in outer:
+        if a.dashed:
+            chains.append((a, *reversed(pending)))
+            pending = []
+        else:
+            pending.append(a)
+    return tuple(outer), tuple(chains), pending
+
+
+def test_outer_arcs_and_arrow_chains_match_their_definition_up_to_length_12():
+    for w in _exhaustive_words(12):
+        lp = link_pattern(w)
+        outer, chains, left_over = _chains_by_definition(lp.arcs)
+        assert lp.outer_arcs() == outer, w
+        assert lp.arrow_chains() == chains, w
+        # the last outer arc is dashed, so every outer arc is in a chain
+        assert not left_over, w
+        # an arrow from every chain member but the last, to the next one
+        index = {a: k for k, a in enumerate(lp.arcs)}
+        pointed = {index[a]: index[b] for c in chains for a, b in zip(c, c[1:])}
+        assert {k: t for k, t in enumerate(lp.arrows) if t is not None} == pointed, w

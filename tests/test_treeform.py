@@ -160,6 +160,31 @@ def test_tree_edges_match_arcs(w):
     )
 
 
+def test_tree_arrows_join_consecutive_chain_members_up_to_length_12():
+    # the edges come in depth-first order, which is the arcs' open order
+    for n in range(13):
+        for w in all_words(n):
+            lp = link_pattern(w)
+            edges = list(build_tree(w).edges())
+            assert [e.dotted for e in edges] == [a.dashed for a in lp.arcs], w
+            edge_of = dict(zip(lp.arcs, edges))
+            want = {
+                (id(edge_of[a]), id(edge_of[b]))
+                for chain in lp.arrow_chains()
+                for a, b in zip(chain, chain[1:])
+            }
+            outgoing = {(id(e), id(e.outgoing)) for e in edges if e.outgoing is not None}
+            incoming = {(id(e.incoming), id(e)) for e in edges if e.incoming is not None}
+            assert outgoing == incoming == want, w
+
+
+def test_tree_depends_only_on_the_ballot_path():
+    for n in range(13):
+        for v in all_words(n):
+            up = build_tree(PathWord(v.steps + "U")).to_json()
+            assert up == build_tree(PathWord(v.steps + "D")).to_json(), v
+
+
 def test_to_dot_mentions_styles():
     text = build_tree(PathWord("DUUDUU")).to_dot()
     assert text.startswith("digraph")
